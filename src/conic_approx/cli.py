@@ -13,9 +13,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from .extremal import (
-    ExtremalSequence,
+    IDENTITIES,
+    SEED_IDENTITIES,
     InvariantViolation,
     UnsupportedConstruction,
+    Window,
     extend,
     limit_point,
     seed_triple,
@@ -26,9 +28,9 @@ from .minpoints import (
     estimate_lambda,
     rigidity_check,
 )
-from .numerics import CertifiedReal, Dyadic, PrecisionCapError
+from .numerics import CertifiedReal, Dyadic, PrecisionCapError, precision_cap
 from .pell import cf_expansion, find_seed_pair, fundamental_solution, next_solution
-from .quadform import FormRejected, TernaryQuadraticForm, max_norm, reduce_form
+from .quadform import FormRejected, TernaryQuadraticForm, det3, max_norm, reduce_form
 from .targets import ExtremalTarget, SqrtPairTarget
 
 EXIT_OK = 0
@@ -82,8 +84,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if args.depth < 1:
+        print("error: --depth must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     try:
         seq = seed_triple(args.b, args.c)
         extend(seq, args.depth)
@@ -97,6 +100,8 @@ def cmd_construct(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "sequence.jsonl", "w") as fp:
         for i in range(-1, args.depth + 1):
             y = seq.y(i)
@@ -131,6 +136,8 @@ def _target_from_args(args):
         return ExtremalTarget(int(obj["b"]), int(obj["c"]))
     if args.sqrt is not None:
         a, b = (int(s) for s in args.sqrt.split(","))
+        if a < 0 or b < 0:
+            raise ValueError("--sqrt needs non-negative integers A,B")
         return SqrtPairTarget(a, b)
     if args.b is not None and args.c is not None:
         return ExtremalTarget(args.b, args.c)
@@ -157,6 +164,13 @@ def cmd_enumerate(args) -> int:
     except PrecisionCapError as exc:
         print(f"precision cap: {exc}", file=sys.stderr)
         return EXIT_MATH
+    if len(records) < 2:
+        print(
+            f"error: {len(records)} minimal point(s) up to --xmax {args.xmax}; "
+            "the exponent estimate needs at least two",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     report = estimate_lambda(records)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -248,6 +262,8 @@ def cmd_verify(args) -> int:
                 }
             )
         rows.sort(key=lambda r: r["i"])
+        if len(rows) < 3 or [r["i"] for r in rows] != list(range(-1, len(rows) - 1)):
+            raise ValueError("rows must hold indices -1, 0, 1, ... without gaps")
         b, c = (args.b, args.c) if args.b and args.c else _infer_bc(rows)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot parse sequence file: {exc}", file=sys.stderr)
@@ -255,36 +271,25 @@ def cmd_verify(args) -> int:
     phi = TernaryQuadraticForm(1, -b, -c)
     ys = [r["y"] for r in rows]
     ts = [r["t"] for r in rows]
+    det0 = det3(ys[2], ys[1], ys[0])
     failures = 0
 
-    def check(name: str, ok: bool, index) -> None:
+    def check(name: str, ok: bool, index: int) -> None:
         nonlocal failures
         print(f"{'PASS' if ok else 'FAIL'}  {name} @ i={index}")
         if not ok:
             failures += 1
 
-    from .quadform import det3
-
-    for k, r in enumerate(rows):
-        check("unit value of the form", phi(ys[k]) == 1, r["i"])
-        check("norm_bits", max_norm(ys[k]).bit_length() == r["norm_bits"], r["i"])
-    for k in range(len(rows) - 1):
-        check(
-            "t matches the bilinear form",
-            ts[k] == phi.bilinear(ys[k + 1], ys[k]),
-            rows[k]["i"],
-        )
-    if len(rows) >= 3:
-        d0 = det3(ys[2], ys[1], ys[0])
-        check("seed independence", d0 != 0, rows[2]["i"])
-        for k in range(3, len(rows)):
-            check("constant determinant", abs(det3(ys[k], ys[k - 1], ys[k - 2])) == abs(d0), rows[k]["i"])
-            check(
-                "vector recurrence",
-                ys[k] == tuple(ts[k - 1] * a - bb for a, bb in zip(ys[k - 1], ys[k - 3])),
-                rows[k]["i"],
-            )
-            check("t recurrence", ts[k] == ts[k - 1] * ts[k - 2] - ts[k - 3], rows[k]["i"])
+    for r in rows:
+        check("norm_bits", max_norm(r["y"]).bit_length() == r["norm_bits"], r["i"])
+    seed = Window(phi, ys, ts, det0, 1)
+    for name, holds in SEED_IDENTITIES:
+        check(name, holds(seed), 1)
+    # values proved at index i-1 may be reused at i only while nothing has failed
+    for i in range(2, len(rows) - 1):
+        window = Window(phi, ys, ts, det0, i, proved=failures == 0)
+        for name, holds in IDENTITIES:
+            check(name, holds(window), i)
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
 
@@ -365,6 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        precision_cap()  # a malformed CONIC_APPROX_MAX_BITS is an input error
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except InvariantViolation as exc:

@@ -12,8 +12,10 @@ construction relies on is re-checked exactly at runtime while extending.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .numerics import CertifiedReal, PrecisionCapError, precision_cap
 from .pell import fundamental_solution, find_seed_pair
@@ -22,7 +24,6 @@ from .quadform import (
     Vec3,
     cross,
     det3,
-    dot,
     max_norm,
     psi,
 )
@@ -93,45 +94,158 @@ def seed_triple(b: int, c: int) -> ExtremalSequence:
         form.bilinear(ys[2], ys[1]),
         form.bilinear(ys[2], ys[0]),
     ]
-    seq = ExtremalSequence(b, c, (m, n, mp, np_, r, t), form, ys, ts)
-    for i in (-1, 0, 1):
-        if form(seq.y(i)) != 1:
-            raise InvariantViolation("unit value of the form on a seed vector", i)
-    if not (0 < ts[0] < ts[1] < ts[2]):
-        raise InvariantViolation("strictly increasing seed inner products", 1)
-    if not (max_norm(ys[0]) < max_norm(ys[1]) < max_norm(ys[2])):
-        raise InvariantViolation("strictly increasing seed norms", 1)
-    seq.det0 = det3(ys[2], ys[1], ys[0])
-    if seq.det0 == 0:
-        raise InvariantViolation("linear independence of the seed triple", 1)
+    det0 = det3(ys[2], ys[1], ys[0])
+    seq = ExtremalSequence(b, c, (m, n, mp, np_, r, t), form, ys, ts, det0)
+    window = Window(form, ys, ts, det0, 1)
+    for name, holds in SEED_IDENTITIES:
+        if not holds(window):
+            raise InvariantViolation(name, 1)
     return seq
 
 
-def _check_new_index(seq: ExtremalSequence, i: int) -> None:
-    """Exact invariants for the freshly appended index i (i >= 2)."""
-    form = seq.form
-    y_new, y1, y3 = seq.y(i), seq.y(i - 1), seq.y(i - 3)
-    if form(y_new) != 1:
-        raise InvariantViolation("unit value of the form", i)
-    if y_new != psi(form, y1, y3):
-        raise InvariantViolation("reflection-operator recurrence", i)
-    if seq.t(i - 1) != form.bilinear(y_new, y1):
-        raise InvariantViolation("inner-product identity t_i = B(y_{i+1}, y_i)", i - 1)
-    if seq.t(i) != form.bilinear(y_new, seq.y(i - 2)):
-        raise InvariantViolation("inner-product identity t_{i+1} = B(y_{i+1}, y_{i-1})", i)
-    if abs(det3(y_new, y1, seq.y(i - 2))) != abs(seq.det0):
-        raise InvariantViolation("constant determinant", i)
-    t_prev, t_prev2 = seq.t(i - 1), seq.t(i - 2)
-    if not ((t_prev - 1) * t_prev2 < seq.t(i) < t_prev * t_prev2):
-        raise InvariantViolation("double inequality on t", i)
-    if not (
-        (t_prev - 1) * max_norm(y1) < max_norm(y_new) < (t_prev + 1) * max_norm(y1)
-    ):
-        raise InvariantViolation("double inequality on norms", i)
+# ---------------------------------------------------------------------------
+# the identity table, walked by `seed_triple`, `extend` and `cli verify`
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Window:
+    """The stored members that the identities at index i read.
+
+    `proved` says that this same run (one `extend` call, or one `verify`)
+    already proved every identity at index i-1, or at the seed when i = 2, so
+    an entry may reuse values those identities established.
+    """
+
+    form: TernaryQuadraticForm
+    ys: list[Vec3]  # ys[k] holds y_{k-1}
+    ts: list[int]
+    det0: int
+    i: int
+    proved: bool = False
+
+    def y(self, j: int) -> Vec3:
+        return self.ys[j + 1]
+
+    def t(self, j: int) -> int:
+        return self.ts[j + 1]
+
+    @cached_property
+    def t_product(self) -> int:
+        """P = t_{i-1} * t_{i-2}, shared by the t recurrence and the double
+        inequality on t."""
+        return self.t(self.i - 1) * self.t(self.i - 2)
+
+
+Identity = tuple[str, Callable[[Window], bool]]
+
+
+def _seed_unit_values(w: Window) -> bool:
+    """q(y_{-1}) = q(y_0) = q(y_1) = 1."""
+    return all(w.form(w.y(j)) == 1 for j in (-1, 0, 1))
+
+
+def _seed_inner_products(w: Window) -> bool:
+    """t_{-1} = B(y_0, y_{-1}), t_0 = B(y_1, y_0) and t_1 = B(y_1, y_{-1})."""
+    B, y = w.form.bilinear, w.y
+    return (w.t(-1), w.t(0), w.t(1)) == (B(y(0), y(-1)), B(y(1), y(0)), B(y(1), y(-1)))
+
+
+def _seed_increasing_ts(w: Window) -> bool:
+    """0 < t_{-1} < t_0 < t_1."""
+    return 0 < w.t(-1) < w.t(0) < w.t(1)
+
+
+def _seed_increasing_norms(w: Window) -> bool:
+    """||y_{-1}|| < ||y_0|| < ||y_1||."""
+    return max_norm(w.y(-1)) < max_norm(w.y(0)) < max_norm(w.y(1))
+
+
+def _seed_independent(w: Window) -> bool:
+    """det(y_1, y_0, y_{-1}) = det0 != 0."""
+    return w.det0 == det3(w.y(1), w.y(0), w.y(-1)) != 0
+
+
+def _unit_value(w: Window) -> bool:
+    """q(y_i) = 1."""
+    return w.form(w.y(w.i)) == 1
+
+
+def _reflection(w: Window) -> bool:
+    """y_i = psi(y_{i-1}, y_{i-3}) = B(y_{i-1}, y_{i-3}) y_{i-1} - q(y_{i-1}) y_{i-3}.
+
+    When `w.proved`, reuses q(y_{i-1}) = 1 (the unit value at i-1) and
+    B(y_{i-1}, y_{i-3}) = t_{i-1} (the inner product t_i = B(y_i, y_{i-2}) at
+    i-1, or the seed inner products when i = 2).  Otherwise evaluates both.
+    """
+    x, z = w.y(w.i - 1), w.y(w.i - 3)
+    if not w.proved:
+        return w.y(w.i) == psi(w.form, x, z)
+    s = w.t(w.i - 1)
+    return w.y(w.i) == tuple(s * a - b for a, b in zip(x, z))
+
+
+def _inner_product_next(w: Window) -> bool:
+    """t_{i-1} = B(y_i, y_{i-1})."""
+    return w.t(w.i - 1) == w.form.bilinear(w.y(w.i), w.y(w.i - 1))
+
+
+def _inner_product_skip(w: Window) -> bool:
+    """t_i = B(y_i, y_{i-2})."""
+    return w.t(w.i) == w.form.bilinear(w.y(w.i), w.y(w.i - 2))
+
+
+def _constant_determinant(w: Window) -> bool:
+    """|det(y_i, y_{i-1}, y_{i-2})| = |det0|."""
+    i = w.i
+    return abs(det3(w.y(i), w.y(i - 1), w.y(i - 2))) == abs(w.det0)
+
+
+def _t_recurrence(w: Window) -> bool:
+    """t_i = t_{i-1} t_{i-2} - t_{i-3}, from the shared product P."""
+    return w.t(w.i) == w.t_product - w.t(w.i - 3)
+
+
+def _t_bounds(w: Window) -> bool:
+    """(t_{i-1} - 1) t_{i-2} < t_i < t_{i-1} t_{i-2}, i.e. P - t_{i-2} < t_i < P
+    with the shared product P."""
+    p = w.t_product
+    return p - w.t(w.i - 2) < w.t(w.i) < p
+
+
+def _norm_bounds(w: Window) -> bool:
+    """(t_{i-1} - 1) ||y_{i-1}|| < ||y_i|| < (t_{i-1} + 1) ||y_{i-1}||, i.e.
+    N - ||y_{i-1}|| < ||y_i|| < N + ||y_{i-1}|| with one product N = t_{i-1} ||y_{i-1}||."""
+    prev = max_norm(w.y(w.i - 1))
+    n = w.t(w.i - 1) * prev
+    return n - prev < max_norm(w.y(w.i)) < n + prev
+
+
+# Checked once, on y_{-1}, y_0, y_1 (reported at index 1).
+SEED_IDENTITIES: tuple[Identity, ...] = (
+    ("unit value of the form on the seed", _seed_unit_values),
+    ("seed inner products", _seed_inner_products),
+    ("strictly increasing seed inner products", _seed_increasing_ts),
+    ("strictly increasing seed norms", _seed_increasing_norms),
+    ("linear independence of the seed triple", _seed_independent),
+)
+
+# Checked at every index i >= 2, in this order.
+IDENTITIES: tuple[Identity, ...] = (
+    ("unit value of the form", _unit_value),
+    ("reflection-operator recurrence", _reflection),
+    ("inner product t_{i-1} = B(y_i, y_{i-1})", _inner_product_next),
+    ("inner product t_i = B(y_i, y_{i-2})", _inner_product_skip),
+    ("constant determinant", _constant_determinant),
+    ("t recurrence", _t_recurrence),
+    ("double inequality on t", _t_bounds),
+    ("double inequality on norms", _norm_bounds),
+)
 
 
 def extend(seq: ExtremalSequence, upto: int) -> ExtremalSequence:
-    """Extend in place through index `upto`, re-checking all identities."""
+    """Extend in place through index `upto`, checking every entry of
+    `IDENTITIES` at each new index; the first new index reuses nothing."""
+    first = seq.depth + 1
     while seq.depth < upto:
         i = seq.depth + 1
         t_i_minus_1 = seq.t(i - 1)
@@ -141,7 +255,10 @@ def extend(seq: ExtremalSequence, upto: int) -> ExtremalSequence:
         t_new = seq.t(i - 1) * seq.t(i - 2) - seq.t(i - 3)
         seq.ys.append(y_new)  # type: ignore[arg-type]
         seq.ts.append(t_new)
-        _check_new_index(seq, i)
+        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=i > first)
+        for name, holds in IDENTITIES:
+            if not holds(window):
+                raise InvariantViolation(name, i)
     return seq
 
 

@@ -23,9 +23,12 @@ def precision_cap() -> int:
     raw = os.environ.get(_CAP_ENV)
     if raw is None:
         return DEFAULT_PRECISION_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap <= 0:
-        raise ValueError(f"{_CAP_ENV} must be positive")
+        raise ValueError(f"{_CAP_ENV} must be a positive integer, not {raw!r}")
     return cap
 
 

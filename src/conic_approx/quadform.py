@@ -174,16 +174,20 @@ class TernaryQuadraticForm:
         )
 
     def bilinear(self, x, y):
-        """B(x, y), symmetric, with B(x, x) = 2*q(x)."""
+        """B(x, y), symmetric, with B(x, x) = 2*q(x).
+
+        Each coefficient multiplies into its own products, left to right, so a
+        zero coefficient turns them into products with 0 and costs O(1).
+        """
         x0, x1, x2 = x
         y0, y1, y2 = y
         return (
             2 * self.a00 * x0 * y0
             + 2 * self.a11 * x1 * y1
             + 2 * self.a22 * x2 * y2
-            + self.a01 * (x0 * y1 + x1 * y0)
-            + self.a02 * (x0 * y2 + x2 * y0)
-            + self.a12 * (x1 * y2 + x2 * y1)
+            + self.a01 * x0 * y1 + self.a01 * x1 * y0
+            + self.a02 * x0 * y2 + self.a02 * x2 * y0
+            + self.a12 * x1 * y2 + self.a12 * x2 * y1
         )
 
     def gram(self) -> list[list[int]]:

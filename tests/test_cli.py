@@ -5,6 +5,13 @@ from pathlib import Path
 import pytest
 
 from conic_approx.cli import main
+from conic_approx.extremal import (
+    IDENTITIES,
+    SEED_IDENTITIES,
+    InvariantViolation,
+    extend,
+    seed_triple,
+)
 
 ANISO_FORM = {
     "a00": "1", "a11": "-2", "a22": "-3", "a01": "0", "a02": "0", "a12": "0",
@@ -61,6 +68,14 @@ class TestConstruct:
     def test_non_squarefree_rejected(self, tmp_path):
         assert main(["construct", "--b", "4", "--c", "3", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("depth", ["0", "-5"])
+    def test_depth_below_one_rejected_before_out_is_created(self, tmp_path, capsys, depth):
+        out = tmp_path / "run"
+        rc = main(["construct", "--b", "2", "--c", "3", "--depth", depth, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "--depth" in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
@@ -95,6 +110,113 @@ class TestVerify:
         f = tmp_path / "empty.jsonl"
         f.write_text("")
         assert main(["verify", "--in", str(f)]) == 2
+
+    def test_gap_in_indices_is_input_error(self, tmp_path):
+        f = self._construct(tmp_path)
+        lines = f.read_text().strip().splitlines()
+        f.write_text("\n".join(lines[:4] + lines[5:]))
+        assert main(["verify", "--in", str(f)]) == 2
+
+    def test_missing_seed_row_is_input_error(self, tmp_path):
+        f = self._construct(tmp_path)
+        lines = f.read_text().strip().splitlines()
+        f.write_text("\n".join(lines[1:]))
+        assert main(["verify", "--in", str(f)]) == 2
+
+
+def _checked_names(out: str) -> set[str]:
+    """Identity names in verify's `PASS  name @ i=k` / `FAIL  ...` lines."""
+    return {line[6:].rsplit(" @ i=", 1)[0] for line in out.splitlines()}
+
+
+def _tamper(ys, ts, member, how, j=3):
+    """Apply `how` to y_j[0] or to t_j, in lists where ys[k] holds y_{k-1}."""
+    if member == "y":
+        y = ys[j + 1]
+        ys[j + 1] = (how(y[0]), y[1], y[2])
+    else:
+        ts[j + 1] = how(ts[j + 1])
+
+
+# (identity, member tampered at index 3, tamper): `verify` reports the
+# identity as failed, and an `extend` past the tampered member raises.
+INDEX_TAMPERS = [
+    ("unit value of the form", "y", lambda v: v + 1),
+    ("reflection-operator recurrence", "y", lambda v: v + 1),
+    ("inner product t_{i-1} = B(y_i, y_{i-1})", "t", lambda v: v + 1),
+    ("inner product t_i = B(y_i, y_{i-2})", "t", lambda v: v + 1),
+    ("constant determinant", "y", lambda v: v + 1),
+    ("t recurrence", "t", lambda v: v + 1),
+    ("double inequality on t", "t", lambda v: 2 * v),
+    ("double inequality on norms", "y", lambda v: 2 * v),
+]
+
+# Seed members only `verify` can tamper with: `seed_triple` computes them.
+SEED_TAMPERS = [
+    ("unit value of the form on the seed", "y", lambda v: v + 1, 0),
+    ("seed inner products", "t", lambda v: v + 1, 0),
+    ("strictly increasing seed inner products", "t", lambda v: -v, -1),
+    ("strictly increasing seed norms", "y", lambda v: 10**6, -1),
+    ("linear independence of the seed triple", "y", lambda v: 0, -1),
+]
+
+
+class TestIdentityTable:
+    def _rows(self, tmp_path):
+        assert main(
+            ["construct", "--b", "2", "--c", "3", "--depth", "6", "--out", str(tmp_path)]
+        ) == 0
+        f = tmp_path / "sequence.jsonl"
+        return f, [json.loads(s) for s in f.read_text().strip().splitlines()]
+
+    def _verify_tampered(self, tmp_path, capsys, member, how, j):
+        f, rows = self._rows(tmp_path)
+        ys = [tuple(int(v) for v in r["y"]) for r in rows]
+        ts = [int(r["t"]) for r in rows]
+        _tamper(ys, ts, member, how, j)
+        for r, y, t in zip(rows, ys, ts):
+            r["y"], r["t"] = [str(v) for v in y], str(t)
+            r["norm_bits"] = max(abs(v) for v in y).bit_length()
+        f.write_text("\n".join(json.dumps(r) for r in rows))
+        capsys.readouterr()
+        rc = main(["verify", "--in", str(f), "--b", "2", "--c", "3"])
+        return rc, capsys.readouterr().out
+
+    def test_every_entry_has_a_tamper(self):
+        assert [name for name, _, _ in INDEX_TAMPERS] == [name for name, _ in IDENTITIES]
+        assert [t[0] for t in SEED_TAMPERS] == [name for name, _ in SEED_IDENTITIES]
+
+    @pytest.mark.parametrize("name,member,how", INDEX_TAMPERS, ids=[t[0] for t in INDEX_TAMPERS])
+    def test_tamper_detected_by_extend_and_verify(self, tmp_path, capsys, name, member, how):
+        seq = extend(seed_triple(2, 3), 4)
+        _tamper(seq.ys, seq.ts, member, how)
+        with pytest.raises(InvariantViolation):
+            extend(seq, 6)
+        rc, out = self._verify_tampered(tmp_path, capsys, member, how, 3)
+        assert rc == 4
+        assert f"FAIL  {name} @ i=" in out
+
+    @pytest.mark.parametrize(
+        "name,member,how,j", SEED_TAMPERS, ids=[t[0] for t in SEED_TAMPERS]
+    )
+    def test_seed_tamper_detected_by_verify(self, tmp_path, capsys, name, member, how, j):
+        rc, out = self._verify_tampered(tmp_path, capsys, member, how, j)
+        assert rc == 4
+        assert f"FAIL  {name} @ i=1" in out
+
+    def test_tampered_det0_detected_by_extend(self):
+        seq = extend(seed_triple(2, 3), 4)
+        seq.det0 += 1
+        with pytest.raises(InvariantViolation) as err:
+            extend(seq, 5)
+        assert err.value.identity == "constant determinant"
+
+    def test_verify_prints_exactly_the_table(self, tmp_path, capsys):
+        f, _ = self._rows(tmp_path)
+        capsys.readouterr()
+        assert main(["verify", "--in", str(f)]) == 0
+        names = {name for name, _ in SEED_IDENTITIES + IDENTITIES}
+        assert _checked_names(capsys.readouterr().out) == names | {"norm_bits"}
 
 
 class TestEnumerate:
@@ -144,6 +266,25 @@ class TestEnumerate:
         assert main(
             ["enumerate", "--b", "2", "--c", "3", "--xmax", "0", "--out", str(tmp_path)]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sqrt=2,3", "--xmax", "1"],  # one record; the estimate needs two
+            ["--sqrt=-1,2", "--xmax", "100"],  # no square root of a negative
+        ],
+    )
+    def test_input_error_is_one_line(self, tmp_path, capsys, argv):
+        assert main(["enumerate", *argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_malformed_precision_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONIC_APPROX_MAX_BITS", "abc")
+        argv = ["construct", "--b", "2", "--c", "3", "--depth", "3", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "CONIC_APPROX_MAX_BITS" in err and err.count("\n") == 1
 
     def test_missing_target_usage_error(self, tmp_path):
         assert main(["enumerate", "--xmax", "10", "--out", str(tmp_path)]) == 2

@@ -58,6 +58,28 @@ small_form = (
     .filter(any)
     .map(lambda cs: TernaryQuadraticForm(*cs))
 )
+nonzero = st.integers(-9, 9).filter(bool)
+off_diagonal_form = st.builds(
+    TernaryQuadraticForm, st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
+    nonzero, nonzero, nonzero,
+)
+big_vec = st.tuples(*[st.integers(-(2**200), 2**200)] * 3)
+
+
+class TestBilinearOffDiagonal:
+    @given(off_diagonal_form, big_vec, big_vec)
+    def test_matches_symmetric_matrix_formula(self, f, x, y):
+        g = [
+            [2 * f.a00, f.a01, f.a02],
+            [f.a01, 2 * f.a11, f.a12],
+            [f.a02, f.a12, 2 * f.a22],
+        ]
+        want = sum(g[i][j] * x[i] * y[j] for i in range(3) for j in range(3))
+        assert f.bilinear(x, y) == want
+
+    @given(off_diagonal_form, big_vec)
+    def test_doubles_form_on_diagonal(self, f, x):
+        assert f.bilinear(x, x) == 2 * f(x)
 
 
 class TestPsi:
