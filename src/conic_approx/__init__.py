@@ -27,7 +27,6 @@ from .minpoints import (
     enumerate_minimal,
     estimate_lambda,
     independence_indices,
-    projective_distance,
     rigidity_check,
 )
 from .targets import ExtremalTarget, RationalTarget, SqrtPairTarget
@@ -60,7 +59,6 @@ __all__ = [
     "kernel",
     "limit_point",
     "next_solution",
-    "projective_distance",
     "psi",
     "rational_zero",
     "reduce_form",

@@ -302,7 +302,7 @@ def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> Certif
     bits = max(64, 8 + (tw.denominator // tw.numerator).bit_length()) if tw < 1 else 64
     if bits > precision_cap():
         raise PrecisionCapError(
-            f"target width {float(tw):.3g} needs {bits} bits, cap is {precision_cap()}"
+            f"target width needs {bits} bits, cap is {precision_cap()}"
         )
     i = 2
     while True:

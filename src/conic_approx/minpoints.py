@@ -3,9 +3,22 @@
 A minimal point realizes a new strict record of L(x) = max(|x0*xi1 - x1|,
 |x0*xi2 - x2|) as the first coordinate grows.  For a fixed x0 the best lattice
 point is obtained by independent nearest-integer rounding of x0*xi1 and
-x0*xi2, so one exact scan over x0 = 1..Xmax enumerates the whole sequence.
+x0*xi2, so a scan over x0 = 1..Xmax enumerates the whole sequence.
 The scan runs on scaled-integer enclosures; any undecided comparison restarts
 it at doubled precision, so every emitted record is certified.
+
+Most x0 are rejected by the first coordinate alone.  The scan carries
+v = x0*a1lo (a1lo the scaled lower end of xi1) by one addition per step and
+skips x0 when r = v mod 2**p lies at least best_hi + slack from both ends of
+[0, 2**p), where best_hi is the scaled upper bound of the current record's L
+and slack = Xmax*(a1hi - a1lo) + 1 bounds the width of every enclosure of
+x0*xi1.  Every point of that enclosure is then more than best_hi from the
+nearest integer, so |x0*xi1 - x1| > L_best for every x1: the x0 can neither
+set a record nor overlap the current one.  Every other x0 gets both certified
+roundings and the record and overlap tests.  So the records and the precision
+are those of the scan without the skip, except that an x0 whose rounding is
+ambiguous at the current precision, but which is certifiably far from the
+record, no longer forces a precision doubling.
 """
 from __future__ import annotations
 
@@ -93,10 +106,17 @@ def _scan(target: Target, xmax: int, p: int):
     a1lo, a1hi = _scaled_bounds(e1, p)
     a2lo, a2hi = _scaled_bounds(e2, p)
     half = 1 << (p - 1)
+    mask = (1 << p) - 1
+    slack = xmax * (a1hi - a1lo) + 1
     records = []
     best: tuple[int, int] | None = None  # scaled (lo, hi) of the current record L
+    skip_lo, skip_hi = 1, 0  # empty until the first record
+    v = 0
     for x0 in range(1, xmax + 1):
-        v1lo, v1hi = x0 * a1lo, x0 * a1hi
+        v += a1lo
+        if skip_lo <= v & mask <= skip_hi:
+            continue  # |x0*xi1 - x1| > L_best for every x1
+        v1lo, v1hi = v, x0 * a1hi
         v2lo, v2hi = x0 * a2lo, x0 * a2hi
         n1 = (v1lo + half) >> p
         if ((v1hi + half) >> p) != n1:
@@ -112,6 +132,7 @@ def _scan(target: Target, xmax: int, p: int):
         if best is None or li[1] < best[0]:
             best = li
             records.append((x0, n1, n2, li, d1, d2))
+            skip_lo, skip_hi = best[1] + slack, mask - best[1] - slack
         elif li[0] < best[1]:
             return None  # overlap with the current record: undecided
     return records, p
@@ -132,6 +153,8 @@ def enumerate_minimal(
         return _enumerate_rational(exact, xmax)
     p = bits if bits is not None else max(96, 2 * xmax.bit_length() + 64)
     cap = precision_cap()
+    if p > cap:
+        raise PrecisionCapError(f"minimal-point scan needs {p} bits, cap is {cap}")
     while True:
         out = _scan(target, xmax, p)
         if out is not None:
@@ -163,7 +186,7 @@ def _enumerate_rational(exact, xmax: int) -> list[MinimalPointRecord]:
     records = []
     for x0 in range(1, xmax + 1):
         v1, v2 = x0 * xi1, x0 * xi2
-        n1, n2 = _nearest(v1), _nearest(v2)
+        n1, n2 = round(v1), round(v2)
         L = max(abs(v1 - n1), abs(v2 - n2))
         if L == 0:
             raise RationalTargetError((x0, n1, n2))
@@ -183,13 +206,6 @@ def _enumerate_rational(exact, xmax: int) -> list[MinimalPointRecord]:
     return records
 
 
-def _nearest(q: Fraction) -> int:
-    n = (2 * q + 1) // 2
-    if 2 * q == 2 * n - 1 and n % 2:  # half-integer ties round to even
-        n -= 1
-    return int(n)
-
-
 # ---------------------------------------------------------------------------
 # exponent estimation and structure checks
 # ---------------------------------------------------------------------------
@@ -199,10 +215,15 @@ def _log_interval(x: CertifiedReal) -> float:
     return (lo + hi) / 2
 
 
-def records_from_sequence(seq, target: Target, max_norm_cap: int, bits: int = 512):
-    """Exact sequence members restated as minimal-point records, up to a norm cap."""
+def records_from_sequence(seq, target: Target, max_norm_cap: int):
+    """Exact sequence members restated as minimal-point records, up to a norm cap.
+
+    The precision grows with the cap: L at height X is about X**-0.6, so
+    2 * bits(X) + 64 bits keep every L enclosure away from 0.
+    """
     from .extremal import extend
 
+    bits = max(512, 2 * max_norm_cap.bit_length() + 64)
     e1, e2 = target.enclosure(bits)
     out = []
     i = -1
@@ -297,12 +318,3 @@ def rigidity_check(
         if not ok:
             first_holding = None
     return RigidityReport(indep, False, checks, first_holding, form_values)
-
-
-def projective_distance(x, y, precision: int = 64) -> CertifiedReal:
-    """dist([x],[y]) = ||x ^ y|| / (||x|| ||y||) for exact rational vectors."""
-    if not any(x) or not any(y):
-        raise ValueError("zero vector")
-    num = max(abs(Fraction(c)) for c in cross(x, y))
-    den = max(abs(Fraction(c)) for c in x) * max(abs(Fraction(c)) for c in y)
-    return CertifiedReal.from_fraction(num / den, precision)

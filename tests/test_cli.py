@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conic_approx.cli import main
+from conic_approx.cli import build_parser, main
 from conic_approx.extremal import (
     IDENTITIES,
     SEED_IDENTITIES,
@@ -286,6 +286,13 @@ class TestEnumerate:
         err = capsys.readouterr().err
         assert "CONIC_APPROX_MAX_BITS" in err and err.count("\n") == 1
 
+    def test_precision_cap_below_first_pass_is_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONIC_APPROX_MAX_BITS", "50")
+        argv = ["enumerate", "--sqrt", "2,3", "--xmax", "10000", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("precision cap: ")
+        assert not (tmp_path / "records.csv").exists()
+
     def test_missing_target_usage_error(self, tmp_path):
         assert main(["enumerate", "--xmax", "10", "--out", str(tmp_path)]) == 2
 
@@ -298,6 +305,28 @@ class TestEnumerate:
             ) == 0
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_successive_calls_with_different_subcommands(self, tmp_path, capsys):
+        assert main(["pell", "--b", "2", "--count", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["fundamental"] == {"m": "3", "n": "2"}
+        assert main(
+            ["construct", "--b", "2", "--c", "3", "--depth", "3", "--out", str(tmp_path)]
+        ) == 0
+        assert main(["verify", "--in", str(tmp_path / "sequence.jsonl")]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pell", "--count", "2"])  # --b is required
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["pell", "--b", "3", "--count", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["fundamental"] == {"m": "2", "n": "1"}
 
 
 class TestPell:

@@ -17,6 +17,7 @@ from conic_approx.extremal import (
     tails_equal,
     verify_no_small_relation,
 )
+from conic_approx.numerics import PrecisionCapError
 from conic_approx.quadform import cross, det3, max_norm
 
 
@@ -118,6 +119,13 @@ class TestLimitPoint:
         w = enc.xi2 * enc.xi2
         total = v.mul_int(2) + w.mul_int(3)
         assert total.contains(1)
+
+    def test_cap_message_names_the_bits(self, monkeypatch):
+        # 2**-2000 underflows a float; the message must not print width 0
+        monkeypatch.setenv("CONIC_APPROX_MAX_BITS", "100")
+        with pytest.raises(PrecisionCapError) as err:
+            limit_point(seed_triple(2, 3), Fraction(1, 2**2000))
+        assert str(err.value) == "target width needs 2009 bits, cap is 100"
 
     def test_width_request_honored(self):
         seq = seed_triple(2, 3)

@@ -1,5 +1,6 @@
 """Minimal-point enumeration against brute force, exponent reports, rigidity."""
 import math
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -8,14 +9,17 @@ import pytest
 from conic_approx.extremal import extend, seed_triple
 from conic_approx.minpoints import (
     RationalTargetError,
+    _abs_interval,
+    _scaled_bounds,
+    _scan,
     enumerate_minimal,
     estimate_lambda,
     independence_indices,
     integer_multiple_of,
-    projective_distance,
     records_from_sequence,
     rigidity_check,
 )
+from conic_approx.numerics import PrecisionCapError
 from conic_approx.quadform import TernaryQuadraticForm, det3
 from conic_approx.targets import ExtremalTarget, RationalTarget, SqrtPairTarget
 
@@ -79,6 +83,90 @@ class TestEnumerateAgainstBruteForce:
             assert r2.L.hi < r1.L.lo  # certified strict decrease
 
 
+def unfiltered_scan(target, xmax, p):
+    """The scan without the first-coordinate skip: every x0 is rounded and compared."""
+    e1, e2 = target.enclosure(p)
+    a1lo, a1hi = _scaled_bounds(e1, p)
+    a2lo, a2hi = _scaled_bounds(e2, p)
+    half = 1 << (p - 1)
+    records = []
+    best = None
+    for x0 in range(1, xmax + 1):
+        v1lo, v1hi = x0 * a1lo, x0 * a1hi
+        v2lo, v2hi = x0 * a2lo, x0 * a2hi
+        n1 = (v1lo + half) >> p
+        if ((v1hi + half) >> p) != n1:
+            return None
+        n2 = (v2lo + half) >> p
+        if ((v2hi + half) >> p) != n2:
+            return None
+        d1 = (v1lo - (n1 << p), v1hi - (n1 << p))
+        d2 = (v2lo - (n2 << p), v2hi - (n2 << p))
+        e1i = _abs_interval(*d1)
+        e2i = _abs_interval(*d2)
+        li = (max(e1i[0], e2i[0]), max(e1i[1], e2i[1]))
+        if best is None or li[1] < best[0]:
+            best = li
+            records.append((x0, n1, n2, li, d1, d2))
+        elif li[0] < best[1]:
+            return None
+    return records, p
+
+
+SQUAREFREE_60 = [n for n in range(2, 61) if all(n % (k * k) for k in range(2, 8))]
+PREFILTER_TARGETS = [
+    ExtremalTarget(2, 3),
+    ExtremalTarget(3, 5),
+    ExtremalTarget(5, 7),
+    SqrtPairTarget(2, 3),
+    SqrtPairTarget(5, 7),
+    SqrtPairTarget(11, 13),
+]
+
+
+class TestPrefilter:
+    @pytest.mark.parametrize(
+        "a,b",
+        random.Random(4).sample(
+            [(a, b) for a in SQUAREFREE_60 for b in SQUAREFREE_60 if a < b], 12
+        ),
+    )
+    def test_random_sqrt_pairs_match_brute_force(self, a, b):
+        got = enumerate_minimal(SqrtPairTarget(a, b), 3000)
+        digits = 30
+        want = brute_force_records(
+            (decimal_scaled_sqrt(a, digits), decimal_scaled_sqrt(b, digits)), 3000, digits
+        )
+        assert [r.x for r in got] == want
+
+    @pytest.mark.parametrize("target", PREFILTER_TARGETS, ids=repr)
+    def test_equals_unfiltered_scan_at_default_precision(self, target):
+        xmax = 2 * 10**4
+        p = max(96, 2 * xmax.bit_length() + 64)
+        want = unfiltered_scan(target, xmax, p)
+        assert want is not None
+        assert _scan(target, xmax, p) == want
+
+    def test_low_precision_passes(self):
+        # at 24 bits the unfiltered scan is undecided on every target below;
+        # at 28 bits it decides on some of them
+        xmax = 2 * 10**4
+        undecided = 0
+        for target in PREFILTER_TARGETS:
+            exact = [r.x for r in enumerate_minimal(target, xmax)]
+            for p in (24, 28):
+                want = unfiltered_scan(target, xmax, p)
+                got = _scan(target, xmax, p)
+                if want is not None:
+                    assert got == want
+                else:
+                    undecided += 1
+                    if got is not None:
+                        assert [r[:3] for r in got[0]] == exact
+            assert [r.x for r in enumerate_minimal(target, xmax, bits=24)] == exact
+        assert undecided >= len(PREFILTER_TARGETS)
+
+
 class TestRationalTargets:
     def test_rational_point_detected(self):
         with pytest.raises(RationalTargetError) as ei:
@@ -92,6 +180,17 @@ class TestRationalTargets:
     def test_xmax_validation(self):
         with pytest.raises(ValueError):
             enumerate_minimal(SqrtPairTarget(2, 3), 0)
+
+    def test_half_integer_ties_round_to_even(self):
+        recs = enumerate_minimal(RationalTarget(Fraction(1, 2), Fraction(3, 2)), 1)
+        assert recs[0].x == (1, 0, 2)
+
+
+class TestPrecisionCap:
+    def test_first_pass_honors_the_cap(self, monkeypatch):
+        monkeypatch.setenv("CONIC_APPROX_MAX_BITS", "50")
+        with pytest.raises(PrecisionCapError, match="needs 96 bits, cap is 50"):
+            enumerate_minimal(SqrtPairTarget(2, 3), 10**4)
 
 
 class TestExponentReport:
@@ -117,6 +216,13 @@ class TestExponentReport:
         assert next_x > recs[-1].X
         rep = estimate_lambda(recs, next_X=next_x)
         assert len(rep.lambda_hats) == len(recs)
+
+    def test_records_from_sequence_at_height_1e200(self):
+        seq = seed_triple(2, 3)
+        recs, next_x = records_from_sequence(seq, ExtremalTarget(2, 3), 10**200)
+        assert all(r.L.lo.man > 0 for r in recs)
+        rep = estimate_lambda(recs, next_X=next_x)
+        assert 0 < rep.summary < 1
 
 
 class TestIndependence:
@@ -167,18 +273,3 @@ class TestFormValueBand:
             v = abs(phi(r.x))
             assert v >= 1
             assert v <= 40 * r.X * r.L.hi.as_fraction() + 10
-
-
-class TestProjectiveDistance:
-    def test_self_distance_zero(self):
-        assert projective_distance((2, 3, 5), (2, 3, 5)).contains(0)
-
-    def test_orthonormal_pair(self):
-        assert projective_distance((1, 0, 0), (0, 1, 0)).contains(1)
-
-    def test_example(self):
-        assert projective_distance((1, 0, 0), (1, 1, 0)).contains(1)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            projective_distance((0, 0, 0), (1, 2, 3))
