@@ -5,8 +5,6 @@ from .quadform import (
     CanonicalReduction,
     TernaryQuadraticForm,
     apply_gl3,
-    bilinear,
-    eval_form,
     kernel,
     psi,
     rational_zero,
@@ -45,12 +43,10 @@ __all__ = [
     "SqrtPairTarget",
     "TernaryQuadraticForm",
     "apply_gl3",
-    "bilinear",
     "certified_round",
     "cf_expansion",
     "enumerate_minimal",
     "estimate_lambda",
-    "eval_form",
     "extend",
     "find_seed_pair",
     "fundamental_solution",

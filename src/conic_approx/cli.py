@@ -88,6 +88,9 @@ def cmd_construct(args) -> int:
     if args.depth < 1:
         print("error: --depth must be at least 1", file=sys.stderr)
         return EXIT_INPUT
+    if args.precision < 1:
+        print("error: --precision must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     try:
         seq = seed_triple(args.b, args.c)
         extend(seq, args.depth)
@@ -101,20 +104,25 @@ def cmd_construct(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "sequence.jsonl", "w") as fp:
-        for i in range(-1, args.depth + 1):
-            y = seq.y(i)
-            rec = {
-                "i": i,
-                "norm_bits": max_norm(y).bit_length(),
-                "t": str(seq.t(i)),
-                "y": [str(v) for v in y],
-            }
-            fp.write(json.dumps(rec, sort_keys=True) + "\n")
-    with open(outdir / "xi.json", "w") as fp:
-        _dump(
+    # serialize everything first: str() of an int past CPython's int/str
+    # digit limit raises, and no file is written then
+    flag = f"--depth {args.depth}"
+    try:
+        sequence = "".join(
+            json.dumps(
+                {
+                    "i": i,
+                    "norm_bits": max_norm(seq.y(i)).bit_length(),
+                    "t": str(seq.t(i)),
+                    "y": [str(v) for v in seq.y(i)],
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for i in range(-1, args.depth + 1)
+        )
+        flag = f"--precision {args.precision}"
+        xi = _dump(
             {
                 "b": str(args.b),
                 "c": str(args.c),
@@ -124,9 +132,19 @@ def cmd_construct(args) -> int:
                 "tail_bound": _real_json(enclosure.tail_bound),
                 "xi1": _real_json(enclosure.xi1),
                 "xi2": _real_json(enclosure.xi2),
-            },
-            fp,
+            }
+        ) + "\n"
+    except ValueError:
+        print(
+            f"error: {flag} needs integers longer than the int/str conversion limit "
+            f"of {sys.get_int_max_str_digits()} decimal digits",
+            file=sys.stderr,
         )
+        return EXIT_INPUT
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "sequence.jsonl").write_text(sequence)
+    (outdir / "xi.json").write_text(xi)
     print(f"wrote {outdir / 'sequence.jsonl'} and {outdir / 'xi.json'}")
     return EXIT_OK
 
@@ -148,6 +166,9 @@ def _target_from_args(args):
 def cmd_enumerate(args) -> int:
     if args.xmax <= 0:
         print("error: --xmax must be positive", file=sys.stderr)
+        return EXIT_INPUT
+    if args.precision is not None and args.precision < 1:
+        print("error: --precision must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     try:
         target = _target_from_args(args)
@@ -286,10 +307,12 @@ def cmd_verify(args) -> int:
     seed = Window(phi, ys, ts, det0, 1)
     for name, holds in SEED_IDENTITIES:
         check(name, holds(seed), 1)
-    # values proved at index i-1 may be reused at i only while nothing has failed
+    # values proved earlier (the seed, then every index before i, then the
+    # entries before this one at i) may be reused only while nothing has failed
     for i in range(2, len(rows) - 1):
-        window = Window(phi, ys, ts, det0, i, proved=failures == 0)
+        window = Window(phi, ys, ts, det0, i)
         for name, holds in IDENTITIES:
+            window.proved = i + 1 if failures == 0 else 0
             check(name, holds(window), i)
     return EXIT_OK if failures == 0 else EXIT_INVARIANT
 
@@ -334,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce a ternary quadratic form to canonical shape")
     p.add_argument("--form", required=True, help="JSON file with coefficients a00..a12")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("construct", help="build an extremal sequence and its limit point")

@@ -8,6 +8,8 @@ produce unit vectors of the form whose projective classes converge, with
 golden-ratio growth, to a point (1 : xi1 : xi2) on the conic admitting the
 extremal uniform approximation exponent.  Every algebraic identity the
 construction relies on is re-checked exactly at runtime while extending.
+An entry of the identity tables may reuse values that earlier entries of the
+same run proved; see `Window`, `_reflection` and `_constant_determinant`.
 """
 from __future__ import annotations
 
@@ -111,9 +113,11 @@ def seed_triple(b: int, c: int) -> ExtremalSequence:
 class Window:
     """The stored members that the identities at index i read.
 
-    `proved` says that this same run (one `extend` call, or one `verify`)
-    already proved every identity at index i-1, or at the seed when i = 2, so
-    an entry may reuse values those identities established.
+    `proved` counts the indices just before i at which this same run (one
+    `extend` call, or one `verify`) already proved every identity; the seed
+    identities count for the indices -1, 0 and 1.  An entry may reuse values
+    those identities established.  The caller keeps `proved` at 0 unless every
+    entry evaluated so far, earlier entries at index i included, has held.
     """
 
     form: TernaryQuadraticForm
@@ -121,7 +125,7 @@ class Window:
     ts: list[int]
     det0: int
     i: int
-    proved: bool = False
+    proved: int = 0
 
     def y(self, j: int) -> Vec3:
         return self.ys[j + 1]
@@ -173,12 +177,12 @@ def _unit_value(w: Window) -> bool:
 def _reflection(w: Window) -> bool:
     """y_i = psi(y_{i-1}, y_{i-3}) = B(y_{i-1}, y_{i-3}) y_{i-1} - q(y_{i-1}) y_{i-3}.
 
-    When `w.proved`, reuses q(y_{i-1}) = 1 (the unit value at i-1) and
-    B(y_{i-1}, y_{i-3}) = t_{i-1} (the inner product t_i = B(y_i, y_{i-2}) at
-    i-1, or the seed inner products when i = 2).  Otherwise evaluates both.
+    When index i-1 is proved, reuses q(y_{i-1}) = 1 (the unit value at i-1)
+    and B(y_{i-1}, y_{i-3}) = t_{i-1} (the inner product t_i = B(y_i, y_{i-2})
+    at i-1, or the seed inner products when i = 2).  Otherwise evaluates both.
     """
     x, z = w.y(w.i - 1), w.y(w.i - 3)
-    if not w.proved:
+    if w.proved < 1:
         return w.y(w.i) == psi(w.form, x, z)
     s = w.t(w.i - 1)
     return w.y(w.i) == tuple(s * a - b for a, b in zip(x, z))
@@ -195,8 +199,23 @@ def _inner_product_skip(w: Window) -> bool:
 
 
 def _constant_determinant(w: Window) -> bool:
-    """|det(y_i, y_{i-1}, y_{i-2})| = |det0|."""
+    """|det(y_i, y_{i-1}, y_{i-2})| = |det0|.
+
+    For Y = (y_i, y_{i-1}, y_{i-2}) and the Gram matrix G of the form,
+    det(Y^T G Y) = det(G) det(Y)^2.  Once q = 1 is proved for the three
+    members, and a = t_{i-1}, b = t_{i-2}, c = t_i for their inner products
+    (at i-2 and i-1, i.e. `w.proved` >= 2, and by the entries before this one
+    at i), Y^T G Y = [[2, a, c], [a, 2, b], [c, b, 2]], of determinant
+    8 + 2 c (P - c) - 2 (a^2 + b^2) with the shared P = a b.  If also
+    det(G) != 0, testing that against det(G) det0^2 gives the verdict of
+    `det3` for one product and two squares of t's.  Otherwise `det3` is
+    evaluated on the members (nine products).
+    """
     i = w.i
+    g = w.form.gram_det
+    if w.proved >= 2 and g:
+        a, b, c = w.t(i - 1), w.t(i - 2), w.t(i)
+        return 8 + 2 * c * (w.t_product - c) - 2 * (a * a + b * b) == g * w.det0 * w.det0
     return abs(det3(w.y(i), w.y(i - 1), w.y(i - 2))) == abs(w.det0)
 
 
@@ -229,7 +248,8 @@ SEED_IDENTITIES: tuple[Identity, ...] = (
     ("linear independence of the seed triple", _seed_independent),
 )
 
-# Checked at every index i >= 2, in this order.
+# Checked at every index i >= 2, in this order: the constant determinant
+# reuses the unit value and both inner products at i, so it comes after them.
 IDENTITIES: tuple[Identity, ...] = (
     ("unit value of the form", _unit_value),
     ("reflection-operator recurrence", _reflection),
@@ -244,7 +264,9 @@ IDENTITIES: tuple[Identity, ...] = (
 
 def extend(seq: ExtremalSequence, upto: int) -> ExtremalSequence:
     """Extend in place through index `upto`, checking every entry of
-    `IDENTITIES` at each new index; the first new index reuses nothing."""
+    `IDENTITIES` at each new index; an index reuses only what this call
+    proved, so the first new index reuses nothing and the second reuses
+    nothing from before the first."""
     first = seq.depth + 1
     while seq.depth < upto:
         i = seq.depth + 1
@@ -255,7 +277,7 @@ def extend(seq: ExtremalSequence, upto: int) -> ExtremalSequence:
         t_new = seq.t(i - 1) * seq.t(i - 2) - seq.t(i - 3)
         seq.ys.append(y_new)  # type: ignore[arg-type]
         seq.ts.append(t_new)
-        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=i > first)
+        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=i - first)
         for name, holds in IDENTITIES:
             if not holds(window):
                 raise InvariantViolation(name, i)

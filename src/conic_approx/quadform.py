@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from .arith import is_qr_mod_squarefree, squarefree_decompose, squarefree_scale, vec_gcd
@@ -163,11 +164,13 @@ class TernaryQuadraticForm:
         return vec_gcd(*self.coeffs())
 
     def __call__(self, x):
+        """q(x); each diagonal term squares its coordinate before scaling it,
+        so CPython takes its faster squaring path for x_j * x_j."""
         x0, x1, x2 = x
         return (
-            self.a00 * x0 * x0
-            + self.a11 * x1 * x1
-            + self.a22 * x2 * x2
+            self.a00 * (x0 * x0)
+            + self.a11 * (x1 * x1)
+            + self.a22 * (x2 * x2)
             + self.a01 * x0 * x1
             + self.a02 * x0 * x2
             + self.a12 * x1 * x2
@@ -198,6 +201,11 @@ class TernaryQuadraticForm:
             [self.a02, self.a12, 2 * self.a22],
         ]
 
+    @cached_property
+    def gram_det(self) -> int:
+        """det of `gram()`, computed once per form."""
+        return mat_det(self.gram())
+
     def transformed_coeffs(self, T: Mat3) -> tuple[Fraction, ...]:
         """Coefficients of q(T x) in the same (a00, a11, a22, a01, a02, a12) order."""
         c = mat_columns(T)
@@ -221,14 +229,6 @@ class TernaryQuadraticForm:
         obj = json.loads(text)
         keys = ("a00", "a11", "a22", "a01", "a02", "a12")
         return TernaryQuadraticForm(*(int(obj.get(k, "0")) for k in keys))
-
-
-def eval_form(phi: TernaryQuadraticForm, x) -> int:
-    return phi(x)
-
-
-def bilinear(phi: TernaryQuadraticForm, x, y) -> int:
-    return phi.bilinear(x, y)
 
 
 def psi(phi: TernaryQuadraticForm, x, y):

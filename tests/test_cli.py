@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, files, round trips, determinism."""
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,15 @@ from conic_approx.extremal import (
 ANISO_FORM = {
     "a00": "1", "a11": "-2", "a22": "-3", "a01": "0", "a02": "0", "a12": "0",
 }
+
+
+@pytest.fixture
+def int_str_limit():
+    """CPython's default int/str digit limit, whatever the environment set."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def write_form(tmp_path, coeffs, name="form.json"):
@@ -44,6 +54,11 @@ class TestReduce:
 
     def test_missing_file(self):
         assert main(["reduce", "--form", "/nonexistent/form.json"]) == 2
+
+    def test_format_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "--form", write_form(tmp_path, ANISO_FORM), "--format", "json"])
+        assert exc.value.code == 2
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -75,6 +90,28 @@ class TestConstruct:
         assert rc == 2
         assert not out.exists()
         assert "--depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("precision", ["-1", "0"])
+    def test_precision_below_one_rejected_before_out_is_created(self, tmp_path, capsys, precision):
+        out = tmp_path / "run"
+        argv = ["construct", "--b", "2", "--c", "3", "--precision", precision, "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--precision" in err and err.count("\n") == 1
+
+    def test_depth_past_the_int_str_limit_writes_nothing(self, tmp_path, capsys, int_str_limit):
+        out = tmp_path / "run"
+        argv = ["construct", "--b", "2", "--c", "3", "--depth", "16", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: --depth 16 ") and "4300" in err and err.count("\n") == 1
+
+    def test_deepest_depth_within_the_int_str_limit(self, tmp_path, int_str_limit):
+        argv = ["construct", "--b", "2", "--c", "3", "--depth", "15", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(["verify", "--in", str(tmp_path / "sequence.jsonl")]) == 0
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -204,6 +241,16 @@ class TestIdentityTable:
         assert rc == 4
         assert f"FAIL  {name} @ i=1" in out
 
+    @pytest.mark.parametrize(
+        "member,how",
+        [t[1:] for t in INDEX_TAMPERS] + [("y", lambda v: v)],
+        ids=[t[0] for t in INDEX_TAMPERS] + ["untampered"],
+    )
+    def test_verify_output_equals_the_det3_path(self, tmp_path, capsys, request, member, how):
+        gram = self._verify_tampered(tmp_path / "gram", capsys, member, how, 3)
+        request.getfixturevalue("det3_forced")
+        assert self._verify_tampered(tmp_path / "det3", capsys, member, how, 3) == gram
+
     def test_tampered_det0_detected_by_extend(self):
         seq = extend(seed_triple(2, 3), 4)
         seq.det0 += 1
@@ -292,6 +339,14 @@ class TestEnumerate:
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("precision cap: ")
         assert not (tmp_path / "records.csv").exists()
+
+    @pytest.mark.parametrize("precision", ["0", "-3"])
+    def test_precision_below_one_is_input_error(self, tmp_path, capsys, precision):
+        argv = ["enumerate", "--sqrt", "2,3", "--xmax", "10", "--precision", precision]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+        assert not (tmp_path / "run").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--precision" in err and err.count("\n") == 1
 
     def test_missing_target_usage_error(self, tmp_path):
         assert main(["enumerate", "--xmax", "10", "--out", str(tmp_path)]) == 2

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conic_approx import extremal
 from conic_approx.extremal import (
+    IDENTITIES,
     ExtremalSequence,
     InvariantViolation,
     UnsupportedConstruction,
+    Window,
     extend,
     growth_ratios,
     limit_point,
@@ -92,6 +95,91 @@ class TestExtend:
         seq.ys[3] = (seq.ys[3][0] + 1, seq.ys[3][1], seq.ys[3][2])
         with pytest.raises(InvariantViolation):
             extend(seq, 6)
+
+
+def _first_failure(table, seq, i, proved):
+    """Walk `table` at index i as `extend` does; name of the first failing entry."""
+    w = Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=proved)
+    return next((name for name, holds in table if not holds(w)), None)
+
+
+def _bump(seq, j):
+    y = seq.ys[j + 1]
+    seq.ys[j + 1] = (y[0] + 1, y[1], y[2])
+
+
+class TestConstantDeterminant:
+    """The Gram path of the constant-determinant entry (`w.proved` >= 2) gives
+    the verdict of `det3` whenever a run can reach it."""
+
+    PAIRS = [(2, 3), (3, 2), (2, 5), (6, 7), (3, 11)]
+
+    @pytest.mark.parametrize("b,c", PAIRS)
+    def test_both_paths_pass_on_valid_windows(self, b, c):
+        det = dict(IDENTITIES)["constant determinant"]
+        seq = extend(seed_triple(b, c), 12)
+        for i in range(2, 13):
+            for proved in (0, 1, 2, i + 1):
+                assert det(Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=proved))
+
+    @pytest.mark.parametrize("b,c", PAIRS)
+    @pytest.mark.parametrize("how", [lambda d: d + 1, lambda d: -d, lambda d: 2 * d, lambda d: 0])
+    def test_tampered_det0_same_verdict(self, b, c, how):
+        det = dict(IDENTITIES)["constant determinant"]
+        seq = extend(seed_triple(b, c), 12)
+        seq.det0 = how(seq.det0)
+        for i in range(2, 13):
+            gram = det(Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=2))
+            full = det(Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=0))
+            assert gram == full == (abs(seq.det0) == abs(det3(seq.y(2), seq.y(1), seq.y(0))))
+
+    @pytest.mark.parametrize("b,c", PAIRS)
+    @pytest.mark.parametrize("back", [0, 1, 2])
+    def test_tampered_member_same_verdict(self, b, c, back, det3_forced):
+        # a tampered y_i, y_{i-1} or y_{i-2} fails an entry before the
+        # determinant at index i, so the walk never reaches the Gram path
+        for i in range(4, 13):
+            seq = extend(seed_triple(b, c), 12)
+            _bump(seq, i - back)
+            got = _first_failure(IDENTITIES, seq, i, proved=2)
+            assert got is not None and got != "constant determinant"
+            assert got == _first_failure(det3_forced, seq, i, proved=2)
+
+    def test_table_orders_the_entries_it_reuses_first(self):
+        names = [name for name, _ in IDENTITIES]
+        det = names.index("constant determinant")
+        for earlier in (
+            "unit value of the form",
+            "inner product t_{i-1} = B(y_i, y_{i-1})",
+            "inner product t_i = B(y_i, y_{i-2})",
+        ):
+            assert names.index(earlier) < det
+
+    @pytest.mark.parametrize("b,c", PAIRS)
+    def test_extend_in_several_calls_matches_one_call(self, b, c):
+        whole = extend(seed_triple(b, c), 12)
+        steps = seed_triple(b, c)
+        for upto in (7, 9, 12):
+            extend(steps, upto)
+        assert steps.ys == whole.ys and steps.ts == whole.ts
+        single = seed_triple(b, c)
+        for upto in range(2, 13):
+            extend(single, upto)
+        assert single.ys == whole.ys and single.ts == whole.ts
+
+    def test_det3_only_at_the_first_two_indices_of_a_call(self, monkeypatch):
+        calls = []
+
+        def counting_det3(u, v, w):
+            calls.append(1)
+            return det3(u, v, w)
+
+        seq = seed_triple(2, 3)
+        monkeypatch.setattr(extremal, "det3", counting_det3)
+        extend(seq, 12)
+        assert len(calls) == 2
+        extend(seq, 13)
+        assert len(calls) == 3
 
 
 class TestGrowth:

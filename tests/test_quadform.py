@@ -16,8 +16,6 @@ from conic_approx.quadform import (
     ReducibleFormError,
     TernaryQuadraticForm,
     apply_gl3,
-    bilinear,
-    eval_form,
     kernel,
     mat_det,
     psi,
@@ -31,25 +29,25 @@ PARABOLA = TernaryQuadraticForm(0, -1, 0, 0, 1, 0)  # x0*x2 - x1^2
 
 class TestEvalAndBilinear:
     def test_unit_vector_on_diagonal(self):
-        assert eval_form(DIAG_23, (1, 0, 0)) == 1
+        assert DIAG_23((1, 0, 0)) == 1
 
     def test_large_unit_vector(self):
-        assert eval_form(DIAG_23, (198, 140, 1)) == 198**2 - 2 * 140**2 - 3 == 1
+        assert DIAG_23((198, 140, 1)) == 198**2 - 2 * 140**2 - 3 == 1
 
     def test_point_on_parabola(self):
-        assert eval_form(PARABOLA, (1, 1, 1)) == 0
+        assert PARABOLA((1, 1, 1)) == 0
 
     def test_bilinear_diagonal(self):
-        assert bilinear(DIAG_23, (1, 0, 0), (1, 0, 0)) == 2
+        assert DIAG_23.bilinear((1, 0, 0), (1, 0, 0)) == 2
 
     def test_bilinear_mixed(self):
-        assert bilinear(DIAG_23, (198, 140, 1), (1, 0, 0)) == 396
-        assert bilinear(DIAG_23, (3, 2, 0), (198, 140, 1)) == 2 * (3 * 198 - 2 * 2 * 140) == 68
+        assert DIAG_23.bilinear((198, 140, 1), (1, 0, 0)) == 396
+        assert DIAG_23.bilinear((3, 2, 0), (198, 140, 1)) == 2 * (3 * 198 - 2 * 2 * 140) == 68
 
     @given(st.tuples(*[st.integers(-100, 100)] * 3), st.tuples(*[st.integers(-100, 100)] * 3))
     def test_bilinear_symmetric_and_doubles_form(self, x, y):
-        assert bilinear(DIAG_23, x, y) == bilinear(DIAG_23, y, x)
-        assert bilinear(DIAG_23, x, x) == 2 * eval_form(DIAG_23, x)
+        assert DIAG_23.bilinear(x, y) == DIAG_23.bilinear(y, x)
+        assert DIAG_23.bilinear(x, x) == 2 * DIAG_23(x)
 
 
 int_vec = st.tuples(*[st.integers(-200, 200)] * 3)
@@ -81,24 +79,37 @@ class TestBilinearOffDiagonal:
     def test_doubles_form_on_diagonal(self, f, x):
         assert f.bilinear(x, x) == 2 * f(x)
 
+    @given(off_diagonal_form, big_vec)
+    def test_form_matches_unsquared_formula(self, f, x):
+        x0, x1, x2 = x
+        want = (
+            f.a00 * x0 * x0 + f.a11 * x1 * x1 + f.a22 * x2 * x2
+            + f.a01 * x0 * x1 + f.a02 * x0 * x2 + f.a12 * x1 * x2
+        )
+        assert f(x) == want
+
+    @given(off_diagonal_form)
+    def test_gram_det_is_det_of_gram(self, f):
+        assert f.gram_det == mat_det(f.gram())
+
 
 class TestPsi:
     def test_worked_example(self):
         z = psi(DIAG_23, (198, 140, 1), (1, 0, 0))
         assert z == (78407, 55440, 396)
-        assert eval_form(DIAG_23, z) == 1  # phi(x)^2 * phi(y)
+        assert DIAG_23(z) == 1  # phi(x)^2 * phi(y)
 
     @given(small_form, int_vec, int_vec)
     @settings(max_examples=300)
     def test_identities(self, f, x, y):
         z = psi(f, x, y)
-        fx = eval_form(f, x)
-        assert eval_form(f, z) == fx**2 * eval_form(f, y)
+        fx = f(x)
+        assert f(z) == fx**2 * f(y)
         assert psi(f, x, z) == tuple(fx**2 * c for c in y)
 
     @given(small_form, int_vec)
     def test_psi_self(self, f, x):
-        assert psi(f, x, x) == tuple(eval_form(f, x) * c for c in x)
+        assert psi(f, x, x) == tuple(f(x) * c for c in x)
 
     @given(small_form, int_vec, int_vec, int_vec, st.integers(-20, 20), st.integers(-20, 20))
     @settings(max_examples=200)
@@ -123,7 +134,7 @@ class TestKernel:
 class TestRationalZero:
     def test_parabola(self):
         v = rational_zero(PARABOLA)
-        assert v is not None and eval_form(PARABOLA, v) == 0
+        assert v is not None and PARABOLA(v) == 0
 
     def test_anisotropic_23(self):
         assert rational_zero(DIAG_23) is None
@@ -131,7 +142,7 @@ class TestRationalZero:
     def test_isotropic_22(self):
         f = TernaryQuadraticForm(1, -2, -2)
         v = rational_zero(f)
-        assert v is not None and eval_form(f, v) == 0
+        assert v is not None and f(v) == 0
         from math import gcd
 
         assert gcd(gcd(v[0], v[1]), v[2]) == 1
@@ -145,7 +156,7 @@ class TestRationalZero:
             for x1 in range(-bound, bound + 1):
                 for x2 in range(-bound, bound + 1):
                     if (x0, x1, x2) != (0, 0, 0):
-                        assert eval_form(f, (x0, x1, x2)) != 0
+                        assert f((x0, x1, x2)) != 0
 
     @pytest.mark.parametrize(
         "coeffs", [(1, -2, -2), (1, -2, -7), (1, -6, -3), (2, -3, -5), (1, -1, 1)]
@@ -154,7 +165,7 @@ class TestRationalZero:
         f = TernaryQuadraticForm(*coeffs)
         v = rational_zero(f)
         assert v is not None
-        assert eval_form(f, v) == 0
+        assert f(v) == 0
         from math import gcd
 
         assert gcd(gcd(v[0], v[1]), v[2]) == 1
@@ -271,7 +282,7 @@ class TestApplyGl3:
     def test_isotropy_preserved_under_substitution(self):
         v = apply_gl3(S5_SUBSTITUTION, (1, 0, 0))
         # mu * phi(T x) = canonical(x); here canonical(1,0,0) = 1 for x0^2-2x1^2-2x2^2
-        assert eval_form(PARABOLA, v) != 0 or v != (0, 0, 0)
+        assert PARABOLA(v) != 0 or v != (0, 0, 0)
 
 
 class TestSerialization:
