@@ -1,10 +1,9 @@
 """Exact construction of extremal approximation points on rational conics."""
 
-from .numerics import CertifiedReal, Dyadic, certified_round, interval_sqrt
+from .numerics import CertifiedReal, Dyadic, interval_sqrt
 from .quadform import (
     CanonicalReduction,
     TernaryQuadraticForm,
-    apply_gl3,
     kernel,
     psi,
     rational_zero,
@@ -17,7 +16,6 @@ from .extremal import (
     extend,
     limit_point,
     seed_triple,
-    tails_equal,
 )
 from .minpoints import (
     ExponentReport,
@@ -42,8 +40,6 @@ __all__ = [
     "RationalTarget",
     "SqrtPairTarget",
     "TernaryQuadraticForm",
-    "apply_gl3",
-    "certified_round",
     "cf_expansion",
     "enumerate_minimal",
     "estimate_lambda",
@@ -60,7 +56,6 @@ __all__ = [
     "reduce_form",
     "rigidity_check",
     "seed_triple",
-    "tails_equal",
 ]
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .minpoints import (
 from .numerics import CertifiedReal, Dyadic, PrecisionCapError, precision_cap
 from .pell import cf_expansion, find_seed_pair, fundamental_solution, next_solution
 from .quadform import FormRejected, TernaryQuadraticForm, det3, max_norm, reduce_form
-from .targets import ExtremalTarget, SqrtPairTarget
+from .targets import DependentTargetError, ExtremalTarget, SqrtPairTarget
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -48,11 +49,22 @@ def _real_json(x: CertifiedReal) -> dict:
     return {"hi": _dyadic_json(x.hi), "lo": _dyadic_json(x.lo), "precision": x.precision}
 
 
-def _dump(obj, fp=None) -> str:
-    text = json.dumps(obj, sort_keys=True, indent=2)
-    if fp is not None:
-        fp.write(text + "\n")
-    return text
+def _dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _write(outdir: str, files: dict[str, str]) -> bool:
+    """Write {name: text} into outdir, creating it; False (and one `error:`
+    line) when the directory or a file cannot be written."""
+    try:
+        Path(outdir).mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            with open(Path(outdir) / name, "w", newline="") as fp:
+                fp.write(text)
+    except OSError as exc:
+        print(f"error: cannot write to --out {outdir}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +153,9 @@ def cmd_construct(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
+    if not _write(args.out, {"sequence.jsonl": sequence, "xi.json": xi}):
+        return EXIT_INPUT
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "sequence.jsonl").write_text(sequence)
-    (outdir / "xi.json").write_text(xi)
     print(f"wrote {outdir / 'sequence.jsonl'} and {outdir / 'xi.json'}")
     return EXIT_OK
 
@@ -152,6 +163,8 @@ def cmd_construct(args) -> int:
 def _target_from_args(args):
     if args.xi is not None:
         obj = json.loads(Path(args.xi).read_text())
+        if not isinstance(obj, dict):
+            raise ValueError(f"--xi {args.xi} must hold a JSON object")
         return ExtremalTarget(int(obj["b"]), int(obj["c"]))
     if args.sqrt is not None:
         a, b = (int(s) for s in args.sqrt.split(","))
@@ -172,7 +185,10 @@ def cmd_enumerate(args) -> int:
         return EXIT_INPUT
     try:
         target = _target_from_args(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except DependentTargetError as exc:
+        print(f"rejected: {exc}", file=sys.stderr)
+        return EXIT_MATH
+    except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -194,8 +210,6 @@ def cmd_enumerate(args) -> int:
         )
         return EXIT_INPUT
     report = estimate_lambda(records)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     hat_by_index = dict(report.lambda_hats)
     rows = []
     for i, rec in enumerate(records):
@@ -211,15 +225,15 @@ def cmd_enumerate(args) -> int:
             }
         )
     if args.format == "csv":
-        with open(outdir / "records.csv", "w", newline="") as fp:
-            writer = csv.DictWriter(
-                fp, fieldnames=["i", "X_i", "x1", "x2", "L_i_lo", "L_i_hi", "lambda_hat_i"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
+        buf = io.StringIO(newline="")
+        writer = csv.DictWriter(
+            buf, fieldnames=["i", "X_i", "x1", "x2", "L_i_lo", "L_i_hi", "lambda_hat_i"]
+        )
+        writer.writeheader()
+        writer.writerows(rows)
+        files = {"records.csv": buf.getvalue()}
     else:
-        with open(outdir / "records.json", "w") as fp:
-            _dump(rows, fp)
+        files = {"records.json": _dump(rows) + "\n"}
     rigidity = None
     if isinstance(target, ExtremalTarget):
         phi = TernaryQuadraticForm(1, -target.b, -target.c)
@@ -229,19 +243,19 @@ def cmd_enumerate(args) -> int:
             "first_holding": rig.first_holding,
             "insufficient_data": rig.insufficient,
         }
-    with open(outdir / "report.json", "w") as fp:
-        _dump(
-            {
-                "alpha": repr(report.alpha),
-                "c_lower": repr(report.c_lower),
-                "independence_set": report.independence_set,
-                "lambda_hats": [[i, repr(h)] for i, h in report.lambda_hats],
-                "rigidity": rigidity,
-                "summary": repr(report.summary),
-                "theta": repr(report.theta),
-            },
-            fp,
-        )
+    files["report.json"] = _dump(
+        {
+            "alpha": repr(report.alpha),
+            "c_lower": repr(report.c_lower),
+            "independence_set": report.independence_set,
+            "lambda_hats": [[i, repr(h)] for i, h in report.lambda_hats],
+            "rigidity": rigidity,
+            "summary": repr(report.summary),
+            "theta": repr(report.theta),
+        }
+    ) + "\n"
+    if not _write(args.out, files):
+        return EXIT_INPUT
     print(f"{len(records)} records; lambda-hat summary {report.summary:.5f}")
     return EXIT_OK
 
@@ -275,10 +289,15 @@ def cmd_verify(args) -> int:
         rows = []
         for line in lines:
             obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ValueError(f"row {line[:40]!r} is not a JSON object")
+            if not isinstance(obj["y"], list) or len(obj["y"]) != 3:
+                raise ValueError(f"row i={obj['i']}: y must be a list of 3 integers")
+            y = tuple(int(v) for v in obj["y"])
             rows.append(
                 {
                     "i": int(obj["i"]),
-                    "y": tuple(int(v) for v in obj["y"]),
+                    "y": y,
                     "t": int(obj["t"]),
                     "norm_bits": int(obj["norm_bits"]),
                 }
@@ -287,7 +306,7 @@ def cmd_verify(args) -> int:
         if len(rows) < 3 or [r["i"] for r in rows] != list(range(-1, len(rows) - 1)):
             raise ValueError("rows must hold indices -1, 0, 1, ... without gaps")
         b, c = (args.b, args.c) if args.b and args.c else _infer_bc(rows)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot parse sequence file: {exc}", file=sys.stderr)
         return EXIT_INPUT
     phi = TernaryQuadraticForm(1, -b, -c)
@@ -318,11 +337,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pell(args) -> int:
+    if args.count < 1:
+        print("error: --count must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     try:
         fund = fundamental_solution(args.b)
         first, second = find_seed_pair(args.b)
         sols = [fund]
-        for _ in range(max(0, args.count - 1)):
+        for _ in range(args.count - 1):
             sols.append(next_solution(sols[-1]))
         expansion = cf_expansion(args.b, 12)
     except ValueError as exc:

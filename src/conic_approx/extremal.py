@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .numerics import CertifiedReal, PrecisionCapError, precision_cap
+from .numerics import ZERO, CertifiedReal, Dyadic, PrecisionCapError, precision_cap, ratio_up
 from .pell import fundamental_solution, find_seed_pair
 from .quadform import (
     TernaryQuadraticForm,
@@ -284,93 +284,158 @@ def extend(seq: ExtremalSequence, upto: int) -> ExtremalSequence:
     return seq
 
 
-def proj_dist_exact(u, v) -> Fraction:
-    """Projective distance ||u ^ v|| / (||u|| ||v||) for exact integer vectors."""
-    if not any(u) or not any(v):
-        raise ValueError("zero vector")
-    return Fraction(max_norm(cross(u, v)), max_norm(u) * max_norm(v))
+class ConsecutiveDistances:
+    """The distances d_j = ||y_j ^ y_{j+1}|| / (||y_j|| ||y_{j+1}||), j >= 2, of
+    one sequence, each computed once and rounded up by `ratio_up`, and the tail
+    bounds summed from them.
 
-
-def tail_bound_from(seq: ExtremalSequence, start: int, slack: Fraction) -> Fraction:
-    """Bound on the projective distance from [y_start] to the limit point.
-
-    Uses the quasi-triangle inequality dist([x],[z]) <= dist([x],[y]) + 2 dist([y],[z]):
-    summing 2^k * d_k over consecutive-member distances d_k, truncated once the
-    running term drops below `slack`; the remainder is majorized geometrically
-    after checking d_{k+1} <= d_k / 4 at every step used.
+    Appending d_j checks the quartic decay d_j <= d_{j-1} / 4 exactly, as
+    4 c_j n_{j-1} <= c_{j-1} n_j on the wedge norms c and the norm products n.
+    When d_j reads a member past the stored depth, one `extend` call appends
+    it together with every member up to `_horizon`, so a batch costs one call.
     """
-    total = Fraction(0)
-    k = 0
-    prev: Fraction | None = None
-    while True:
-        extend(seq, start + k + 1)
-        d = proj_dist_exact(seq.y(start + k), seq.y(start + k + 1))
-        if prev is not None and d > prev / 4:
-            raise InvariantViolation("quartic decay of consecutive distances", start + k)
-        term = Fraction(2**k) * d
-        total += term
-        if term < slack:
-            return total + term  # remainder of the series is at most one extra term
-        prev = d
-        k += 1
+
+    def __init__(self, seq: ExtremalSequence, goal_bits: int):
+        self.seq = seq
+        self.goal_bits = goal_bits
+        self.up: list[Dyadic] = []  # up[k] >= d_{k+2}
+        self.last: tuple[int, int] | None = None  # (c, n) of the last distance
+
+    def __getitem__(self, j: int) -> Dyadic:
+        while len(self.up) <= j - 2:
+            self._append()
+        return self.up[j - 2]
+
+    def _append(self) -> None:
+        seq, j = self.seq, len(self.up) + 2
+        if seq.depth <= j:
+            extend(seq, max(j + 1, self._horizon()))
+        y, z = seq.y(j), seq.y(j + 1)
+        c, n = max_norm(cross(y, z)), max_norm(y) * max_norm(z)
+        if self.last is not None and 4 * c * self.last[1] > self.last[0] * n:
+            raise InvariantViolation("quartic decay of consecutive distances", j)
+        self.last = c, n
+        self.up.append(ratio_up(c, n))
+
+    def _horizon(self) -> int:
+        """One past the first index k with 2 bits(||y_k||) >= goal_bits, the
+        index from which d_k, about ||y_k||^-2, is below 2^-goal_bits.
+
+        Past the stored members, ||y_{k+1}|| is read as t_k ||y_k|| and t_{k+1}
+        as t_k t_{k-1} (the norm inequality and the t recurrence without their
+        small terms), on 64-bit heads.  Only the size of the batch depends on it.
+        """
+        seq = self.seq
+        k = seq.depth
+        norm, t_prev, t = (_head(v) for v in (max_norm(seq.y(k)), seq.t(k - 1), seq.t(k)))
+        while 2 * (norm[0].bit_length() + norm[1]) < self.goal_bits:
+            norm, t_prev, t = _head_mul(norm, t), t, _head_mul(t, t_prev)
+            k += 1
+        return k + 1
+
+    def tail_bound(self, start: int, slack: Fraction) -> Dyadic:
+        """Upper bound on the projective distance from [y_start] to the limit point.
+
+        By the quasi-triangle inequality dist([x],[z]) <= dist([x],[y]) + 2 dist([y],[z])
+        the distance is at most the sum of 2^k d_{start+k}.  The sum stops after the
+        first term below `slack`, and the quartic decay bounds the rest by one more
+        such term.  Every term is rounded up, so the sum is a certified bound; it is
+        returned rounded up to 64 bits.
+        """
+        total, k = ZERO, 0
+        while True:
+            d = self[start + k]
+            term = Dyadic.make(d.man, d.exp + k)
+            total += term
+            if _compare(term, slack) < 0:
+                return (total + term).round_up(64)
+            k += 1
+
+
+def _head(x: int) -> tuple[int, int]:
+    """(m, e) with m of at most 64 bits and m 2^e close to x > 0."""
+    e = max(0, x.bit_length() - 64)
+    return x >> e, e
+
+
+def _head_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    m, e = _head(a[0] * b[0])
+    return m, e + a[1] + b[1]
+
+
+def _compare(d: Dyadic, q: Fraction | int) -> int:
+    """The sign of d - q, evaluated on integers."""
+    if d.exp >= 0:
+        lhs, rhs = (d.man << d.exp) * q.denominator, q.numerator
+    else:
+        lhs, rhs = d.man * q.denominator, q.numerator << -d.exp
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> CertifiedVec3:
-    """Certified enclosure of the limit (1, xi1, xi2), coordinate widths <= target_width."""
+    """Certified enclosure of the limit (1, xi1, xi2), coordinate widths <= target_width.
+
+    The enclosure is centred at y_i / y_i[0] for the first i >= 2 whose tail
+    bound eps satisfies 4 eps <= target_width, and each endpoint is rounded
+    outward to a multiple of 2^-bits.
+    """
     tw = Fraction(target_width)
     if tw <= 0:
         raise ValueError("target_width must be positive")
-    # bits ~ -log2(tw), computed exactly (tw can underflow a float)
-    bits = max(64, 8 + (tw.denominator // tw.numerator).bit_length()) if tw < 1 else 64
+    # need ~ -log2(tw), computed exactly (tw can underflow a float)
+    need = (tw.denominator // tw.numerator).bit_length() if tw < 1 else 0
+    bits = max(64, 8 + need)
     if bits > precision_cap():
         raise PrecisionCapError(
             f"target width needs {bits} bits, cap is {precision_cap()}"
         )
+    # 4 eps <= tw needs about d_i <= tw / 8, i.e. need + 3 bits of d_i
+    distances = ConsecutiveDistances(seq, need + 3)
+    slack = tw / 4
     i = 2
     while True:
-        extend(seq, i)
-        y = seq.y(i)
-        d = tail_bound_from(seq, i, tw / 4)
-        # |xi_j - y_j / y_0| <= d * ||y|| / y_0  (representative normalized to first
-        # coordinate 1, whose max norm is 1 because b, c > 1 force |xi_j| < 1)
-        eps = d * Fraction(max_norm(y), y[0])
-        if 2 * eps <= tw / 2:
-            xi1 = CertifiedReal.from_endpoints(
-                Fraction(y[1], y[0]) - eps, Fraction(y[1], y[0]) + eps, bits
-            )
-            xi2 = CertifiedReal.from_endpoints(
-                Fraction(y[2], y[0]) - eps, Fraction(y[2], y[0]) + eps, bits
-            )
-            if xi1.width().as_fraction() > tw or xi2.width().as_fraction() > tw:
-                raise AssertionError("enclosure construction exceeded target width")
-            enclosure = CertifiedVec3(xi1, xi2, CertifiedReal.from_fraction(d, 64))
-            _check_on_conic(seq, enclosure)
-            return enclosure
+        # the bound eps from i is at least d_i, so 4 eps <= tw needs d_i <= tw / 4
+        if _compare(distances[i], slack) <= 0:
+            eps = distances.tail_bound(i, slack)
+            if _compare(eps.mul_int(4), tw) <= 0:
+                break
         i += 1
+    # |xi_j - y_j / y_0| <= eps * ||y|| / y_0 = eps: y_0 = ||y|| > 0 because
+    # q(y) = 1 with b, c > 1 and the recurrence keep the first coordinate
+    # positive and largest (representative (1, xi1, xi2) has max norm 1).
+    y = seq.y(i)
+    box1, box2 = (_enclose(y[k], y[0], eps, bits) for k in (1, 2))
+    xi1, xi2 = (
+        CertifiedReal(Dyadic.make(lo, -bits), Dyadic.make(hi, -bits), bits)
+        for lo, hi in (box1, box2)
+    )
+    if any((hi - lo) * tw.denominator > tw.numerator << bits for lo, hi in (box1, box2)):
+        raise AssertionError("enclosure construction exceeded target width")
+    _check_on_conic(seq, box1, box2, bits)
+    return CertifiedVec3(xi1, xi2, CertifiedReal(eps, eps, 64))
 
 
-def _check_on_conic(seq: ExtremalSequence, xi: CertifiedVec3) -> None:
-    one = CertifiedReal.from_int(1)
-    val = one - (xi.xi1 * xi.xi1).mul_int(seq.b) - (xi.xi2 * xi.xi2).mul_int(seq.c)
-    if not val.contains(0):
+def _enclose(num: int, den: int, eps: Dyadic, p: int) -> tuple[int, int]:
+    """Integers lo, hi with [num/den - eps, num/den + eps] inside [lo, hi] 2^-p, for den > 0."""
+    q, r = divmod(num << p, den)
+    shift = eps.exp + p
+    e = eps.man << shift if shift >= 0 else -((-eps.man) >> -shift)  # ceil(eps 2^p)
+    return q - e, q + e + (r > 0)
+
+
+def _check_on_conic(seq: ExtremalSequence, box1, box2, p: int) -> None:
+    """0 lies in the range of 1 - b x^2 - c z^2 over the box (x, z) in box1 x box2
+    scaled by 2^-p.  The range is evaluated exactly, scaled by 4^p, with no
+    outward rounding."""
+
+    def squares(lo: int, hi: int) -> tuple[int, int]:
+        s, t = lo * lo, hi * hi
+        return (0 if lo <= 0 <= hi else min(s, t)), max(s, t)
+
+    (s1, t1), (s2, t2) = squares(*box1), squares(*box2)
+    one = 1 << 2 * p
+    if not one - seq.b * t1 - seq.c * t2 <= 0 <= one - seq.b * s1 - seq.c * s2:
         raise InvariantViolation("limit point lies on the conic", seq.depth)
-
-
-def tails_equal(seq_a: ExtremalSequence, seq_b: ExtremalSequence) -> int | None:
-    """Shift a with y'_i = +/- y_{i+a} over the whole overlap, or None if distinct."""
-    na, nb = seq_a.depth, seq_b.depth
-    for a in range(-(nb + 1), na + 2):
-        lo = max(-1, -1 - a)
-        hi = min(na - a, nb)
-        if hi - lo < 2:
-            continue
-        if all(
-            seq_a.y(i + a) == seq_b.y(i)
-            or seq_a.y(i + a) == tuple(-x for x in seq_b.y(i))
-            for i in range(lo, hi + 1)
-        ):
-            return a
-    return None
 
 
 def verify_no_small_relation(seq: ExtremalSequence, coeff_bound: int = 10**6) -> bool:
@@ -380,16 +445,18 @@ def verify_no_small_relation(seq: ExtremalSequence, coeff_bound: int = 10**6) ->
     once the right side is below 1 for three consecutive indices, the integers
     <u, y_i> vanish on a triple spanning the space, forcing u = 0.
     """
+    bound = 2 * coeff_bound
+    # the right side is about bound / ||y_i||, so it needs ||y_i|| > bound at
+    # i, i + 1 and i + 2; the norm bits grow about 2.6-fold over two indices
+    # and d_{i+2}, about ||y_{i+2}||^-2, then has about 5.2 bits(bound) bits
+    distances = ConsecutiveDistances(seq, 6 * bound.bit_length())
+    slack = Fraction(1, 2**20)
     i = 2
     while True:
-        extend(seq, i + 2)
-        ok = True
-        for j in (i, i + 1, i + 2):
-            wedge = tail_bound_from(seq, j, Fraction(1, 2**20)) * max_norm(seq.y(j))
-            if 2 * coeff_bound * wedge >= 1:
-                ok = False
-                break
-        if ok:
+        if all(
+            _compare(distances.tail_bound(j, slack).mul_int(bound * max_norm(seq.y(j))), 1) < 0
+            for j in (i, i + 1, i + 2)
+        ):
             return True
         i += 1
 

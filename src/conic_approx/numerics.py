@@ -84,7 +84,8 @@ class Dyadic:
         return Dyadic.make(self.man * k, self.exp)
 
     def _cmp(self, other: "Dyadic") -> int:
-        d = (self - other).man
+        e = min(self.exp, other.exp)
+        d = (self.man << (self.exp - e)) - (other.man << (other.exp - e))
         return (d > 0) - (d < 0)
 
     def __lt__(self, other: "Dyadic") -> bool:
@@ -134,8 +135,27 @@ def _scale_fraction(q: Fraction, prec: int, up: bool) -> Dyadic:
     return Dyadic.make(m, -k)
 
 
+def ratio_up(num: int, den: int) -> Dyadic:
+    """A dyadic >= num/den with a mantissa of about 64 bits, for num >= 0, den > 0.
+
+    Reads only the 64-bit heads of num (rounded up) and den (rounded down),
+    so it costs no full-size division.  Each of the two heads and the final
+    quotient is off by a factor below 1 + 2**-63, so the result exceeds
+    num/den by a factor below 1 + 2**-61.
+    """
+    if den <= 0 or num < 0:
+        raise ValueError("ratio_up needs num >= 0 and den > 0")
+    if num == 0:
+        return ZERO
+    a = max(0, num.bit_length() - 64)
+    b = max(0, den.bit_length() - 64)
+    hn = -((-num) >> a)
+    hd = den >> b
+    s = 64 + hd.bit_length() - hn.bit_length()
+    return Dyadic.make(-((-hn << s) // hd), a - b - s)
+
+
 ZERO = Dyadic(0, 0)
-HALF = Dyadic(1, -1)
 
 
 @dataclass(frozen=True)
@@ -180,17 +200,8 @@ class CertifiedReal:
         q = Fraction(q)
         return self.lo.as_fraction() <= q <= self.hi.as_fraction()
 
-    def contains_interval(self, other: "CertifiedReal") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def strictly_less(self, other: "CertifiedReal") -> bool:
-        return self.hi < other.lo
-
     def midpoint(self) -> Fraction:
         return (self.lo.as_fraction() + self.hi.as_fraction()) / 2
-
-    def is_positive(self) -> bool:
-        return ZERO < self.lo
 
     def __float__(self) -> float:
         return float(self.midpoint())
@@ -265,44 +276,3 @@ def interval_sqrt(x: CertifiedReal) -> CertifiedReal:
         raise DomainError("interval_sqrt of interval reaching below zero")
     p = x.precision
     return CertifiedReal(sqrt_down(x.lo, p), sqrt_up(x.hi, p), p)
-
-
-NEEDS_REFINEMENT = object()
-
-
-def certified_round(x0: int, xi: CertifiedReal):
-    """Nearest integer to x0*xi when the enclosure decides it, else NEEDS_REFINEMENT.
-
-    An exact half-integer (possible only for rational xi) rounds to even.
-    """
-    if x0 == 0:
-        return 0
-    v = xi.mul_int(x0)
-    lo, hi = v.lo.as_fraction(), v.hi.as_fraction()
-    n_lo = (2 * lo + 1) // 2
-    n_hi = (2 * hi + 1) // 2
-    if lo == hi and (2 * lo).denominator == 1 and lo.denominator != 1:
-        # exact half-integer: round half to even
-        n = (2 * lo - 1) // 2
-        return n if n % 2 == 0 else n + 1
-    if n_lo != n_hi:
-        return NEEDS_REFINEMENT
-    if 2 * lo == 2 * n_lo - 1:
-        # lower endpoint sits exactly on the half-integer boundary
-        return NEEDS_REFINEMENT
-    return int(n_lo)
-
-
-def resolve_round(x0: int, enclosure, bits: int, cap: int | None = None) -> int:
-    """Drive certified_round through precision doublings until it decides.
-
-    `enclosure(bits)` must return a CertifiedReal for xi at the given precision.
-    """
-    cap = cap if cap is not None else precision_cap()
-    while True:
-        r = certified_round(x0, enclosure(bits))
-        if r is not NEEDS_REFINEMENT:
-            return r
-        if bits >= cap:
-            raise PrecisionCapError(f"rounding of {x0}*xi undecided at {bits} bits")
-        bits = min(2 * bits, cap)

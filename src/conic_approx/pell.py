@@ -53,19 +53,6 @@ def cf_expansion(b: int, terms: int) -> list[int]:
     raise AssertionError  # pragma: no cover
 
 
-def cf_period(b: int) -> tuple[int, list[int]]:
-    """(a0, periodic part) of the expansion of sqrt(b); period ends at 2*a0."""
-    _check_radicand(b)
-    steps = _cf_steps(b)
-    a0 = next(steps)
-    period = []
-    for a in steps:
-        period.append(a)
-        if a == 2 * a0:
-            return a0, period
-    raise AssertionError  # pragma: no cover
-
-
 def fundamental_solution(b: int) -> PellSolution:
     """Minimal positive solution of x^2 - b*y^2 = 1 via continued-fraction convergents."""
     _check_radicand(b)

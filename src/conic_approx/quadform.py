@@ -68,10 +68,6 @@ def det3(u, v, w):
     return mat_det((u, v, w))
 
 
-def mat_vec(T: Mat3, x) -> RatVec3:
-    return tuple(sum(T[i][j] * Fraction(x[j]) for j in range(3)) for i in range(3))  # type: ignore[return-value]
-
-
 def cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -81,11 +77,7 @@ def cross(u, v):
 
 
 def max_norm(v) -> int:
-    return max(abs(x) for x in v)
-
-
-def dot(u, v):
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    return max(map(abs, v))
 
 
 def primitive(v) -> Vec3:
@@ -242,13 +234,6 @@ def kernel(phi: TernaryQuadraticForm) -> list[Vec3]:
     """Basis of the radical {v : B(v, w) = 0 for all w}, as primitive integer vectors."""
     rows = [[Fraction(x) for x in row] for row in phi.gram()]
     return [primitive(v) for v in _nullspace(rows)]
-
-
-def apply_gl3(T: Mat3, x: Vec3) -> Vec3:
-    """Primitive integer vector proportional to T(x)."""
-    if mat_det(T) == 0:
-        raise ValueError("singular matrix")
-    return primitive(mat_vec(T, x))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Protocol
 
+from .arith import is_square
 from .extremal import ExtremalSequence, limit_point, seed_triple
 from .numerics import CertifiedReal, interval_sqrt
 
@@ -34,12 +36,31 @@ class RationalTarget:
         return (self.xi1, self.xi2)
 
 
+class DependentTargetError(ValueError):
+    """1, sqrt(a), sqrt(b) are linearly dependent over Q, but the point is not
+    rational: L has exact ties there, which no precision decides."""
+
+
 @dataclass(frozen=True)
 class SqrtPairTarget:
-    """The point (1, sqrt(a), sqrt(b)) for non-negative integers a, b."""
+    """The point (1, sqrt(a), sqrt(b)) for non-negative integers a, b.
+
+    Either 1, sqrt(a), sqrt(b) are linearly independent over Q (none of a, b,
+    a*b is a square), as the paper assumes, or both a and b are squares and
+    the point is rational.  Any other pair raises `DependentTargetError`.
+    """
 
     a: int
     b: int
+
+    def __post_init__(self) -> None:
+        sa, sb = is_square(self.a), is_square(self.b)
+        if not (sa and sb) and (sa or sb or is_square(self.a * self.b)):
+            square = self.a if sa else self.b if sb else f"{self.a}*{self.b}"
+            raise DependentTargetError(
+                f"1, sqrt({self.a}) and sqrt({self.b}) are linearly dependent over Q "
+                f"({square} is a square)"
+            )
 
     def enclosure(self, bits: int) -> tuple[CertifiedReal, CertifiedReal]:
         return (
@@ -48,17 +69,9 @@ class SqrtPairTarget:
         )
 
     def exact_coords(self):
-        ra, rb = _exact_sqrt(self.a), _exact_sqrt(self.b)
-        if ra is not None and rb is not None:
-            return (Fraction(ra), Fraction(rb))
+        if is_square(self.a) and is_square(self.b):
+            return (Fraction(isqrt(self.a)), Fraction(isqrt(self.b)))
         return None
-
-
-def _exact_sqrt(n: int) -> int | None:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 @dataclass

@@ -28,6 +28,18 @@ def int_str_limit():
     sys.set_int_max_str_digits(old)
 
 
+def unwritable(tmp_path) -> str:
+    """An --out below a regular file, so creating it raises NotADirectoryError."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    return str(blocker / "run")
+
+
+def assert_one_line(capsys, prefix: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
 def write_form(tmp_path, coeffs, name="form.json"):
     p = tmp_path / name
     p.write_text(json.dumps(coeffs))
@@ -113,6 +125,11 @@ class TestConstruct:
         assert main(argv) == 0
         assert main(["verify", "--in", str(tmp_path / "sequence.jsonl")]) == 0
 
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        argv = ["construct", "--b", "2", "--c", "3", "--depth", "4", "--out", unwritable(tmp_path)]
+        assert main(argv) == 2
+        assert_one_line(capsys, "error: cannot write to --out ")
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
@@ -147,6 +164,30 @@ class TestVerify:
         f = tmp_path / "empty.jsonl"
         f.write_text("")
         assert main(["verify", "--in", str(f)]) == 2
+
+    def test_row_with_two_coordinates_is_input_error(self, tmp_path, capsys):
+        f = self._construct(tmp_path)
+        rows = [json.loads(line) for line in f.read_text().splitlines()]
+        rows[4]["y"] = rows[4]["y"][:2]
+        f.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert main(["verify", "--in", str(f)]) == 2
+        assert_one_line(capsys, "error: cannot parse sequence file: ")
+
+    def test_row_whose_y_is_a_string_is_input_error(self, tmp_path, capsys):
+        # "100" would otherwise be read digit by digit as y_{-1} = (1, 0, 0)
+        f = self._construct(tmp_path)
+        rows = [json.loads(line) for line in f.read_text().splitlines()]
+        rows[0]["y"] = "100"
+        f.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert main(["verify", "--in", str(f)]) == 2
+        assert_one_line(capsys, "error: cannot parse sequence file: ")
+
+    def test_rows_that_are_lists_are_input_error(self, tmp_path, capsys):
+        f = self._construct(tmp_path)
+        rows = [json.loads(line) for line in f.read_text().splitlines()]
+        f.write_text("".join(json.dumps(list(r.values())) + "\n" for r in rows))
+        assert main(["verify", "--in", str(f)]) == 2
+        assert_one_line(capsys, "error: cannot parse sequence file: ")
 
     def test_gap_in_indices_is_input_error(self, tmp_path):
         f = self._construct(tmp_path)
@@ -309,6 +350,24 @@ class TestEnumerate:
             ["enumerate", "--sqrt", "4,9", "--xmax", "100", "--out", str(tmp_path)]
         ) == 3
 
+    @pytest.mark.parametrize("pair", ["2,8", "0,2", "1,2", "8,2", "3,12"])
+    def test_dependent_sqrt_pair_rejected_before_the_scan(self, tmp_path, capsys, pair):
+        out = tmp_path / "run"
+        assert main(["enumerate", "--sqrt", pair, "--xmax", "100", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert_one_line(capsys, "rejected: ")
+
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        argv = ["enumerate", "--sqrt", "2,3", "--xmax", "100", "--out", unwritable(tmp_path)]
+        assert main(argv) == 2
+        assert_one_line(capsys, "error: cannot write to --out ")
+
+    def test_xi_file_holding_a_list_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "xi.json"
+        f.write_text("[2, 3]")
+        assert main(["enumerate", "--xi", str(f), "--xmax", "100", "--out", str(tmp_path)]) == 2
+        assert_one_line(capsys, "error: ")
+
     def test_xmax_zero_usage_error(self, tmp_path):
         assert main(
             ["enumerate", "--b", "2", "--c", "3", "--xmax", "0", "--out", str(tmp_path)]
@@ -394,3 +453,10 @@ class TestPell:
 
     def test_perfect_square_rejected(self):
         assert main(["pell", "--b", "9"]) == 3
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_input_error(self, capsys, count):
+        assert main(["pell", "--b", "2", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --count must be at least 1\n"

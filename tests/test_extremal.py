@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conic_approx import extremal
 from conic_approx.extremal import (
     IDENTITIES,
+    ConsecutiveDistances,
     ExtremalSequence,
     InvariantViolation,
     UnsupportedConstruction,
@@ -15,12 +16,10 @@ from conic_approx.extremal import (
     extend,
     growth_ratios,
     limit_point,
-    proj_dist_exact,
     seed_triple,
-    tails_equal,
     verify_no_small_relation,
 )
-from conic_approx.numerics import PrecisionCapError
+from conic_approx.numerics import PrecisionCapError, ratio_up
 from conic_approx.quadform import cross, det3, max_norm
 
 
@@ -248,60 +247,149 @@ class TestLimitPoint:
         assert max(vals) / min(vals) < 3
 
 
-class TestTailsEqual:
-    def test_self_shift_zero(self):
-        seq = extend(seed_triple(2, 3), 6)
-        assert tails_equal(seq, seq) == 0
-
-    def test_sign_insensitive(self):
-        a = extend(seed_triple(2, 3), 6)
-        b = extend(seed_triple(2, 3), 6)
-        b.ys = [tuple(-c for c in y) for y in b.ys]
-        assert tails_equal(a, b) == 0
-
-    def test_equal_seeds_and_shifted_tails(self):
-        a = extend(seed_triple(2, 3), 8)
-        b = extend(seed_triple(2, 3), 8)
-        assert tails_equal(a, b) == 0
-        shifted = extend(seed_triple(2, 3), 8)
-        shifted.ys = shifted.ys[2:]
-        shifted.ts = shifted.ts[2:]
-        assert tails_equal(a, shifted) == 2
-
-    def test_distinct_sequences_detected(self):
-        a = extend(seed_triple(2, 3), 6)
-        b = extend(seed_triple(2, 5), 6)
-        assert tails_equal(a, b) is None
-
-
 class TestIndependenceEvidence:
     def test_no_small_relation(self):
         seq = seed_triple(2, 3)
         assert verify_no_small_relation(seq, coeff_bound=10**6)
 
 
+def exact_dist(u, v) -> Fraction:
+    """Projective distance ||u ^ v|| / (||u|| ||v||), exactly."""
+    return Fraction(max_norm(cross(u, v)), max_norm(u) * max_norm(v))
+
+
+def dist_up(u, v) -> Fraction:
+    """The same distance rounded up as `ConsecutiveDistances` rounds it."""
+    return ratio_up(max_norm(cross(u, v)), max_norm(u) * max_norm(v)).as_fraction()
+
+
+def reference_tail_bound(seq: ExtremalSequence, start: int, slack: Fraction) -> Fraction:
+    """The exact series the tail bound rounds up: sum of 2^k d_{start+k} in
+    Fractions, stopped after the first term below `slack`, plus that term again."""
+    total, k = Fraction(0), 0
+    while True:
+        extend(seq, start + k + 1)
+        term = 2**k * exact_dist(seq.y(start + k), seq.y(start + k + 1))
+        total += term
+        if term < slack:
+            return total + term
+        k += 1
+
+
+PIPELINE_PAIRS = [(2, 3), (3, 2), (3, 5), (3, 6), (3, 7), (3, 11)]
+
+
+class TestCertifiedLimit:
+    @pytest.mark.parametrize("b,c", PIPELINE_PAIRS)
+    @pytest.mark.parametrize("k", [64, 128, 300, 1000, 3000])
+    def test_enclosures_contain_a_later_member(self, b, c, k):
+        seq = seed_triple(b, c)
+        tw = Fraction(1, 2**k)
+        enc = limit_point(seq, tw)
+        late = seq.depth + 3
+        y = extend(seq, late).y(late)
+        for x, coord in ((enc.xi1, 1), (enc.xi2, 2)):
+            assert x.width().as_fraction() <= tw
+            assert x.contains(Fraction(y[coord], y[0]))
+
+    @pytest.mark.parametrize("b,c", PIPELINE_PAIRS)
+    def test_tail_bound_rounds_the_exact_series_up(self, b, c):
+        seq = extend(seed_triple(b, c), 14)
+        distances = ConsecutiveDistances(seq, 0)
+        for k in (20, 64, 128, 700):
+            slack = Fraction(1, 2**k)
+            for start in (2, 3, 5):
+                exact = reference_tail_bound(seq, start, slack)
+                got = distances.tail_bound(start, slack).as_fraction()
+                assert exact <= got <= exact * (1 + Fraction(1, 2**56))
+
+    @pytest.mark.parametrize("b,c", PIPELINE_PAIRS)
+    def test_enclosure_tail_bound_rounds_the_exact_series_up(self, b, c):
+        tw = Fraction(1, 2**500)
+        seq = seed_triple(b, c)
+        enc = limit_point(seq, tw)
+        # the start index is the first whose bound eps has 4 eps <= tw
+        start = 2
+        while 4 * reference_tail_bound(seq, start, tw / 4) > tw:
+            start += 1
+        exact = reference_tail_bound(seq, start, tw / 4)
+        assert enc.tail_bound.lo == enc.tail_bound.hi
+        assert exact <= enc.tail_bound.hi.as_fraction() <= exact * (1 + Fraction(1, 2**56))
+
+    def test_tampered_member_breaks_the_quartic_decay(self):
+        seq = extend(seed_triple(2, 3), 12)
+        seq.ys[5 + 1] = seq.y(3)  # y_5 := y_3, so d_4 = d_3
+        with pytest.raises(InvariantViolation) as err:
+            limit_point(seq, Fraction(1, 2**128))
+        assert err.value.identity == "quartic decay of consecutive distances"
+        assert err.value.index == 4
+
+    def test_tampered_enclosure_is_off_the_conic(self, monkeypatch):
+        real = extremal._enclose
+        monkeypatch.setattr(
+            extremal, "_enclose", lambda num, den, eps, p: real(num + 1, den, eps, p)
+        )
+        with pytest.raises(InvariantViolation) as err:
+            limit_point(seed_triple(2, 3), Fraction(1, 2**128))
+        assert err.value.identity == "limit point lies on the conic"
+
+    def test_one_extend_call_and_det3_at_two_indices_per_call(self, monkeypatch):
+        seq = seed_triple(2, 3)
+        extends, det3_calls = [], []
+        real_extend = extremal.extend
+
+        def counting_extend(s, upto):
+            extends.append(upto)
+            return real_extend(s, upto)
+
+        def counting_det3(u, v, w):
+            det3_calls.append(1)
+            return det3(u, v, w)
+
+        monkeypatch.setattr(extremal, "extend", counting_extend)
+        monkeypatch.setattr(extremal, "det3", counting_det3)
+        limit_point(seq, Fraction(1, 2**4000))
+        assert extends == [13] and seq.depth == 13
+        assert len(det3_calls) <= 2 * len(extends)
+
+    def test_no_extend_call_when_the_members_suffice(self, monkeypatch):
+        seq = extend(seed_triple(2, 3), 12)
+        monkeypatch.setattr(extremal, "extend", None)
+        limit_point(seq, Fraction(1, 2**128))
+
+    def test_deterministic(self):
+        a = limit_point(seed_triple(3, 7), Fraction(1, 2**700))
+        b = limit_point(extend(seed_triple(3, 7), 14), Fraction(1, 2**700))
+        assert a == b
+
+
 class TestProjDist:
+    """The projective distance as `ConsecutiveDistances` rounds it up."""
+
     def test_identical(self):
-        assert proj_dist_exact((3, 1, 4), (3, 1, 4)) == 0
+        assert dist_up((3, 1, 4), (3, 1, 4)) == 0
 
     def test_orthonormal(self):
-        assert proj_dist_exact((1, 0, 0), (0, 1, 0)) == 1
+        assert dist_up((1, 0, 0), (0, 1, 0)) == 1
 
     def test_example(self):
-        assert proj_dist_exact((1, 0, 0), (1, 1, 0)) == 1
+        assert dist_up((1, 0, 0), (1, 1, 0)) == 1
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            proj_dist_exact((0, 0, 0), (1, 0, 0))
+            dist_up((0, 0, 0), (1, 0, 0))
 
     vec = st.tuples(*[st.integers(-50, 50)] * 3).filter(any)
+    big = st.tuples(*[st.integers(-(2**200), 2**200)] * 3).filter(any)
 
     @given(vec, vec, vec)
     @settings(max_examples=300)
     def test_quasi_triangle_inequality(self, x, y, z):
-        assert proj_dist_exact(x, z) <= proj_dist_exact(x, y) + 2 * proj_dist_exact(y, z)
+        assert exact_dist(x, z) <= dist_up(x, y) + 2 * dist_up(y, z)
 
-    @given(vec, vec)
+    @given(st.one_of(vec, big), st.one_of(vec, big))
     def test_symmetric_and_scale_invariant(self, x, y):
-        assert proj_dist_exact(x, y) == proj_dist_exact(y, x)
-        assert proj_dist_exact(tuple(3 * c for c in x), y) == proj_dist_exact(x, y)
+        assert dist_up(x, y) == dist_up(y, x)
+        for u in (x, tuple(3 * c for c in x)):
+            exact = exact_dist(x, y)
+            assert exact <= dist_up(u, y) <= exact * (1 + Fraction(1, 2**61))

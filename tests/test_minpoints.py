@@ -21,7 +21,12 @@ from conic_approx.minpoints import (
 )
 from conic_approx.numerics import PrecisionCapError
 from conic_approx.quadform import TernaryQuadraticForm, det3
-from conic_approx.targets import ExtremalTarget, RationalTarget, SqrtPairTarget
+from conic_approx.targets import (
+    DependentTargetError,
+    ExtremalTarget,
+    RationalTarget,
+    SqrtPairTarget,
+)
 
 
 def decimal_scaled_sqrt(a: int, digits: int) -> int:
@@ -176,6 +181,11 @@ class TestRationalTargets:
     def test_square_sqrt_target_is_rational(self):
         with pytest.raises(RationalTargetError):
             enumerate_minimal(SqrtPairTarget(4, 9), 10)
+
+    @pytest.mark.parametrize("a,b", [(2, 8), (0, 2), (1, 2), (2, 1), (6, 24)])
+    def test_dependent_sqrt_target_rejected(self, a, b):
+        with pytest.raises(DependentTargetError):
+            SqrtPairTarget(a, b)
 
     def test_xmax_validation(self):
         with pytest.raises(ValueError):

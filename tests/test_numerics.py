@@ -1,4 +1,4 @@
-"""Certified interval arithmetic: soundness, refinement, rounding protocol."""
+"""Certified interval arithmetic: soundness, refinement, upward-rounded ratios."""
 import math
 from fractions import Fraction
 
@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conic_approx.numerics import (
-    NEEDS_REFINEMENT,
     CertifiedReal,
     DomainError,
-    certified_round,
     interval_sqrt,
-    resolve_round,
+    ratio_up,
 )
 
 import pytest
@@ -84,40 +82,26 @@ class TestIntervalSqrt:
             prev = cur
 
 
-class TestCertifiedRound:
-    def test_sqrt2_rounds_to_one(self):
-        xi = interval_sqrt(CertifiedReal.from_int(2, 64))
-        assert certified_round(1, xi) == 1
+class TestRatioUp:
+    def test_zero(self):
+        assert ratio_up(0, 7).as_fraction() == 0
 
-    def test_zero_multiplier(self):
-        xi = interval_sqrt(CertifiedReal.from_int(2, 64))
-        assert certified_round(0, xi) == 0
+    def test_small_ratios_are_exact_when_dyadic(self):
+        assert ratio_up(3, 4).as_fraction() == Fraction(3, 4)
+        assert ratio_up(1, 2**300).as_fraction() == Fraction(1, 2**300)
 
-    def test_straddles_half_integer(self):
-        xi = CertifiedReal.from_endpoints(Fraction(2499, 10**4), Fraction(2501, 10**4), 64)
-        assert certified_round(2, xi) is NEEDS_REFINEMENT
+    @pytest.mark.parametrize("num,den", [(1, 0), (-1, 3), (1, -3)])
+    def test_bad_arguments(self, num, den):
+        with pytest.raises(ValueError):
+            ratio_up(num, den)
 
-    def test_exact_half_rounds_to_even(self):
-        for v, expected in [(Fraction(1, 2), 0), (Fraction(3, 2), 2), (Fraction(5, 2), 2)]:
-            xi = CertifiedReal.from_fraction(v, 64)
-            assert certified_round(1, xi) == expected
-
-    def test_resolve_round_refines(self):
-        # sqrt(2) at 4 bits is too coarse for x0 = 169 (169*sqrt(2) = 239.002...)
-        n = resolve_round(169, lambda bits: interval_sqrt(CertifiedReal.from_int(2, bits)), 4)
-        assert n == 239
-
-    @given(
-        st.integers(-50, 50),
-        st.fractions(min_value=-10, max_value=10, max_denominator=1000),
-    )
-    def test_round_matches_exact_value(self, x0, q):
-        xi = CertifiedReal.from_fraction(q, 96)
-        got = certified_round(x0, xi)
-        if got is NEEDS_REFINEMENT:
-            assert (2 * x0 * q).denominator == 1  # only at exact half-integers
-        else:
-            assert abs(Fraction(got) - x0 * q) <= Fraction(1, 2)
+    @given(st.integers(0, 2**400), st.integers(1, 2**400))
+    @settings(max_examples=500)
+    def test_rounds_up_by_less_than_2_to_the_minus_61(self, num, den):
+        d = ratio_up(num, den)
+        exact = Fraction(num, den)
+        assert exact <= d.as_fraction() <= exact * (1 + Fraction(1, 2**61))
+        assert abs(d.man).bit_length() <= 65
 
 
 exprs = st.recursive(

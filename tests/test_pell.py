@@ -8,12 +8,19 @@ from hypothesis import strategies as st
 from conic_approx.pell import (
     PellSolution,
     cf_expansion,
-    cf_period,
     find_seed_pair,
     fundamental_solution,
     next_solution,
     solutions,
 )
+
+
+def cf_period(b: int) -> tuple[int, list[int]]:
+    """(a0, periodic part) of the expansion of sqrt(b), read off `cf_expansion`:
+    the period ends at the first partial quotient 2*a0."""
+    expansion = cf_expansion(b, 4 * b)  # the period is shorter than 2b
+    a0 = expansion[0]
+    return a0, expansion[1 : expansion.index(2 * a0) + 1]
 
 
 def brute_force_fundamental(b: int, n_limit: int = 10**6):

@@ -15,7 +15,6 @@ from conic_approx.quadform import (
     FormRejected,
     ReducibleFormError,
     TernaryQuadraticForm,
-    apply_gl3,
     kernel,
     mat_det,
     psi,
@@ -255,34 +254,6 @@ class TestCaseTagInvariance:
             r = reduce_form(f)
             assert r.case == expected
             assert r.verify(f)
-
-
-class TestApplyGl3:
-    def test_content_removal(self):
-        I = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
-        assert apply_gl3(I, (2, 4, 6)) == (1, 2, 3)
-
-    def test_denominator_clearing(self):
-        T = (
-            (Fraction(1, 2), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(1)),
-        )
-        assert apply_gl3(T, (1, 0, 0)) == (1, 0, 0)
-
-    def test_singular_rejected(self):
-        T = tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3))
-        with pytest.raises(ValueError):
-            apply_gl3(T, (1, 0, 0))
-
-    def test_sign_convention(self):
-        I = tuple(tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3))
-        assert apply_gl3(I, (-2, 4, 6)) == (1, -2, -3)
-
-    def test_isotropy_preserved_under_substitution(self):
-        v = apply_gl3(S5_SUBSTITUTION, (1, 0, 0))
-        # mu * phi(T x) = canonical(x); here canonical(1,0,0) = 1 for x0^2-2x1^2-2x2^2
-        assert PARABOLA(v) != 0 or v != (0, 0, 0)
 
 
 class TestSerialization:
