@@ -16,6 +16,7 @@ from .extremal import (
     extend,
     limit_point,
     seed_triple,
+    tails_equal,
 )
 from .minpoints import (
     ExponentReport,
@@ -56,6 +57,7 @@ __all__ = [
     "reduce_form",
     "rigidity_check",
     "seed_triple",
+    "tails_equal",
 ]
 
 __version__ = "0.1.0"

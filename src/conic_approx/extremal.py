@@ -438,6 +438,23 @@ def _check_on_conic(seq: ExtremalSequence, box1, box2, p: int) -> None:
         raise InvariantViolation("limit point lies on the conic", seq.depth)
 
 
+def tails_equal(seq_a: ExtremalSequence, seq_b: ExtremalSequence) -> int | None:
+    """Shift a with y'_i = +/- y_{i+a} over the whole overlap, or None if distinct."""
+    na, nb = seq_a.depth, seq_b.depth
+    for a in range(-(nb + 1), na + 2):
+        lo = max(-1, -1 - a)
+        hi = min(na - a, nb)
+        if hi - lo < 2:
+            continue
+        if all(
+            seq_a.y(i + a) == seq_b.y(i)
+            or seq_a.y(i + a) == tuple(-x for x in seq_b.y(i))
+            for i in range(lo, hi + 1)
+        ):
+            return a
+    return None
+
+
 def verify_no_small_relation(seq: ExtremalSequence, coeff_bound: int = 10**6) -> bool:
     """Prove no integer relation u0 + u1*xi1 + u2*xi2 = 0 with |u_i| <= coeff_bound.
 
