@@ -10,6 +10,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,8 +42,16 @@ EXIT_MATH = 3
 EXIT_INVARIANT = 4
 
 
+def read_int(s: str) -> int:
+    """An integer string of a CLI file: `0x` hex as written, or decimal as in
+    files written before hex.  Decimal text is subject to CPython's int/str
+    digit limit (a ValueError past it); hex is not.  A non-string is a
+    TypeError."""
+    return int(s, 0)
+
+
 def _dyadic_json(d: Dyadic) -> dict:
-    return {"exp": d.exp, "man": str(d.man)}
+    return {"exp": d.exp, "man": hex(d.man)}
 
 
 def _real_json(x: CertifiedReal) -> dict:
@@ -54,14 +63,26 @@ def _dump(obj) -> str:
 
 
 def _write(outdir: str, files: dict[str, str]) -> bool:
-    """Write {name: text} into outdir, creating it; False (and one `error:`
-    line) when the directory or a file cannot be written."""
+    """Write {name: text} into outdir, creating it.  Every file goes to a
+    temporary name first and is moved into place only once all are written;
+    on OSError no file of this call is left, one `error:` line is printed
+    and the result is False."""
+    out = Path(outdir)
+    staged: list[tuple[Path, Path]] = []
+    placed: list[Path] = []
     try:
-        Path(outdir).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            with open(Path(outdir) / name, "w", newline="") as fp:
+            tmp = out / f".{name}.{os.getpid()}.tmp"
+            staged.append((tmp, out / name))
+            with open(tmp, "w", newline="") as fp:
                 fp.write(text)
+        for tmp, final in staged:
+            os.replace(tmp, final)
+            placed.append(final)
     except OSError as exc:
+        for path in [tmp for tmp, _ in staged] + placed:
+            path.unlink(missing_ok=True)
         print(f"error: cannot write to --out {outdir}: {exc}", file=sys.stderr)
         return False
     return True
@@ -116,43 +137,31 @@ def cmd_construct(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    # serialize everything first: str() of an int past CPython's int/str
-    # digit limit raises, and no file is written then
-    flag = f"--depth {args.depth}"
-    try:
-        sequence = "".join(
-            json.dumps(
-                {
-                    "i": i,
-                    "norm_bits": max_norm(seq.y(i)).bit_length(),
-                    "t": str(seq.t(i)),
-                    "y": [str(v) for v in seq.y(i)],
-                },
-                sort_keys=True,
-            )
-            + "\n"
-            for i in range(-1, args.depth + 1)
-        )
-        flag = f"--precision {args.precision}"
-        xi = _dump(
+    sequence = "".join(
+        json.dumps(
             {
-                "b": str(args.b),
-                "c": str(args.c),
-                "depth": args.depth,
-                "precision": args.precision,
-                "seed": [str(v) for v in seq.seed],
-                "tail_bound": _real_json(enclosure.tail_bound),
-                "xi1": _real_json(enclosure.xi1),
-                "xi2": _real_json(enclosure.xi2),
-            }
-        ) + "\n"
-    except ValueError:
-        print(
-            f"error: {flag} needs integers longer than the int/str conversion limit "
-            f"of {sys.get_int_max_str_digits()} decimal digits",
-            file=sys.stderr,
+                "i": i,
+                "norm_bits": max_norm(seq.y(i)).bit_length(),
+                "t": hex(seq.t(i)),
+                "y": [hex(v) for v in seq.y(i)],
+            },
+            sort_keys=True,
         )
-        return EXIT_INPUT
+        + "\n"
+        for i in range(-1, args.depth + 1)
+    )
+    xi = _dump(
+        {
+            "b": str(args.b),
+            "c": str(args.c),
+            "depth": args.depth,
+            "precision": args.precision,
+            "seed": [hex(v) for v in seq.seed],
+            "tail_bound": _real_json(enclosure.tail_bound),
+            "xi1": _real_json(enclosure.xi1),
+            "xi2": _real_json(enclosure.xi2),
+        }
+    ) + "\n"
     if not _write(args.out, {"sequence.jsonl": sequence, "xi.json": xi}):
         return EXIT_INPUT
     outdir = Path(args.out)
@@ -160,19 +169,30 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _real_fields(x: dict) -> tuple:
+    """(lo man, lo exp, hi man, hi exp, precision) of a `_real_json` object."""
+    lo, hi = x["lo"], x["hi"]
+    return read_int(lo["man"]), lo["exp"], read_int(hi["man"]), hi["exp"], x["precision"]
+
+
 def _target_from_args(args):
+    """The target, and for --xi the file's precision and enclosure fields."""
     if args.xi is not None:
         obj = json.loads(Path(args.xi).read_text())
         if not isinstance(obj, dict):
             raise ValueError(f"--xi {args.xi} must hold a JSON object")
-        return ExtremalTarget(int(obj["b"]), int(obj["c"]))
+        precision = obj.get("precision")
+        if type(precision) is not int or precision < 1:
+            raise ValueError(f"--xi {args.xi} needs a positive integer precision")
+        claimed = {key: _real_fields(obj[key]) for key in ("xi1", "xi2", "tail_bound")}
+        return ExtremalTarget(read_int(obj["b"]), read_int(obj["c"])), (precision, claimed)
     if args.sqrt is not None:
         a, b = (int(s) for s in args.sqrt.split(","))
         if a < 0 or b < 0:
             raise ValueError("--sqrt needs non-negative integers A,B")
-        return SqrtPairTarget(a, b)
+        return SqrtPairTarget(a, b), None
     if args.b is not None and args.c is not None:
-        return ExtremalTarget(args.b, args.c)
+        return ExtremalTarget(args.b, args.c), None
     raise ValueError("need --b/--c, --xi FILE, or --sqrt A,B")
 
 
@@ -184,7 +204,7 @@ def cmd_enumerate(args) -> int:
         print("error: --precision must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     try:
-        target = _target_from_args(args)
+        target, xi = _target_from_args(args)
     except DependentTargetError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -192,6 +212,18 @@ def cmd_enumerate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
+        if xi is not None:
+            # the target keeps this enclosure, so a scan at no more bits reuses it
+            precision, claimed = xi
+            enc = target.limit(precision)
+            for key, fields in claimed.items():
+                if fields != _real_fields(_real_json(getattr(enc, key))):
+                    print(
+                        f"invariant failure: --xi {args.xi}: {key} differs from the "
+                        f"enclosure recomputed at precision {precision}",
+                        file=sys.stderr,
+                    )
+                    return EXIT_INVARIANT
         records = enumerate_minimal(target, args.xmax, bits=args.precision)
     except RationalTargetError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
@@ -293,12 +325,12 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"row {line[:40]!r} is not a JSON object")
             if not isinstance(obj["y"], list) or len(obj["y"]) != 3:
                 raise ValueError(f"row i={obj['i']}: y must be a list of 3 integers")
-            y = tuple(int(v) for v in obj["y"])
+            y = tuple(read_int(v) for v in obj["y"])
             rows.append(
                 {
                     "i": int(obj["i"]),
                     "y": y,
-                    "t": int(obj["t"]),
+                    "t": read_int(obj["t"]),
                     "norm_bits": int(obj["norm_bits"]),
                 }
             )

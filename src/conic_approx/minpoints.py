@@ -161,11 +161,10 @@ def enumerate_minimal(
             raw, p = out
             result = []
             for x0, n1, n2, li, d1, d2 in raw:
-                vec = primitive((x0, n1, n2))
-                assert vec == (x0, n1, n2), "minimal points are primitive"
+                assert math.gcd(x0, n1, n2) == 1, "minimal points are primitive"
                 result.append(
                     MinimalPointRecord(
-                        x=vec,
+                        x=(x0, n1, n2),
                         X=x0,
                         L=_certified(li[0], li[1], p),
                         delta=(

@@ -7,8 +7,8 @@ from math import isqrt
 from typing import Protocol
 
 from .arith import is_square
-from .extremal import ExtremalSequence, limit_point, seed_triple
-from .numerics import CertifiedReal, interval_sqrt
+from .extremal import CertifiedVec3, ExtremalSequence, limit_point, seed_triple
+from .numerics import CertifiedReal, PrecisionCapError, interval_sqrt, precision_cap
 
 
 class Target(Protocol):
@@ -81,6 +81,7 @@ class ExtremalTarget:
     b: int
     c: int
     _seq: ExtremalSequence | None = field(default=None, repr=False)
+    _limit: tuple[int, CertifiedVec3] | None = field(default=None, repr=False)
 
     @property
     def sequence(self) -> ExtremalSequence:
@@ -88,8 +89,19 @@ class ExtremalTarget:
             self._seq = seed_triple(self.b, self.c)
         return self._seq
 
+    def limit(self, bits: int) -> CertifiedVec3:
+        """`limit_point` with widths at most 2**-bits.  The tightest enclosure
+        so far serves every request of at most its bits; a request past it
+        computes a new one at exactly `bits`, so the first call on a target
+        gives the same enclosure as `limit_point` at 2**-bits."""
+        if self._limit is None or self._limit[0] < bits:
+            if bits > precision_cap():  # before 2**bits is built
+                raise PrecisionCapError(f"enclosure needs {bits} bits, cap is {precision_cap()}")
+            self._limit = bits, limit_point(self.sequence, Fraction(1, 2**bits))
+        return self._limit[1]
+
     def enclosure(self, bits: int) -> tuple[CertifiedReal, CertifiedReal]:
-        enc = limit_point(self.sequence, Fraction(1, 2**bits))
+        enc = self.limit(bits)
         return enc.xi1, enc.xi2
 
     def exact_coords(self):

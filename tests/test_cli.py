@@ -1,16 +1,21 @@
 """Command-line behavior: exit codes, files, round trips, determinism."""
+import builtins
 import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conic_approx.cli import build_parser, main
+from conic_approx import targets
+from conic_approx.cli import build_parser, main, read_int
 from conic_approx.extremal import (
     IDENTITIES,
     SEED_IDENTITIES,
     InvariantViolation,
     extend,
+    limit_point,
     seed_triple,
 )
 
@@ -33,6 +38,20 @@ def unwritable(tmp_path) -> str:
     blocker = tmp_path / "file"
     blocker.write_text("")
     return str(blocker / "run")
+
+
+def as_decimal(f: Path) -> str:
+    """The rows of a sequence file with every integer string in decimal, as
+    files were written before hex; the int/str digit limit is lifted here."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rows = [json.loads(line) for line in f.read_text().splitlines()]
+        for r in rows:
+            r["y"], r["t"] = [str(read_int(v)) for v in r["y"]], str(read_int(r["t"]))
+        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def assert_one_line(capsys, prefix: str) -> None:
@@ -87,8 +106,8 @@ class TestConstruct:
         lines = (tmp_path / "sequence.jsonl").read_text().strip().splitlines()
         assert len(lines) == 8  # indices -1..6
         rows = [json.loads(s) for s in lines]
-        assert rows[3]["t"] == "26922"
-        assert rows[2]["y"] == ["198", "140", "1"]
+        assert read_int(rows[3]["t"]) == 26922
+        assert [read_int(v) for v in rows[2]["y"]] == [198, 140, 1]
         xi = json.loads((tmp_path / "xi.json").read_text())
         assert xi["b"] == "2" and xi["c"] == "3"
 
@@ -112,13 +131,14 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--precision" in err and err.count("\n") == 1
 
-    def test_depth_past_the_int_str_limit_writes_nothing(self, tmp_path, capsys, int_str_limit):
-        out = tmp_path / "run"
-        argv = ["construct", "--b", "2", "--c", "3", "--depth", "16", "--out", str(out)]
-        assert main(argv) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("error: --depth 16 ") and "4300" in err and err.count("\n") == 1
+    @pytest.mark.parametrize("depth", [16, 20])
+    def test_round_trip_past_the_int_str_limit(self, tmp_path, depth, int_str_limit):
+        # the depth-16 members already have more than 4300 decimal digits
+        argv = ["construct", "--b", "2", "--c", "3", "--depth", str(depth), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(["verify", "--in", str(tmp_path / "sequence.jsonl")]) == 0
+        xi = str(tmp_path / "xi.json")
+        assert main(["enumerate", "--xi", xi, "--xmax", "1000", "--out", str(tmp_path)]) == 0
 
     def test_deepest_depth_within_the_int_str_limit(self, tmp_path, int_str_limit):
         argv = ["construct", "--b", "2", "--c", "3", "--depth", "15", "--out", str(tmp_path)]
@@ -129,6 +149,21 @@ class TestConstruct:
         argv = ["construct", "--b", "2", "--c", "3", "--depth", "4", "--out", unwritable(tmp_path)]
         assert main(argv) == 2
         assert_one_line(capsys, "error: cannot write to --out ")
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        real_open = builtins.open
+
+        def failing_open(file, *args, **kwargs):
+            if "xi.json" in Path(file).name:  # the second file, under any name
+                raise OSError(28, "No space left on device")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        out = tmp_path / "run"
+        argv = ["construct", "--b", "2", "--c", "3", "--depth", "4", "--out", str(out)]
+        assert main(argv) == 2
+        assert_one_line(capsys, "error: cannot write to --out ")
+        assert list(out.iterdir()) == []
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -154,7 +189,7 @@ class TestVerify:
     def test_tampered_coordinate_fails(self, tmp_path, capsys):
         f = self._construct(tmp_path)
         rows = [json.loads(s) for s in f.read_text().strip().splitlines()]
-        rows[4]["y"][0] = str(int(rows[4]["y"][0]) + 1)
+        rows[4]["y"][0] = hex(read_int(rows[4]["y"][0]) + 1)
         f.write_text("\n".join(json.dumps(r) for r in rows))
         assert main(["verify", "--in", str(f)]) == 4
         out = capsys.readouterr().out
@@ -200,6 +235,53 @@ class TestVerify:
         lines = f.read_text().strip().splitlines()
         f.write_text("\n".join(lines[1:]))
         assert main(["verify", "--in", str(f)]) == 2
+
+    def test_decimal_file_verifies_like_the_hex_file(self, tmp_path, capsys):
+        f = self._construct(tmp_path)
+        legacy = tmp_path / "decimal.jsonl"
+        legacy.write_text(as_decimal(f))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(f)]) == 0
+        from_hex = capsys.readouterr().out
+        assert main(["verify", "--in", str(legacy)]) == 0
+        assert capsys.readouterr().out == from_hex
+
+    def test_decimal_file_past_the_digit_limit_is_input_error(self, tmp_path, capsys, int_str_limit):
+        argv = ["construct", "--b", "2", "--c", "3", "--depth", "16", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        legacy = tmp_path / "decimal.jsonl"
+        legacy.write_text(as_decimal(tmp_path / "sequence.jsonl"))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(legacy)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot parse sequence file: ") and err.count("\n") == 1, err
+
+
+BIG = 2**100_000
+
+
+@st.composite
+def signed_ints(draw, max_bits=100_000):
+    """Integers of up to max_bits bits and either sign, the bits drawn from a seeded PRNG."""
+    v = draw(st.randoms(use_true_random=False)).getrandbits(draw(st.integers(0, max_bits)))
+    return -v if draw(st.booleans()) else v
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_ints())
+@example(0)
+@example(-1)
+@example(BIG - 1)
+@example(1 - BIG)
+def test_read_int_inverts_hex_and_str(v):
+    assert read_int(hex(v)) == v  # hex has no digit limit
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert read_int(str(v)) == v
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _checked_names(out: str) -> set[str]:
@@ -249,11 +331,11 @@ class TestIdentityTable:
 
     def _verify_tampered(self, tmp_path, capsys, member, how, j):
         f, rows = self._rows(tmp_path)
-        ys = [tuple(int(v) for v in r["y"]) for r in rows]
-        ts = [int(r["t"]) for r in rows]
+        ys = [tuple(read_int(v) for v in r["y"]) for r in rows]
+        ts = [read_int(r["t"]) for r in rows]
         _tamper(ys, ts, member, how, j)
         for r, y, t in zip(rows, ys, ts):
-            r["y"], r["t"] = [str(v) for v in y], str(t)
+            r["y"], r["t"] = [hex(v) for v in y], hex(t)
             r["norm_bits"] = max(abs(v) for v in y).bit_length()
         f.write_text("\n".join(json.dumps(r) for r in rows))
         capsys.readouterr()
@@ -367,6 +449,68 @@ class TestEnumerate:
         f.write_text("[2, 3]")
         assert main(["enumerate", "--xi", str(f), "--xmax", "100", "--out", str(tmp_path)]) == 2
         assert_one_line(capsys, "error: ")
+
+    def _xi(self, tmp_path) -> tuple[Path, dict]:
+        argv = ["construct", "--b", "2", "--c", "3", "--depth", "6", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        f = tmp_path / "xi.json"
+        return f, json.loads(f.read_text())
+
+    def _enumerate_xi(self, f: Path, capsys) -> int:
+        capsys.readouterr()
+        out = f.parent / "records"
+        return main(["enumerate", "--xi", str(f), "--xmax", "1000", "--out", str(out)])
+
+    @pytest.mark.parametrize("key", ["xi1", "xi2", "tail_bound"])
+    def test_tampered_enclosure_is_invariant_failure(self, tmp_path, capsys, key):
+        f, obj = self._xi(tmp_path)
+        obj[key]["lo"]["man"] = hex(read_int(obj[key]["lo"]["man"]) - 1)
+        f.write_text(json.dumps(obj))
+        assert self._enumerate_xi(f, capsys) == 4
+        assert_one_line(capsys, f"invariant failure: --xi {f}: {key} differs ")
+        assert not (tmp_path / "records").exists()
+
+    def test_decimal_xi_file_passes_the_enclosure_check(self, tmp_path, capsys):
+        f, obj = self._xi(tmp_path)
+        assert self._enumerate_xi(f, capsys) == 0
+        from_hex = (tmp_path / "records" / "records.csv").read_bytes()
+        for key in ("xi1", "xi2", "tail_bound"):
+            for end in ("lo", "hi"):
+                obj[key][end]["man"] = str(read_int(obj[key][end]["man"]))
+        obj["seed"] = [str(read_int(v)) for v in obj["seed"]]
+        f.write_text(json.dumps(obj))
+        assert self._enumerate_xi(f, capsys) == 0
+        assert (tmp_path / "records" / "records.csv").read_bytes() == from_hex
+
+    @pytest.mark.parametrize("precision", [None, 0, -1, "128", True])
+    def test_xi_file_without_positive_precision_is_input_error(self, tmp_path, capsys, precision):
+        f, obj = self._xi(tmp_path)
+        if precision is None:
+            del obj["precision"]
+        else:
+            obj["precision"] = precision
+        f.write_text(json.dumps(obj))
+        assert self._enumerate_xi(f, capsys) == 2
+        assert_one_line(capsys, f"error: --xi {f} needs a positive integer precision")
+
+    def test_xi_precision_past_the_cap_is_rejected(self, tmp_path, capsys):
+        f, obj = self._xi(tmp_path)
+        obj["precision"] = 10**6
+        f.write_text(json.dumps(obj))
+        assert self._enumerate_xi(f, capsys) == 3
+        assert_one_line(capsys, "precision cap: ")
+
+    def test_check_and_scan_share_one_limit_point(self, tmp_path, capsys, monkeypatch):
+        f, _ = self._xi(tmp_path)
+        calls = []
+
+        def counted(seq, width):
+            calls.append(width)
+            return limit_point(seq, width)
+
+        monkeypatch.setattr(targets, "limit_point", counted)
+        assert self._enumerate_xi(f, capsys) == 0
+        assert len(calls) == 1
 
     def test_xmax_zero_usage_error(self, tmp_path):
         assert main(

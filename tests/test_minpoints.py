@@ -6,7 +6,8 @@ from math import isqrt
 
 import pytest
 
-from conic_approx.extremal import extend, seed_triple
+from conic_approx import targets
+from conic_approx.extremal import extend, limit_point, seed_triple
 from conic_approx.minpoints import (
     RationalTargetError,
     _abs_interval,
@@ -194,6 +195,29 @@ class TestRationalTargets:
     def test_half_integer_ties_round_to_even(self):
         recs = enumerate_minimal(RationalTarget(Fraction(1, 2), Fraction(3, 2)), 1)
         assert recs[0].x == (1, 0, 2)
+
+
+class TestExtremalTargetLimit:
+    def test_tightest_enclosure_serves_smaller_requests(self, monkeypatch):
+        calls = []
+
+        def counted(seq, width):
+            calls.append(width)
+            return limit_point(seq, width)
+
+        monkeypatch.setattr(targets, "limit_point", counted)
+        target = ExtremalTarget(2, 3)
+        enc = target.limit(128)
+        assert enc == limit_point(seed_triple(2, 3), Fraction(1, 2**128))
+        assert target.enclosure(96) == (enc.xi1, enc.xi2)
+        assert target.limit(128) is enc and len(calls) == 1
+        assert target.limit(256) != enc and calls == [Fraction(1, 2**128), Fraction(1, 2**256)]
+        assert target.limit(200) is target.limit(256) and len(calls) == 2
+
+    def test_request_past_the_cap_is_rejected(self, monkeypatch):
+        monkeypatch.setenv("CONIC_APPROX_MAX_BITS", "200")
+        with pytest.raises(PrecisionCapError, match="needs 10000 bits, cap is 200"):
+            ExtremalTarget(2, 3).limit(10_000)
 
 
 class TestPrecisionCap:
