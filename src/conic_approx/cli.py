@@ -12,7 +12,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .extremal import (
@@ -22,8 +21,7 @@ from .extremal import (
     UnsupportedConstruction,
     Window,
     extend,
-    limit_point,
-    seed_triple,
+    validate_bc,
 )
 from .minpoints import (
     RationalTargetError,
@@ -125,9 +123,9 @@ def cmd_construct(args) -> int:
         print("error: --precision must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     try:
-        seq = seed_triple(args.b, args.c)
-        extend(seq, args.depth)
-        enclosure = limit_point(seq, Fraction(1, 2**args.precision))
+        target = ExtremalTarget(args.b, args.c)
+        seq = extend(target.sequence, args.depth)
+        enclosure = target.limit(args.precision)  # checks the cap before 2**precision
     except UnsupportedConstruction as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -314,6 +312,15 @@ def _infer_bc(rows) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
+    if (args.b is None) != (args.c is None):
+        print("error: verify takes --b and --c together or neither", file=sys.stderr)
+        return EXIT_INPUT
+    if args.b is not None:
+        try:
+            validate_bc(args.b, args.c)
+        except UnsupportedConstruction as exc:
+            print(f"rejected: {exc}", file=sys.stderr)
+            return EXIT_MATH
     try:
         lines = Path(args.infile).read_text().strip().splitlines()
         if not lines:
@@ -337,7 +344,7 @@ def cmd_verify(args) -> int:
         rows.sort(key=lambda r: r["i"])
         if len(rows) < 3 or [r["i"] for r in rows] != list(range(-1, len(rows) - 1)):
             raise ValueError("rows must hold indices -1, 0, 1, ... without gaps")
-        b, c = (args.b, args.c) if args.b and args.c else _infer_bc(rows)
+        b, c = (args.b, args.c) if args.b is not None else _infer_bc(rows)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot parse sequence file: {exc}", file=sys.stderr)
         return EXIT_INPUT

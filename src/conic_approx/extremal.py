@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .numerics import ZERO, CertifiedReal, Dyadic, PrecisionCapError, precision_cap, ratio_up
+from .numerics import (
+    ZERO, CertifiedReal, Dyadic, PrecisionCapError, precision_cap, ratio_up, scale_outward
+)
 from .pell import fundamental_solution, find_seed_pair
 from .quadform import (
     TernaryQuadraticForm,
@@ -77,7 +79,7 @@ class ExtremalSequence:
         return len(self.ys) - 2
 
 
-def _validate_bc(b: int, c: int) -> None:
+def validate_bc(b: int, c: int) -> None:
     for name, v in (("b", b), ("c", c)):
         if v <= 1 or not is_squarefree(v):
             raise UnsupportedConstruction(f"{name}={v} must be a square-free integer > 1")
@@ -85,7 +87,7 @@ def _validate_bc(b: int, c: int) -> None:
 
 def seed_triple(b: int, c: int) -> ExtremalSequence:
     """Initial sequence at indices -1, 0, 1 from the Pell data of b and c."""
-    _validate_bc(b, c)
+    validate_bc(b, c)
     form = TernaryQuadraticForm(1, -b, -c)
     s, sp = find_seed_pair(b)
     rt = fundamental_solution(c)
@@ -405,10 +407,7 @@ def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> Certif
     # positive and largest (representative (1, xi1, xi2) has max norm 1).
     y = seq.y(i)
     box1, box2 = (_enclose(y[k], y[0], eps, bits) for k in (1, 2))
-    xi1, xi2 = (
-        CertifiedReal(Dyadic.make(lo, -bits), Dyadic.make(hi, -bits), bits)
-        for lo, hi in (box1, box2)
-    )
+    xi1, xi2 = (CertifiedReal.from_scaled(lo, hi, bits) for lo, hi in (box1, box2))
     if any((hi - lo) * tw.denominator > tw.numerator << bits for lo, hi in (box1, box2)):
         raise AssertionError("enclosure construction exceeded target width")
     _check_on_conic(seq, box1, box2, bits)
@@ -416,11 +415,12 @@ def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> Certif
 
 
 def _enclose(num: int, den: int, eps: Dyadic, p: int) -> tuple[int, int]:
-    """Integers lo, hi with [num/den - eps, num/den + eps] inside [lo, hi] 2^-p, for den > 0."""
-    q, r = divmod(num << p, den)
-    shift = eps.exp + p
-    e = eps.man << shift if shift >= 0 else -((-eps.man) >> -shift)  # ceil(eps 2^p)
-    return q - e, q + e + (r > 0)
+    """Integers lo, hi with [num/den - eps, num/den + eps] inside [lo, hi] 2^-p, for den > 0:
+    floor(num/den 2^p) - ceil(eps 2^p) and ceil(num/den 2^p) + ceil(eps 2^p),
+    both from one division."""
+    e = scale_outward(eps.man, eps.exp + p)[1]
+    lo, hi = scale_outward(num, p, den)
+    return lo - e, hi + e
 
 
 def _check_on_conic(seq: ExtremalSequence, box1, box2, p: int) -> None:

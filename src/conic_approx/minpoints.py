@@ -28,14 +28,14 @@ from fractions import Fraction
 
 from .numerics import (
     CertifiedReal,
-    Dyadic,
     PrecisionCapError,
+    height_precision,
+    nearest_integer,
     precision_cap,
+    scale_outward,
 )
 from .quadform import TernaryQuadraticForm, Vec3, cross, det3, max_norm, primitive, psi
 from .targets import Target
-
-GOLDEN_RATIO = (1 + math.sqrt(5)) / 2
 
 
 class RationalTargetError(ValueError):
@@ -77,21 +77,6 @@ class RigidityReport:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _scaled_bounds(x: CertifiedReal, p: int) -> tuple[int, int]:
-    """Integer bounds [lo, hi] with the value inside [lo, hi] * 2**-p."""
-
-    def scale(d: Dyadic, up: bool) -> int:
-        shift = d.exp + p
-        if shift >= 0:
-            return d.man << shift
-        m = d.man >> -shift
-        if up and d.man & ((1 << -shift) - 1):
-            m += 1
-        return m
-
-    return scale(x.lo, False), scale(x.hi, True)
-
-
 def _abs_interval(lo: int, hi: int) -> tuple[int, int]:
     if lo >= 0:
         return lo, hi
@@ -102,10 +87,10 @@ def _abs_interval(lo: int, hi: int) -> tuple[int, int]:
 
 def _scan(target: Target, xmax: int, p: int):
     """One pass at fixed precision; returns records or None when undecided."""
-    e1, e2 = target.enclosure(p)
-    a1lo, a1hi = _scaled_bounds(e1, p)
-    a2lo, a2hi = _scaled_bounds(e2, p)
-    half = 1 << (p - 1)
+    (a1lo, a1hi), (a2lo, a2hi) = (
+        (scale_outward(e.lo.man, e.lo.exp + p)[0], scale_outward(e.hi.man, e.hi.exp + p)[1])
+        for e in target.enclosure(p)
+    )
     mask = (1 << p) - 1
     slack = xmax * (a1hi - a1lo) + 1
     records = []
@@ -118,11 +103,9 @@ def _scan(target: Target, xmax: int, p: int):
             continue  # |x0*xi1 - x1| > L_best for every x1
         v1lo, v1hi = v, x0 * a1hi
         v2lo, v2hi = x0 * a2lo, x0 * a2hi
-        n1 = (v1lo + half) >> p
-        if ((v1hi + half) >> p) != n1:
-            return None
-        n2 = (v2lo + half) >> p
-        if ((v2hi + half) >> p) != n2:
+        n1 = nearest_integer(v1lo, v1hi, p)
+        n2 = nearest_integer(v2lo, v2hi, p)
+        if n1 is None or n2 is None:
             return None
         d1 = (v1lo - (n1 << p), v1hi - (n1 << p))
         d2 = (v2lo - (n2 << p), v2hi - (n2 << p))
@@ -138,10 +121,6 @@ def _scan(target: Target, xmax: int, p: int):
     return records, p
 
 
-def _certified(lo: int, hi: int, p: int) -> CertifiedReal:
-    return CertifiedReal(Dyadic.make(lo, -p), Dyadic.make(hi, -p), p)
-
-
 def enumerate_minimal(
     target: Target, xmax: int, *, bits: int | None = None
 ) -> list[MinimalPointRecord]:
@@ -151,7 +130,7 @@ def enumerate_minimal(
     exact = target.exact_coords()
     if exact is not None:
         return _enumerate_rational(exact, xmax)
-    p = bits if bits is not None else max(96, 2 * xmax.bit_length() + 64)
+    p = bits if bits is not None else height_precision(xmax, 96)
     cap = precision_cap()
     if p > cap:
         raise PrecisionCapError(f"minimal-point scan needs {p} bits, cap is {cap}")
@@ -166,10 +145,10 @@ def enumerate_minimal(
                     MinimalPointRecord(
                         x=(x0, n1, n2),
                         X=x0,
-                        L=_certified(li[0], li[1], p),
+                        L=CertifiedReal.from_scaled(*li, p),
                         delta=(
-                            -_certified(d1[0], d1[1], p),
-                            -_certified(d2[0], d2[1], p),
+                            -CertifiedReal.from_scaled(*d1, p),
+                            -CertifiedReal.from_scaled(*d2, p),
                         ),
                     )
                 )
@@ -217,12 +196,11 @@ def _log_interval(x: CertifiedReal) -> float:
 def records_from_sequence(seq, target: Target, max_norm_cap: int):
     """Exact sequence members restated as minimal-point records, up to a norm cap.
 
-    The precision grows with the cap: L at height X is about X**-0.6, so
-    2 * bits(X) + 64 bits keep every L enclosure away from 0.
+    The precision grows with the cap (`height_precision`, at least 512 bits).
     """
     from .extremal import extend
 
-    bits = max(512, 2 * max_norm_cap.bit_length() + 64)
+    bits = height_precision(max_norm_cap, 512)
     e1, e2 = target.enclosure(bits)
     out = []
     i = -1

@@ -5,6 +5,10 @@ addition, subtraction and multiplication by dyadics or integers are exact;
 rounding happens only when an operation result is trimmed back to the working
 precision, and it is always outward (lower endpoint down, upper endpoint up).
 Every operation therefore returns an enclosure of the exact result.
+
+Scaled floors and ceilings go through `scale_outward`, certified nearest
+integers through `nearest_integer` (square roots round through `isqrt`), and
+every height-driven precision through `height_precision`.
 """
 from __future__ import annotations
 
@@ -54,14 +58,6 @@ class Dyadic:
         shift = (man & -man).bit_length() - 1
         return Dyadic(man >> shift, exp + shift)
 
-    @staticmethod
-    def from_fraction_down(q: Fraction, prec: int) -> "Dyadic":
-        return _scale_fraction(q, prec, up=False)
-
-    @staticmethod
-    def from_fraction_up(q: Fraction, prec: int) -> "Dyadic":
-        return _scale_fraction(q, prec, up=True)
-
     def as_fraction(self) -> Fraction:
         if self.exp >= 0:
             return Fraction(self.man << self.exp, 1)
@@ -96,18 +92,17 @@ class Dyadic:
 
     def round_down(self, prec: int) -> "Dyadic":
         """Largest dyadic with at most prec mantissa bits that is <= self."""
-        n = abs(self.man).bit_length()
-        if n <= prec:
-            return self
-        drop = n - prec
-        return Dyadic.make(self.man >> drop, self.exp + drop)
+        return self._round(prec, 0)
 
     def round_up(self, prec: int) -> "Dyadic":
-        n = abs(self.man).bit_length()
-        if n <= prec:
+        """Smallest dyadic with at most prec mantissa bits that is >= self."""
+        return self._round(prec, 1)
+
+    def _round(self, prec: int, side: int) -> "Dyadic":
+        drop = abs(self.man).bit_length() - prec
+        if drop <= 0:
             return self
-        drop = n - prec
-        return Dyadic.make(-((-self.man) >> drop), self.exp + drop)
+        return Dyadic.make(scale_outward(self.man, -drop)[side], self.exp + drop)
 
     def log(self) -> float:
         """Natural log of a positive dyadic; exact-mantissa big ints are fine."""
@@ -125,14 +120,38 @@ class Dyadic:
         return f"Dyadic({self.man}, {self.exp})"
 
 
-def _scale_fraction(q: Fraction, prec: int, up: bool) -> Dyadic:
-    num, den = q.numerator, q.denominator
+def scale_outward(num: int, shift: int, den: int = 1) -> tuple[int, int]:
+    """(floor, ceiling) of num * 2**shift / den, for den > 0.
+
+    Shifts only when den = 1, one division otherwise, so a caller that needs
+    both sides of one quotient pays for a single division.
+    """
+    if shift >= 0:
+        num <<= shift
+    elif den == 1:
+        return num >> -shift, -((-num) >> -shift)
+    else:
+        den <<= -shift
     if den == 1:
-        return Dyadic.make(num)
-    k = prec + den.bit_length()
-    scaled = num << k
-    m = -((-scaled) // den) if up else scaled // den
-    return Dyadic.make(m, -k)
+        return num, num
+    q, r = divmod(num, den)
+    return q, q + (r > 0)
+
+
+def nearest_integer(lo: int, hi: int, p: int) -> int | None:
+    """The integer n that both lo * 2**-p and hi * 2**-p round to (halves round
+    up), so every point of [lo, hi] * 2**-p does; None when they round apart.
+    Needs p >= 1."""
+    half = 1 << (p - 1)
+    n = (lo + half) >> p
+    return n if (hi + half) >> p == n else None
+
+
+def height_precision(height: int, floor: int) -> int:
+    """Working bits for certified values at heights up to `height`: L at
+    height X is about X**-0.6, so 2 bits(X) + 64 bits keep its enclosure away
+    from 0 and the record comparisons decided.  Never fewer than floor."""
+    return max(floor, 2 * height.bit_length() + 64)
 
 
 def ratio_up(num: int, den: int) -> Dyadic:
@@ -149,10 +168,10 @@ def ratio_up(num: int, den: int) -> Dyadic:
         return ZERO
     a = max(0, num.bit_length() - 64)
     b = max(0, den.bit_length() - 64)
-    hn = -((-num) >> a)
-    hd = den >> b
+    hn = scale_outward(num, -a)[1]
+    hd = scale_outward(den, -b)[0]
     s = 64 + hd.bit_length() - hn.bit_length()
-    return Dyadic.make(-((-hn << s) // hd), a - b - s)
+    return Dyadic.make(scale_outward(hn, s, hd)[1], a - b - s)
 
 
 ZERO = Dyadic(0, 0)
@@ -177,20 +196,16 @@ class CertifiedReal:
         return CertifiedReal(d, d, precision)
 
     @staticmethod
-    def from_fraction(q: Fraction, precision: int = 64) -> "CertifiedReal":
-        return CertifiedReal(
-            Dyadic.from_fraction_down(q, precision),
-            Dyadic.from_fraction_up(q, precision),
-            precision,
-        )
+    def from_scaled(lo: int, hi: int, p: int) -> "CertifiedReal":
+        """[lo, hi] * 2**-p at precision p."""
+        return CertifiedReal(Dyadic.make(lo, -p), Dyadic.make(hi, -p), p)
 
     @staticmethod
-    def from_endpoints(lo: Fraction, hi: Fraction, precision: int = 64) -> "CertifiedReal":
-        return CertifiedReal(
-            Dyadic.from_fraction_down(Fraction(lo), precision),
-            Dyadic.from_fraction_up(Fraction(hi), precision),
-            precision,
-        )
+    def from_fraction(q: Fraction, precision: int = 64) -> "CertifiedReal":
+        """q between its floor and ceiling on the grid 2**-(precision + bits(den))."""
+        k = precision + q.denominator.bit_length()
+        lo, hi = scale_outward(q.numerator, k, q.denominator)
+        return CertifiedReal(Dyadic.make(lo, -k), Dyadic.make(hi, -k), precision)
 
     # -- queries -----------------------------------------------------------
     def width(self) -> Dyadic:

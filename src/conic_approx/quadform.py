@@ -151,10 +151,6 @@ class TernaryQuadraticForm:
     def coeffs(self) -> tuple[int, int, int, int, int, int]:
         return (self.a00, self.a11, self.a22, self.a01, self.a02, self.a12)
 
-    @property
-    def content(self) -> int:
-        return vec_gcd(*self.coeffs())
-
     def __call__(self, x):
         """q(x); each diagonal term squares its coordinate before scaling it,
         so CPython takes its faster squaring path for x_j * x_j."""

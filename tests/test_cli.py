@@ -2,6 +2,7 @@
 import builtins
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,23 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--precision" in err and err.count("\n") == 1
 
+    def test_precision_past_the_cap_is_rejected_before_the_width_is_built(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the width 2**-precision alone would take 2 MiB at this precision
+        monkeypatch.delenv("CONIC_APPROX_MAX_BITS", raising=False)
+        out = tmp_path / "run"
+        argv = ["construct", "--b", "2", "--c", "3", "--depth", "1", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            rc = main([*argv, "--precision", str(2**24)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 3
+        assert_one_line(capsys, "precision cap: ")
+        assert peak < 2**20 and not out.exists()
+
     @pytest.mark.parametrize("depth", [16, 20])
     def test_round_trip_past_the_int_str_limit(self, tmp_path, depth, int_str_limit):
         # the depth-16 members already have more than 4300 decimal digits
@@ -194,6 +212,25 @@ class TestVerify:
         assert main(["verify", "--in", str(f)]) == 4
         out = capsys.readouterr().out
         assert "FAIL" in out and "unit value" in out
+
+    @pytest.mark.parametrize("flag", [["--b", "5"], ["--c", "7"]])
+    def test_lone_b_or_c_is_input_error(self, tmp_path, capsys, flag):
+        f = self._construct(tmp_path)
+        capsys.readouterr()
+        assert main(["verify", "--in", str(f), *flag]) == 2
+        assert_one_line(capsys, "error: ")
+
+    @pytest.mark.parametrize("b,c", [("0", "3"), ("2", "4"), ("-2", "3")])
+    def test_pair_that_construct_rejects_is_rejected(self, tmp_path, capsys, b, c):
+        f = self._construct(tmp_path)
+        capsys.readouterr()
+        assert main(["verify", "--in", str(f), "--b", b, "--c", c]) == 3
+        assert_one_line(capsys, "rejected: ")
+
+    def test_given_pair_replaces_the_inferred_one(self, tmp_path, capsys):
+        f = self._construct(tmp_path)
+        assert main(["verify", "--in", str(f), "--b", "2", "--c", "3"]) == 0
+        assert main(["verify", "--in", str(f), "--b", "3", "--c", "2"]) == 4
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "empty.jsonl"

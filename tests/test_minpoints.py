@@ -6,12 +6,11 @@ from math import isqrt
 
 import pytest
 
-from conic_approx import targets
+from conic_approx import minpoints, targets
 from conic_approx.extremal import extend, limit_point, seed_triple
 from conic_approx.minpoints import (
     RationalTargetError,
     _abs_interval,
-    _scaled_bounds,
     _scan,
     enumerate_minimal,
     estimate_lambda,
@@ -20,7 +19,7 @@ from conic_approx.minpoints import (
     records_from_sequence,
     rigidity_check,
 )
-from conic_approx.numerics import PrecisionCapError
+from conic_approx.numerics import PrecisionCapError, height_precision, nearest_integer, scale_outward
 from conic_approx.quadform import TernaryQuadraticForm, det3
 from conic_approx.targets import (
     DependentTargetError,
@@ -91,20 +90,20 @@ class TestEnumerateAgainstBruteForce:
 
 def unfiltered_scan(target, xmax, p):
     """The scan without the first-coordinate skip: every x0 is rounded and compared."""
-    e1, e2 = target.enclosure(p)
-    a1lo, a1hi = _scaled_bounds(e1, p)
-    a2lo, a2hi = _scaled_bounds(e2, p)
-    half = 1 << (p - 1)
+    (a1lo, a1hi), (a2lo, a2hi) = (
+        (scale_outward(e.lo.man, e.lo.exp + p)[0], scale_outward(e.hi.man, e.hi.exp + p)[1])
+        for e in target.enclosure(p)
+    )
     records = []
     best = None
     for x0 in range(1, xmax + 1):
         v1lo, v1hi = x0 * a1lo, x0 * a1hi
         v2lo, v2hi = x0 * a2lo, x0 * a2hi
-        n1 = (v1lo + half) >> p
-        if ((v1hi + half) >> p) != n1:
+        n1 = nearest_integer(v1lo, v1hi, p)
+        if n1 is None:
             return None
-        n2 = (v2lo + half) >> p
-        if ((v2hi + half) >> p) != n2:
+        n2 = nearest_integer(v2lo, v2hi, p)
+        if n2 is None:
             return None
         d1 = (v1lo - (n1 << p), v1hi - (n1 << p))
         d2 = (v2lo - (n2 << p), v2hi - (n2 << p))
@@ -148,7 +147,7 @@ class TestPrefilter:
     @pytest.mark.parametrize("target", PREFILTER_TARGETS, ids=repr)
     def test_equals_unfiltered_scan_at_default_precision(self, target):
         xmax = 2 * 10**4
-        p = max(96, 2 * xmax.bit_length() + 64)
+        p = height_precision(xmax, 96)
         want = unfiltered_scan(target, xmax, p)
         assert want is not None
         assert _scan(target, xmax, p) == want
@@ -225,6 +224,38 @@ class TestPrecisionCap:
         monkeypatch.setenv("CONIC_APPROX_MAX_BITS", "50")
         with pytest.raises(PrecisionCapError, match="needs 96 bits, cap is 50"):
             enumerate_minimal(SqrtPairTarget(2, 3), 10**4)
+
+
+class TestHeightPrecision:
+    """Both scans take their bits from `height_precision`: 96 to 102 over the
+    benchmark's scan sizes, 512 at criterion 4's height 1e50."""
+
+    @pytest.mark.parametrize(
+        "xmax,bits",
+        [(15_520, 96), (16_000, 96), (64_000, 96), (128_000, 98), (256_000, 100), (263_680, 102)],
+    )
+    def test_first_scan_pass(self, monkeypatch, xmax, bits):
+        passes = []
+
+        def first_pass(target, xmax, p):
+            passes.append(p)
+            return [], p
+
+        monkeypatch.setattr(minpoints, "_scan", first_pass)
+        assert enumerate_minimal(SqrtPairTarget(2, 3), xmax) == []
+        assert passes == [bits]
+
+    def test_records_from_sequence_at_criterion_4_height(self, monkeypatch):
+        target = ExtremalTarget(2, 3)
+        requests = []
+
+        def enclosure(bits):
+            requests.append(bits)
+            return ExtremalTarget.enclosure(target, bits)
+
+        monkeypatch.setattr(target, "enclosure", enclosure)
+        records_from_sequence(seed_triple(2, 3), target, 10**50)
+        assert requests == [512]
 
 
 class TestExponentReport:

@@ -1,15 +1,19 @@
-"""Certified interval arithmetic: soundness, refinement, upward-rounded ratios."""
+"""Certified interval arithmetic: soundness, refinement, upward-rounded ratios,
+and the rounding primitives and height rule that every certified rounding uses."""
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conic_approx.numerics import (
     CertifiedReal,
     DomainError,
+    height_precision,
     interval_sqrt,
+    nearest_integer,
     ratio_up,
+    scale_outward,
 )
 
 import pytest
@@ -146,3 +150,73 @@ class TestEnclosureSoundness:
     def test_mul_int_exact(self, q, k):
         enc = CertifiedReal.from_fraction(q, 64).mul_int(k)
         assert enc.lo.as_fraction() <= k * q <= enc.hi.as_fraction()
+
+
+def signed_ints(max_bits: int):
+    """Integers of every size up to max_bits bits, of both signs."""
+    return st.integers(0, max_bits).flatmap(lambda b: st.integers(-(1 << b), 1 << b))
+
+
+def positive_ints(max_bits: int):
+    return st.integers(1, max_bits).flatmap(lambda b: st.integers(1, 1 << b))
+
+
+class TestScaleOutward:
+    @given(
+        signed_ints(10_000),
+        st.integers(-12_000, 12_000),
+        st.one_of(st.just(1), positive_ints(10_000)),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(7, 3, 1)
+    @example(-7, 3, 1)
+    @example(7, -2, 1)
+    @example(-7, -2, 1)
+    @example(-(2**9_999 + 1), -9_000, 1)
+    @example(7, 3, 5)
+    @example(-7, 3, 5)
+    @example(7, -2, 5)
+    @example(-7, -2, 5)
+    @example(2**9_999 + 1, 5_000, 3**6_000)
+    @example(-(2**9_999 + 1), -5_000, 3**6_000)
+    def test_equals_exact_floor_and_ceiling(self, num, shift, den):
+        exact = Fraction(num, den) * Fraction(2) ** shift
+        assert scale_outward(num, shift, den) == (math.floor(exact), math.ceil(exact))
+
+
+def round_half_up(v: int, p: int) -> int:
+    return math.floor(Fraction(v, 2**p) + Fraction(1, 2))
+
+
+class TestNearestInteger:
+    @given(signed_ints(200), st.integers(0, 2**12), st.integers(1, 80))
+    @settings(max_examples=500)
+    @example(-1, 0, 1)  # -1/2 rounds up to 0
+    @example(1, 0, 1)  # 1/2 rounds up to 1
+    @example(-1, 2, 1)  # [-1/2, 1/2] reaches 0 and 1
+    @example(3 * 2**9, 2**10 - 1, 10)  # [3/2, 5/2) all round to 2
+    @example(3 * 2**9, 2**10, 10)  # [3/2, 5/2] reaches the tie at 5/2
+    def test_returns_n_exactly_when_both_ends_round_to_n(self, lo, width, p):
+        hi = lo + width
+        n_lo, n_hi = round_half_up(lo, p), round_half_up(hi, p)
+        assert nearest_integer(lo, hi, p) == (n_lo if n_lo == n_hi else None)
+
+    @pytest.mark.parametrize("n", [-3, 0, 5])
+    @pytest.mark.parametrize("p", [1, 7, 64])
+    def test_ties_round_up(self, n, p):
+        half = 1 << (p - 1)
+        tie_below, tie_above = (n << p) - half, (n << p) + half  # n - 1/2, n + 1/2
+        assert nearest_integer(tie_below, tie_below, p) == n
+        assert nearest_integer(tie_below, tie_above - 1, p) == n
+        assert nearest_integer(tie_above, tie_above, p) == n + 1
+        assert nearest_integer(tie_below - 1, tie_below, p) is None
+        assert nearest_integer(tie_below, tie_above, p) is None
+
+
+class TestHeightPrecision:
+    @pytest.mark.parametrize(
+        "height,floor,bits",
+        [(1, 96, 96), (2**16 - 1, 96, 96), (2**16, 96, 98), (10**50, 512, 512), (2**224, 512, 514)],
+    )
+    def test_two_bits_per_height_bit_plus_64_over_a_floor(self, height, floor, bits):
+        assert height_precision(height, floor) == bits
