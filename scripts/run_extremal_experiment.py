@@ -5,6 +5,7 @@ Usage: python scripts/run_extremal_experiment.py --b 2 --c 3 --depth 18
 """
 import argparse
 import math
+from fractions import Fraction
 
 from conic_approx.extremal import extend, growth_ratios, seed_triple
 from conic_approx.minpoints import estimate_lambda, records_from_sequence
@@ -12,13 +13,18 @@ from conic_approx.quadform import max_norm
 from conic_approx.targets import ExtremalTarget
 
 
+def exact_int(text: str) -> int:
+    """The integer part of a decimal such as 1e400, read exactly (no float)."""
+    return int(Fraction(text))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--b", type=int, default=2)
     ap.add_argument("--c", type=int, default=3)
     ap.add_argument("--depth", type=int, default=18)
-    ap.add_argument("--height-cap", type=float, default=1e50,
-                    help="norm cap for the exponent table")
+    ap.add_argument("--height-cap", type=exact_int, default=10**50,
+                    help="norm cap for the exponent table, e.g. 1e400")
     args = ap.parse_args()
 
     seq = extend(seed_triple(args.b, args.c), args.depth)
@@ -35,7 +41,7 @@ def main() -> None:
 
     print()
     records, next_x = records_from_sequence(
-        seed_triple(args.b, args.c), ExtremalTarget(args.b, args.c), int(args.height_cap)
+        seed_triple(args.b, args.c), ExtremalTarget(args.b, args.c), args.height_cap
     )
     report = estimate_lambda(records, next_X=next_x)
     print(f"{'i':>3} {'X_i bits':>9} {'lambda_hat':>11}")

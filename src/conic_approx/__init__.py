@@ -1,6 +1,6 @@
 """Exact construction of extremal approximation points on rational conics."""
 
-from .numerics import CertifiedReal, Dyadic, interval_sqrt
+from .numerics import CertifiedReal, Dyadic
 from .quadform import (
     CanonicalReduction,
     TernaryQuadraticForm,
@@ -48,7 +48,6 @@ __all__ = [
     "find_seed_pair",
     "fundamental_solution",
     "independence_indices",
-    "interval_sqrt",
     "kernel",
     "limit_point",
     "next_solution",

@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .numerics import (
-    ZERO, CertifiedReal, Dyadic, PrecisionCapError, precision_cap, ratio_up, scale_outward
-)
+from .numerics import ZERO, CertifiedReal, Dyadic, check_cap, ratio_up, scale_outward
 from .pell import fundamental_solution, find_seed_pair
 from .quadform import (
     TernaryQuadraticForm,
@@ -335,7 +333,7 @@ class ConsecutiveDistances:
             k += 1
         return k + 1
 
-    def tail_bound(self, start: int, slack: Fraction) -> Dyadic:
+    def tail_bound(self, start: int, slack: Dyadic) -> Dyadic:
         """Upper bound on the projective distance from [y_start] to the limit point.
 
         By the quasi-triangle inequality dist([x],[z]) <= dist([x],[y]) + 2 dist([y],[z])
@@ -349,7 +347,7 @@ class ConsecutiveDistances:
             d = self[start + k]
             term = Dyadic.make(d.man, d.exp + k)
             total += term
-            if _compare(term, slack) < 0:
+            if term < slack:
                 return (total + term).round_up(64)
             k += 1
 
@@ -365,41 +363,30 @@ def _head_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return m, e + a[1] + b[1]
 
 
-def _compare(d: Dyadic, q: Fraction | int) -> int:
-    """The sign of d - q, evaluated on integers."""
-    if d.exp >= 0:
-        lhs, rhs = (d.man << d.exp) * q.denominator, q.numerator
-    else:
-        lhs, rhs = d.man * q.denominator, q.numerator << -d.exp
-    return (lhs > rhs) - (lhs < rhs)
-
-
 def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> CertifiedVec3:
     """Certified enclosure of the limit (1, xi1, xi2), coordinate widths <= target_width.
 
-    The enclosure is centred at y_i / y_i[0] for the first i >= 2 whose tail
-    bound eps satisfies 4 eps <= target_width, and each endpoint is rounded
-    outward to a multiple of 2^-bits.
+    The width is read once as P bits, the fewest P >= 0 with 2**-P <= the
+    width; the cap bounds P.  The enclosure is centred at y_i / y_i[0] for
+    the first i >= 2 whose tail bound eps satisfies 4 eps <= 2**-P, and each
+    endpoint is rounded outward to the grid 2**-bits, bits = max(64, P + 9).
+    The guard bits above P keep the rounding to a small part of the width.
     """
     tw = Fraction(target_width)
     if tw <= 0:
         raise ValueError("target_width must be positive")
-    # need ~ -log2(tw), computed exactly (tw can underflow a float)
-    need = (tw.denominator // tw.numerator).bit_length() if tw < 1 else 0
-    bits = max(64, 8 + need)
-    if bits > precision_cap():
-        raise PrecisionCapError(
-            f"target width needs {bits} bits, cap is {precision_cap()}"
-        )
-    # 4 eps <= tw needs about d_i <= tw / 8, i.e. need + 3 bits of d_i
-    distances = ConsecutiveDistances(seq, need + 3)
-    slack = tw / 4
+    P = (scale_outward(tw.denominator, 0, tw.numerator)[1] - 1).bit_length()
+    check_cap(P)
+    bits = max(64, P + 9)
+    # 4 eps <= 2**-P needs about d_i <= 2**-(P+3); one batch reaches 2**-(P+4)
+    distances = ConsecutiveDistances(seq, P + 4)
+    slack = Dyadic.make(1, -P - 2)
     i = 2
     while True:
-        # the bound eps from i is at least d_i, so 4 eps <= tw needs d_i <= tw / 4
-        if _compare(distances[i], slack) <= 0:
+        # the bound eps from i is at least d_i, so 4 eps <= 2**-P needs d_i <= 2**-(P+2)
+        if distances[i] <= slack:
             eps = distances.tail_bound(i, slack)
-            if _compare(eps.mul_int(4), tw) <= 0:
+            if eps <= slack:
                 break
         i += 1
     # |xi_j - y_j / y_0| <= eps * ||y|| / y_0 = eps: y_0 = ||y|| > 0 because
@@ -408,7 +395,7 @@ def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> Certif
     y = seq.y(i)
     box1, box2 = (_enclose(y[k], y[0], eps, bits) for k in (1, 2))
     xi1, xi2 = (CertifiedReal.from_scaled(lo, hi, bits) for lo, hi in (box1, box2))
-    if any((hi - lo) * tw.denominator > tw.numerator << bits for lo, hi in (box1, box2)):
+    if any(hi - lo > 1 << (bits - P) for lo, hi in (box1, box2)):
         raise AssertionError("enclosure construction exceeded target width")
     _check_on_conic(seq, box1, box2, bits)
     return CertifiedVec3(xi1, xi2, CertifiedReal(eps, eps, 64))
@@ -467,11 +454,11 @@ def verify_no_small_relation(seq: ExtremalSequence, coeff_bound: int = 10**6) ->
     # i, i + 1 and i + 2; the norm bits grow about 2.6-fold over two indices
     # and d_{i+2}, about ||y_{i+2}||^-2, then has about 5.2 bits(bound) bits
     distances = ConsecutiveDistances(seq, 6 * bound.bit_length())
-    slack = Fraction(1, 2**20)
+    slack = Dyadic.make(1, -20)
     i = 2
     while True:
         if all(
-            _compare(distances.tail_bound(j, slack).mul_int(bound * max_norm(seq.y(j))), 1) < 0
+            distances.tail_bound(j, slack).mul_int(bound * max_norm(seq.y(j))) < Dyadic(1, 0)
             for j in (i, i + 1, i + 2)
         ):
             return True

@@ -29,6 +29,7 @@ from fractions import Fraction
 from .numerics import (
     CertifiedReal,
     PrecisionCapError,
+    check_cap,
     height_precision,
     nearest_integer,
     precision_cap,
@@ -85,12 +86,31 @@ def _abs_interval(lo: int, hi: int) -> tuple[int, int]:
     return 0, max(-lo, hi)
 
 
-def _scan(target: Target, xmax: int, p: int):
-    """One pass at fixed precision; returns records or None when undecided."""
-    (a1lo, a1hi), (a2lo, a2hi) = (
+def _scaled_enclosure(target: Target, p: int):
+    """((a1lo, a1hi), (a2lo, a2hi)): the target's enclosure at p bits rounded
+    outward to the grid 2**-p and scaled by 2**p."""
+    return (
         (scale_outward(e.lo.man, e.lo.exp + p)[0], scale_outward(e.hi.man, e.hi.exp + p)[1])
         for e in target.enclosure(p)
     )
+
+
+def _record(x, d1, d2, p: int) -> MinimalPointRecord:
+    """The record of the lattice point x, from the scaled enclosures d1, d2 of
+    x0*xi1 - x1 and x0*xi2 - x2 on the grid 2**-p."""
+    assert math.gcd(*x) == 1, "minimal points are primitive"
+    e1i, e2i = _abs_interval(*d1), _abs_interval(*d2)
+    return MinimalPointRecord(
+        x=x,
+        X=x[0],
+        L=CertifiedReal.from_scaled(max(e1i[0], e2i[0]), max(e1i[1], e2i[1]), p),
+        delta=(-CertifiedReal.from_scaled(*d1, p), -CertifiedReal.from_scaled(*d2, p)),
+    )
+
+
+def _scan(target: Target, xmax: int, p: int):
+    """One pass at fixed precision; returns records or None when undecided."""
+    (a1lo, a1hi), (a2lo, a2hi) = _scaled_enclosure(target, p)
     mask = (1 << p) - 1
     slack = xmax * (a1hi - a1lo) + 1
     records = []
@@ -131,28 +151,13 @@ def enumerate_minimal(
     if exact is not None:
         return _enumerate_rational(exact, xmax)
     p = bits if bits is not None else height_precision(xmax, 96)
+    check_cap(p)
     cap = precision_cap()
-    if p > cap:
-        raise PrecisionCapError(f"minimal-point scan needs {p} bits, cap is {cap}")
     while True:
         out = _scan(target, xmax, p)
         if out is not None:
             raw, p = out
-            result = []
-            for x0, n1, n2, li, d1, d2 in raw:
-                assert math.gcd(x0, n1, n2) == 1, "minimal points are primitive"
-                result.append(
-                    MinimalPointRecord(
-                        x=(x0, n1, n2),
-                        X=x0,
-                        L=CertifiedReal.from_scaled(*li, p),
-                        delta=(
-                            -CertifiedReal.from_scaled(*d1, p),
-                            -CertifiedReal.from_scaled(*d2, p),
-                        ),
-                    )
-                )
-            return result
+            return [_record((x0, n1, n2), d1, d2, p) for x0, n1, n2, _, d1, d2 in raw]
         if p >= cap:
             raise PrecisionCapError(f"minimal-point scan undecided at {p} bits")
         p = min(2 * p, cap)
@@ -196,12 +201,14 @@ def _log_interval(x: CertifiedReal) -> float:
 def records_from_sequence(seq, target: Target, max_norm_cap: int):
     """Exact sequence members restated as minimal-point records, up to a norm cap.
 
-    The precision grows with the cap (`height_precision`, at least 512 bits).
+    L and delta come from the scan's arithmetic on the grid 2**-bits, where the
+    precision grows with the cap (`height_precision`, at least 512 bits), so a
+    member that the scan also finds gets the same record.
     """
     from .extremal import extend
 
     bits = height_precision(max_norm_cap, 512)
-    e1, e2 = target.enclosure(bits)
+    (a1lo, a1hi), (a2lo, a2hi) = _scaled_enclosure(target, bits)
     out = []
     i = -1
     while True:
@@ -209,10 +216,9 @@ def records_from_sequence(seq, target: Target, max_norm_cap: int):
         y = seq.y(i)
         if max_norm(y) > max_norm_cap:
             break
-        d1 = e1.mul_int(y[0]) - CertifiedReal.from_int(y[1])
-        d2 = e2.mul_int(y[0]) - CertifiedReal.from_int(y[2])
-        L = d1.abs_().max_with(d2.abs_())
-        out.append(MinimalPointRecord(x=y, X=y[0], L=L, delta=(-d1, -d2)))
+        d1 = (y[0] * a1lo - (y[1] << bits), y[0] * a1hi - (y[1] << bits))
+        d2 = (y[0] * a2lo - (y[2] << bits), y[0] * a2hi - (y[2] << bits))
+        out.append(_record(y, d1, d2, bits))
         i += 1
     # one extra first coordinate so the last record gets a lambda-hat
     next_x = seq.y(i)[0]

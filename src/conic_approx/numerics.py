@@ -1,14 +1,15 @@
-"""Certified interval reals over dyadic endpoints.
+"""Certified reals on dyadic grids.
 
-Endpoints are dyadic rationals (integer mantissa times a power of two), so
-addition, subtraction and multiplication by dyadics or integers are exact;
-rounding happens only when an operation result is trimmed back to the working
-precision, and it is always outward (lower endpoint down, upper endpoint up).
-Every operation therefore returns an enclosure of the exact result.
+Precision is an absolute bit count p, meaning the grid 2**-p.  A certified
+value is an interval whose endpoints are rounded outward (lower endpoint down,
+upper endpoint up) to such a grid, so it encloses the exact value it stands
+for.  The only rounding to a mantissa length is upward, for upper bounds of
+positive quantities (`ratio_up`, `Dyadic.round_up`).
 
-Scaled floors and ceilings go through `scale_outward`, certified nearest
-integers through `nearest_integer` (square roots round through `isqrt`), and
-every height-driven precision through `height_precision`.
+Scaled floors and ceilings go through `scale_outward`, square roots through
+`sqrt_outward`, certified nearest integers through `nearest_integer`, every
+height-driven precision through `height_precision`, and every request for p
+bits past the cap through `check_cap`.
 """
 from __future__ import annotations
 
@@ -38,6 +39,14 @@ def precision_cap() -> int:
 
 class PrecisionCapError(RuntimeError):
     """Raised when a certified computation would need more bits than the cap allows."""
+
+
+def check_cap(bits: int) -> None:
+    """Refuse a request for `bits` bits past the cap, before anything of that
+    size is built."""
+    cap = precision_cap()
+    if bits > cap:
+        raise PrecisionCapError(f"needs {bits} bits, cap is {cap}")
 
 
 class DomainError(ValueError):
@@ -73,9 +82,6 @@ class Dyadic:
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.man, self.exp) if self.man else self
 
-    def __mul__(self, other: "Dyadic") -> "Dyadic":
-        return Dyadic.make(self.man * other.man, self.exp + other.exp)
-
     def mul_int(self, k: int) -> "Dyadic":
         return Dyadic.make(self.man * k, self.exp)
 
@@ -90,19 +96,12 @@ class Dyadic:
     def __le__(self, other: "Dyadic") -> bool:
         return self._cmp(other) <= 0
 
-    def round_down(self, prec: int) -> "Dyadic":
-        """Largest dyadic with at most prec mantissa bits that is <= self."""
-        return self._round(prec, 0)
-
     def round_up(self, prec: int) -> "Dyadic":
         """Smallest dyadic with at most prec mantissa bits that is >= self."""
-        return self._round(prec, 1)
-
-    def _round(self, prec: int, side: int) -> "Dyadic":
         drop = abs(self.man).bit_length() - prec
         if drop <= 0:
             return self
-        return Dyadic.make(scale_outward(self.man, -drop)[side], self.exp + drop)
+        return Dyadic.make(scale_outward(self.man, -drop)[1], self.exp + drop)
 
     def log(self) -> float:
         """Natural log of a positive dyadic; exact-mantissa big ints are fine."""
@@ -136,6 +135,15 @@ def scale_outward(num: int, shift: int, den: int = 1) -> tuple[int, int]:
         return num, num
     q, r = divmod(num, den)
     return q, q + (r > 0)
+
+
+def sqrt_outward(n: int, p: int) -> tuple[int, int]:
+    """(floor, ceiling) of sqrt(n) * 2**p, for p >= 0, from one isqrt of n * 4**p."""
+    if n < 0:
+        raise DomainError(f"square root of the negative integer {n}")
+    m = n << 2 * p
+    lo = isqrt(m)
+    return lo, lo + (lo * lo != m)
 
 
 def nearest_integer(lo: int, hi: int, p: int) -> int | None:
@@ -179,11 +187,12 @@ ZERO = Dyadic(0, 0)
 
 @dataclass(frozen=True)
 class CertifiedReal:
-    """Interval [lo, hi] guaranteed to contain the exact value it stands for."""
+    """Interval [lo, hi] guaranteed to contain the exact value it stands for;
+    `precision` is the bit count p it was certified at."""
 
     lo: Dyadic
     hi: Dyadic
-    precision: int = 64
+    precision: int
 
     def __post_init__(self) -> None:
         if self.hi < self.lo:
@@ -191,17 +200,12 @@ class CertifiedReal:
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def from_int(n: int, precision: int = 64) -> "CertifiedReal":
-        d = Dyadic.make(n)
-        return CertifiedReal(d, d, precision)
-
-    @staticmethod
     def from_scaled(lo: int, hi: int, p: int) -> "CertifiedReal":
         """[lo, hi] * 2**-p at precision p."""
         return CertifiedReal(Dyadic.make(lo, -p), Dyadic.make(hi, -p), p)
 
     @staticmethod
-    def from_fraction(q: Fraction, precision: int = 64) -> "CertifiedReal":
+    def from_fraction(q: Fraction, precision: int) -> "CertifiedReal":
         """q between its floor and ceiling on the grid 2**-(precision + bits(den))."""
         k = precision + q.denominator.bit_length()
         lo, hi = scale_outward(q.numerator, k, q.denominator)
@@ -221,73 +225,9 @@ class CertifiedReal:
     def __float__(self) -> float:
         return float(self.midpoint())
 
-    # -- arithmetic (outward rounded to working precision) -----------------
-    def _wrap(self, lo: Dyadic, hi: Dyadic, precision: int | None = None) -> "CertifiedReal":
-        p = precision if precision is not None else self.precision
-        return CertifiedReal(lo.round_down(p), hi.round_up(p), p)
-
-    def _join_prec(self, other: "CertifiedReal") -> int:
-        return max(self.precision, other.precision)
-
-    def __add__(self, other: "CertifiedReal") -> "CertifiedReal":
-        return self._wrap(self.lo + other.lo, self.hi + other.hi, self._join_prec(other))
-
-    def __sub__(self, other: "CertifiedReal") -> "CertifiedReal":
-        return self._wrap(self.lo - other.hi, self.hi - other.lo, self._join_prec(other))
-
     def __neg__(self) -> "CertifiedReal":
         return CertifiedReal(-self.hi, -self.lo, self.precision)
-
-    def __mul__(self, other: "CertifiedReal") -> "CertifiedReal":
-        prods = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-        return self._wrap(min(prods), max(prods), self._join_prec(other))
-
-    def mul_int(self, k: int) -> "CertifiedReal":
-        """Exact multiplication by an integer (no rounding)."""
-        a, b = self.lo.mul_int(k), self.hi.mul_int(k)
-        if k < 0:
-            a, b = b, a
-        return CertifiedReal(a, b, self.precision)
-
-    def abs_(self) -> "CertifiedReal":
-        if ZERO <= self.lo:
-            return self
-        if self.hi <= ZERO:
-            return -self
-        return CertifiedReal(ZERO, max(-self.lo, self.hi), self.precision)
-
-    def max_with(self, other: "CertifiedReal") -> "CertifiedReal":
-        return CertifiedReal(
-            max(self.lo, other.lo), max(self.hi, other.hi), self._join_prec(other)
-        )
 
     def log_bounds(self) -> tuple[float, float]:
         return self.lo.log(), self.hi.log()
 
-
-def _sqrt_shift(d: Dyadic, prec: int) -> tuple[int, int]:
-    k = max(0, 2 * prec - abs(d.man).bit_length())
-    if (d.exp - k) % 2:
-        k += 1
-    return d.man << k, (d.exp - k) // 2
-
-
-def sqrt_down(d: Dyadic, prec: int) -> Dyadic:
-    m, e = _sqrt_shift(d, prec)
-    return Dyadic.make(isqrt(m), e)
-
-
-def sqrt_up(d: Dyadic, prec: int) -> Dyadic:
-    m, e = _sqrt_shift(d, prec)
-    s = isqrt(m)
-    if s * s != m:
-        s += 1
-    return Dyadic.make(s, e)
-
-
-def interval_sqrt(x: CertifiedReal) -> CertifiedReal:
-    """Enclosure of sqrt over the whole interval; outward rounded."""
-    if x.lo < ZERO:
-        raise DomainError("interval_sqrt of interval reaching below zero")
-    p = x.precision
-    return CertifiedReal(sqrt_down(x.lo, p), sqrt_up(x.hi, p), p)

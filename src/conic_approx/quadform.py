@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
 
-from .arith import is_qr_mod_squarefree, squarefree_decompose, squarefree_scale, vec_gcd
+from .arith import is_qr_mod_squarefree, squarefree_scale, vec_gcd
 
 Vec3 = tuple[int, int, int]
 RatVec3 = tuple[Fraction, Fraction, Fraction]

@@ -8,7 +8,7 @@ from typing import Protocol
 
 from .arith import is_square
 from .extremal import CertifiedVec3, ExtremalSequence, limit_point, seed_triple
-from .numerics import CertifiedReal, PrecisionCapError, interval_sqrt, precision_cap
+from .numerics import CertifiedReal, check_cap, sqrt_outward
 
 
 class Target(Protocol):
@@ -43,7 +43,8 @@ class DependentTargetError(ValueError):
 
 @dataclass(frozen=True)
 class SqrtPairTarget:
-    """The point (1, sqrt(a), sqrt(b)) for non-negative integers a, b.
+    """The point (1, sqrt(a), sqrt(b)) for non-negative integers a, b, enclosed
+    on the grid 2**-bits.
 
     Either 1, sqrt(a), sqrt(b) are linearly independent over Q (none of a, b,
     a*b is a square), as the paper assumes, or both a and b are squares and
@@ -64,8 +65,8 @@ class SqrtPairTarget:
 
     def enclosure(self, bits: int) -> tuple[CertifiedReal, CertifiedReal]:
         return (
-            interval_sqrt(CertifiedReal.from_int(self.a, bits + 4)),
-            interval_sqrt(CertifiedReal.from_int(self.b, bits + 4)),
+            CertifiedReal.from_scaled(*sqrt_outward(self.a, bits), bits),
+            CertifiedReal.from_scaled(*sqrt_outward(self.b, bits), bits),
         )
 
     def exact_coords(self):
@@ -95,8 +96,7 @@ class ExtremalTarget:
         computes a new one at exactly `bits`, so the first call on a target
         gives the same enclosure as `limit_point` at 2**-bits."""
         if self._limit is None or self._limit[0] < bits:
-            if bits > precision_cap():  # before 2**bits is built
-                raise PrecisionCapError(f"enclosure needs {bits} bits, cap is {precision_cap()}")
+            check_cap(bits)  # before 2**bits is built
             self._limit = bits, limit_point(self.sequence, Fraction(1, 2**bits))
         return self._limit[1]
 

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, files, round trips, determinism."""
 import builtins
+import hashlib
 import json
 import sys
 import tracemalloc
@@ -600,6 +601,78 @@ class TestEnumerate:
             ) == 0
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+class TestPrecisionCapVerdict:
+    """`--precision P` (for `enumerate --xi`, the file's `precision`) is
+    accepted exactly when P is at most the cap, with one message past it."""
+
+    def _argv(self, path: str, precision: int, tmp_path: Path) -> list[str]:
+        out = str(tmp_path / "run")
+        if path == "construct":
+            return ["construct", "--b", "2", "--c", "3", "--depth", "3",
+                    "--precision", str(precision), "--out", out]
+        if path == "xi":
+            argv = ["construct", "--b", "2", "--c", "3", "--depth", "3",
+                    "--precision", "4096", "--out", str(tmp_path)]
+            assert main(argv) == 0
+            f = tmp_path / "xi.json"
+            f.write_text(json.dumps({**json.loads(f.read_text()), "precision": precision}))
+            return ["enumerate", "--xi", str(f), "--xmax", "100", "--out", out]
+        target = ["--b", "2", "--c", "3"] if path == "bc" else ["--sqrt", "2,3"]
+        return ["enumerate", *target, "--xmax", "100", "--precision", str(precision), "--out", out]
+
+    @pytest.mark.parametrize("path", ["construct", "bc", "sqrt", "xi"])
+    def test_cap_is_accepted_and_one_more_bit_is_rejected(self, tmp_path, capsys, monkeypatch, path):
+        monkeypatch.delenv("CONIC_APPROX_MAX_BITS", raising=False)
+        assert main(self._argv(path, 4096, tmp_path / "at")) == 0
+        argv = self._argv(path, 4097, tmp_path / "past")
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "precision cap: needs 4097 bits, cap is 4096\n"
+        assert not (tmp_path / "past" / "run").exists()
+
+    def test_construct_under_a_cap_below_64_bits(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CONIC_APPROX_MAX_BITS", "60")
+        assert main(self._argv("construct", 60, tmp_path)) == 0
+        assert json.loads((tmp_path / "run" / "xi.json").read_text())["precision"] == 60
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Digests of the files and the `verify` output of two fixed runs, so any
+    change to a byte of them shows."""
+
+    def test_construct_verify_enumerate_xi(self, tmp_path, capsys):
+        d = str(tmp_path)
+        assert main(["construct", "--b", "2", "--c", "3", "--depth", "12", "--out", d]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--in", str(tmp_path / "sequence.jsonl")]) == 0
+        verified = capsys.readouterr().out
+        xi = str(tmp_path / "xi.json")
+        assert main(["enumerate", "--xi", xi, "--xmax", "20000", "--out", d]) == 0
+        names = ("sequence.jsonl", "xi.json", "records.csv", "report.json")
+        got = {name: sha256((tmp_path / name).read_bytes()) for name in names}
+        got["verify stdout"] = sha256(verified.encode())
+        assert got == {
+            "sequence.jsonl": "e73558fac6cefc5a9a9e0baa1008417626e8e9a5e204790fe9db618c8a46eeae",
+            "xi.json": "9a65774cc471f6b89dfca7e8f2ec8f99640ea8e2cea3d417420112e95080b64a",
+            "records.csv": "9e6c9a0ad33166fa0196d2cf2d1b2cf00820ef1e015c7eef953433f28ae3f318",
+            "report.json": "d71f56f0a8f86d02fad94dd583b9c1e30f92c90721dbce91cf8b0495d4bbe7d7",
+            "verify stdout": "cf22b8527640b1c3b72a07c4f834bd58397732cfa9c3913af116b3b40c4b4056",
+        }
+
+    def test_enumerate_sqrt(self, tmp_path):
+        argv = ["enumerate", "--sqrt", "2,3", "--xmax", "100000", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        got = {name: sha256((tmp_path / name).read_bytes()) for name in ("records.csv", "report.json")}
+        assert got == {
+            "records.csv": "f93e8fb3ba03b81707848ff235bfc9de483d09e6e0b39109aa8c94e46c091519",
+            "report.json": "0ca2ec9a94f45011fb83b6b03db8efc7694e759cf8b8005be183fb127eeac9ad",
+        }
 
 
 class TestParserReuse:

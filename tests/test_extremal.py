@@ -20,7 +20,7 @@ from conic_approx.extremal import (
     tails_equal,
     verify_no_small_relation,
 )
-from conic_approx.numerics import PrecisionCapError, ratio_up
+from conic_approx.numerics import Dyadic, PrecisionCapError, ratio_up
 from conic_approx.quadform import cross, det3, max_norm
 
 
@@ -202,18 +202,26 @@ class TestLimitPoint:
         mid1, mid2 = enc.xi1.midpoint(), enc.xi2.midpoint()
         assert abs(mid1 - Fraction(55440, 78407)) < Fraction(1, 10**3)
         assert abs(mid2 - Fraction(396, 78407)) < Fraction(1, 10**3)
-        # the limit lies on the conic: 2 xi1^2 + 3 xi2^2 = 1
-        v = enc.xi1 * enc.xi1
-        w = enc.xi2 * enc.xi2
-        total = v.mul_int(2) + w.mul_int(3)
-        assert total.contains(1)
+        # the limit lies on the conic: 2 xi1^2 + 3 xi2^2 = 1 somewhere in the
+        # box, whose coordinates are positive
+        lo1, hi1 = enc.xi1.lo.as_fraction(), enc.xi1.hi.as_fraction()
+        lo2, hi2 = enc.xi2.lo.as_fraction(), enc.xi2.hi.as_fraction()
+        assert 0 < lo1 and 0 < lo2
+        assert 2 * lo1**2 + 3 * lo2**2 <= 1 <= 2 * hi1**2 + 3 * hi2**2
 
     def test_cap_message_names_the_bits(self, monkeypatch):
         # 2**-2000 underflows a float; the message must not print width 0
         monkeypatch.setenv("CONIC_APPROX_MAX_BITS", "100")
         with pytest.raises(PrecisionCapError) as err:
             limit_point(seed_triple(2, 3), Fraction(1, 2**2000))
-        assert str(err.value) == "target width needs 2009 bits, cap is 100"
+        assert str(err.value) == "needs 2000 bits, cap is 100"
+
+    def test_width_that_is_not_a_power_of_two_rounds_down_to_one(self):
+        seq = seed_triple(2, 3)
+        assert limit_point(seq, Fraction(3, 2**130)) == limit_point(seq, Fraction(1, 2**129))
+        assert limit_point(seq, Fraction(2**129 - 1, 2**258)) == limit_point(seq, Fraction(1, 2**130))
+        assert limit_point(seq, 0.3) == limit_point(seq, Fraction(1, 4))
+        assert limit_point(seq, 5) == limit_point(seq, 1)
 
     def test_width_request_honored(self):
         seq = seed_triple(2, 3)
@@ -324,10 +332,9 @@ class TestCertifiedLimit:
         seq = extend(seed_triple(b, c), 14)
         distances = ConsecutiveDistances(seq, 0)
         for k in (20, 64, 128, 700):
-            slack = Fraction(1, 2**k)
             for start in (2, 3, 5):
-                exact = reference_tail_bound(seq, start, slack)
-                got = distances.tail_bound(start, slack).as_fraction()
+                exact = reference_tail_bound(seq, start, Fraction(1, 2**k))
+                got = distances.tail_bound(start, Dyadic.make(1, -k)).as_fraction()
                 assert exact <= got <= exact * (1 + Fraction(1, 2**56))
 
     @pytest.mark.parametrize("b,c", PIPELINE_PAIRS)

@@ -196,6 +196,17 @@ class TestRationalTargets:
         assert recs[0].x == (1, 0, 2)
 
 
+class TestSqrtPairEnclosure:
+    @pytest.mark.parametrize(
+        "a,b", [(255, 2), (256, 9), (1000, 3), (10**6 + 1, 2), (10**12 + 1, 3)]
+    )
+    @pytest.mark.parametrize("bits", [1, 24, 96, 512])
+    def test_widths_at_most_2_to_the_minus_bits(self, a, b, bits):
+        for n, x in zip((a, b), SqrtPairTarget(a, b).enclosure(bits)):
+            assert x.width().as_fraction() <= Fraction(1, 2**bits)
+            assert x.lo.as_fraction() ** 2 <= n <= x.hi.as_fraction() ** 2
+
+
 class TestExtremalTargetLimit:
     def test_tightest_enclosure_serves_smaller_requests(self, monkeypatch):
         calls = []
@@ -281,6 +292,14 @@ class TestExponentReport:
         assert next_x > recs[-1].X
         rep = estimate_lambda(recs, next_X=next_x)
         assert len(rep.lambda_hats) == len(recs)
+
+    def test_records_from_sequence_equal_the_scan_records(self):
+        recs, _ = records_from_sequence(seed_triple(2, 3), ExtremalTarget(2, 3), 10**5)
+        scanned = {r.x: r for r in enumerate_minimal(ExtremalTarget(2, 3), 10**5, bits=512)}
+        shared = [r for r in recs if r.x in scanned]
+        assert len(shared) == 3
+        for r in shared:
+            assert (r.L, r.delta) == (scanned[r.x].L, scanned[r.x].delta)
 
     def test_records_from_sequence_at_height_1e200(self):
         seq = seed_triple(2, 3)

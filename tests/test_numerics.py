@@ -1,5 +1,6 @@
-"""Certified interval arithmetic: soundness, refinement, upward-rounded ratios,
-and the rounding primitives and height rule that every certified rounding uses."""
+"""Certified values on dyadic grids: square roots on the grid, upward-rounded
+ratios, and the rounding primitives, height rule and cap check that every
+certified computation uses."""
 import math
 from fractions import Fraction
 
@@ -7,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conic_approx.numerics import (
-    CertifiedReal,
     DomainError,
+    PrecisionCapError,
+    check_cap,
     height_precision,
-    interval_sqrt,
     nearest_integer,
     ratio_up,
     scale_outward,
+    sqrt_outward,
 )
 
 import pytest
@@ -51,39 +53,43 @@ def test_oracle_sqrt2_longdivision():
     assert Fraction(longdiv_sqrt_digits(2, 79), 10**79) == SQRT2_80
 
 
-class TestIntervalSqrt:
-    def test_perfect_square_exact(self):
-        x = CertifiedReal.from_int(4)
-        r = interval_sqrt(x)
-        assert r.contains(2)
-        assert r.width().as_fraction() == 0
+class TestSqrtOutward:
+    @given(
+        st.one_of(st.integers(0, 2**300), st.integers(0, 2**150).map(lambda k: k * k)),
+        st.integers(0, 300),
+    )
+    @settings(max_examples=500)
+    @example(0, 0)
+    @example(2, 0)
+    @example(4, 7)
+    @example(2**300, 0)
+    def test_floor_and_ceiling_of_the_scaled_root(self, n, p):
+        lo, hi = sqrt_outward(n, p)
+        m = n << 2 * p
+        assert lo * lo <= m < (lo + 1) ** 2
+        assert hi == (lo if lo * lo == m else lo + 1)
 
-    def test_sqrt2_width_and_oracle(self):
-        r = interval_sqrt(CertifiedReal.from_int(2, 64))
-        assert r.width().as_fraction() <= Fraction(1, 2**60)
-        assert r.contains(SQRT2_80)
+    def test_sqrt2_against_the_long_division_oracle(self):
+        lo, hi = sqrt_outward(2, 64)
+        assert hi - lo == 1
+        assert Fraction(lo, 2**64) <= SQRT2_80 <= Fraction(hi, 2**64)
 
     def test_zero(self):
-        r = interval_sqrt(CertifiedReal.from_int(0))
-        assert r.lo.as_fraction() == 0 and r.hi.as_fraction() == 0
+        assert sqrt_outward(0, 64) == (0, 0)
+
+    def test_refinement_nests(self):
+        prev_lo, prev_hi, prev_p = *sqrt_outward(2, 32), 32
+        for p in (64, 128, 256):
+            lo, hi = sqrt_outward(2, p)
+            assert prev_lo << (p - prev_p) <= lo and hi <= prev_hi << (p - prev_p)
+            prev_lo, prev_hi, prev_p = lo, hi, p
+
+    def test_perfect_square_is_exact(self):
+        assert sqrt_outward(49, 10) == (7 << 10, 7 << 10)
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            interval_sqrt(CertifiedReal.from_int(-1))
-
-    @given(st.fractions(min_value=0, max_value=10**6), st.integers(32, 256))
-    def test_sqrt_contains_exact_square_root(self, q, bits):
-        r = interval_sqrt(CertifiedReal.from_fraction(q, bits))
-        # r*r must enclose q
-        sq = r * r
-        assert sq.lo.as_fraction() <= q <= sq.hi.as_fraction()
-
-    def test_monotone_refinement(self):
-        prev = interval_sqrt(CertifiedReal.from_int(2, 32))
-        for bits in (64, 128, 256):
-            cur = interval_sqrt(CertifiedReal.from_int(2, bits))
-            assert cur.width().as_fraction() <= prev.width().as_fraction()
-            prev = cur
+            sqrt_outward(-1, 8)
 
 
 class TestRatioUp:
@@ -106,50 +112,6 @@ class TestRatioUp:
         exact = Fraction(num, den)
         assert exact <= d.as_fraction() <= exact * (1 + Fraction(1, 2**61))
         assert abs(d.man).bit_length() <= 65
-
-
-exprs = st.recursive(
-    st.fractions(min_value=-100, max_value=100),
-    lambda children: st.tuples(st.sampled_from("+-*"), children, children),
-    max_leaves=12,
-)
-
-
-def _eval_exact(e):
-    if not isinstance(e, tuple):
-        return e
-    op, a, b = e
-    a, b = _eval_exact(a), _eval_exact(b)
-    return a + b if op == "+" else a - b if op == "-" else a * b
-
-
-def _eval_interval(e, bits):
-    if not isinstance(e, tuple):
-        return CertifiedReal.from_fraction(e, bits)
-    op, a, b = e
-    a, b = _eval_interval(a, bits), _eval_interval(b, bits)
-    return a + b if op == "+" else a - b if op == "-" else a * b
-
-
-class TestEnclosureSoundness:
-    @given(exprs, st.integers(16, 128))
-    @settings(max_examples=200)
-    def test_exact_value_inside_interval(self, e, bits):
-        exact = _eval_exact(e)
-        enc = _eval_interval(e, bits)
-        assert enc.lo.as_fraction() <= exact <= enc.hi.as_fraction()
-
-    @given(exprs, st.integers(16, 96))
-    @settings(max_examples=100)
-    def test_doubling_precision_never_widens(self, e, bits):
-        w1 = _eval_interval(e, bits).width().as_fraction()
-        w2 = _eval_interval(e, 2 * bits).width().as_fraction()
-        assert w2 <= w1
-
-    @given(st.fractions(min_value=-1000, max_value=1000), st.integers(-1000, 1000))
-    def test_mul_int_exact(self, q, k):
-        enc = CertifiedReal.from_fraction(q, 64).mul_int(k)
-        assert enc.lo.as_fraction() <= k * q <= enc.hi.as_fraction()
 
 
 def signed_ints(max_bits: int):
@@ -220,3 +182,12 @@ class TestHeightPrecision:
     )
     def test_two_bits_per_height_bit_plus_64_over_a_floor(self, height, floor, bits):
         assert height_precision(height, floor) == bits
+
+
+class TestCheckCap:
+    def test_at_the_cap_passes_and_past_it_names_the_bits(self, monkeypatch):
+        monkeypatch.setenv("CONIC_APPROX_MAX_BITS", "100")
+        check_cap(100)
+        with pytest.raises(PrecisionCapError) as err:
+            check_cap(101)
+        assert str(err.value) == "needs 101 bits, cap is 100"
