@@ -2,13 +2,19 @@
 """Build an extremal sequence and print its growth and exponent diagnostics.
 
 Usage: python scripts/run_extremal_experiment.py --b 2 --c 3 --depth 18
+
+Like the CLI, a pair it cannot build on and a height past the precision cap
+exit 3 with one `rejected:` or `precision cap:` line on stderr.
 """
 import argparse
 import math
+import sys
 from fractions import Fraction
 
-from conic_approx.extremal import extend, growth_ratios, seed_triple
+from conic_approx.cli import EXIT_MATH
+from conic_approx.extremal import UnsupportedConstruction, extend, growth_ratios, seed_triple
 from conic_approx.minpoints import estimate_lambda, records_from_sequence
+from conic_approx.numerics import PrecisionCapError
 from conic_approx.quadform import max_norm
 from conic_approx.targets import ExtremalTarget
 
@@ -18,7 +24,7 @@ def exact_int(text: str) -> int:
     return int(Fraction(text))
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--b", type=int, default=2)
     ap.add_argument("--c", type=int, default=3)
@@ -26,7 +32,18 @@ def main() -> None:
     ap.add_argument("--height-cap", type=exact_int, default=10**50,
                     help="norm cap for the exponent table, e.g. 1e400")
     args = ap.parse_args()
+    try:
+        report(args)
+    except UnsupportedConstruction as exc:
+        print(f"rejected: {exc}", file=sys.stderr)
+        return EXIT_MATH
+    except PrecisionCapError as exc:
+        print(f"precision cap: {exc}", file=sys.stderr)
+        return EXIT_MATH
+    return 0
 
+
+def report(args: argparse.Namespace) -> None:
     seq = extend(seed_triple(args.b, args.c), args.depth)
     print(f"seed (m, n, m', n', r, t) = {seq.seed}")
     print(f"|det(y_1, y_0, y_-1)| = {abs(seq.det0)}")
@@ -54,4 +71,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

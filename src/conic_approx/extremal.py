@@ -14,7 +14,11 @@ same run proved; see `Window`, `_reflection` and `_constant_determinant`.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import os
+import signal
+import struct
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -116,8 +120,11 @@ class Window:
     `proved` counts the indices just before i at which this same run (one
     `extend` call, or one `verify`) already proved every identity; the seed
     identities count for the indices -1, 0 and 1.  An entry may reuse values
-    those identities established.  The caller keeps `proved` at 0 unless every
-    entry evaluated so far, earlier entries at index i included, has held.
+    those identities established, and values that entries before it at index i
+    established.  So its verdict stands only if every entry before it held:
+    `verify` keeps `proved` at 0 after any failure, and `extend` reports only
+    the first failure of a walk in which, once it forks, each process
+    evaluates part of the table.
     """
 
     form: TernaryQuadraticForm
@@ -262,26 +269,130 @@ IDENTITIES: tuple[Identity, ...] = (
 )
 
 
+# The entries a forked child evaluates when `extend` shares its checks, about
+# half of their cost; the parent evaluates the rest of the table.
+CHILD_SHARE = frozenset({"unit value of the form", "inner product t_{i-1} = B(y_i, y_{i-1})"})
+# Bits of ||y_upto|| from which `extend` forks: on a 2-core x86_64 machine the
+# fork, pipe and reap cost about 1.7 ms, and one index's checks 3-4 ms at 2^15 bits.
+FORK_MIN_BITS = 1 << 15
+# The child's verdict on the pipe: whether an entry failed, its index and its
+# position in `IDENTITIES`.
+_VERDICT = struct.Struct("<?qq")
+
+
 def extend(seq: ExtremalSequence, upto: int) -> ExtremalSequence:
     """Extend in place through index `upto`, checking every entry of
     `IDENTITIES` at each new index; an index reuses only what this call
     proved, so the first new index reuses nothing and the second reuses
-    nothing from before the first."""
+    nothing from before the first.
+
+    The recurrence runs first, for every new index; then the checks.  When
+    the members are large and a second core is free (`_fork_pays`), one
+    forked child evaluates the `CHILD_SHARE` entries at every new index while
+    this process evaluates the others, and the failure reported is the
+    smaller of the two first failures by (index, table position).  That is
+    the serial verdict: every entry before the serial first failure reads
+    only values that entries before it established, so it holds in either
+    process; the failing entry fails in the process that owns it; any other
+    failure comes later.  On a failure the sequence is cut back to the
+    failing index, the last member it stored.
+    """
     first = seq.depth + 1
-    while seq.depth < upto:
-        i = seq.depth + 1
-        t_i_minus_1 = seq.t(i - 1)
-        y_new = tuple(
-            t_i_minus_1 * a - b for a, b in zip(seq.y(i - 1), seq.y(i - 3))
-        )
-        t_new = seq.t(i - 1) * seq.t(i - 2) - seq.t(i - 3)
+    if first > upto:
+        return seq
+    for i in range(first, upto + 1):
+        t = seq.t(i - 1)
+        y_new = tuple(t * a - b for a, b in zip(seq.y(i - 1), seq.y(i - 3)))
         seq.ys.append(y_new)  # type: ignore[arg-type]
-        seq.ts.append(t_new)
-        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=i - first)
-        for name, holds in IDENTITIES:
-            if not holds(window):
-                raise InvariantViolation(name, i)
+        seq.ts.append(t * seq.t(i - 2) - seq.t(i - 3))
+    if _fork_pays(seq, upto):
+        failure = _forked_first_failure(seq, first, upto)
+    else:
+        failure = _first_failure(seq, first, upto, range(len(IDENTITIES)))
+    if failure is not None:
+        i, k = failure
+        del seq.ys[i + 2:], seq.ts[i + 2:]
+        raise InvariantViolation(IDENTITIES[k][0], i)
     return seq
+
+
+def _first_failure(
+    seq: ExtremalSequence, first: int, upto: int, positions: Sequence[int]
+) -> tuple[int, int] | None:
+    """(i, k) of the first entry `IDENTITIES[k]`, k in `positions`, that fails
+    at an index i in first..upto, walking the indices in order and at each the
+    entries in table order; None if all of them hold.  Index i reads what
+    indices first..i-1 proved (`Window.proved` = i - first), so a verdict at
+    (i, k) stands only if every entry before (i, k) held."""
+    for i in range(first, upto + 1):
+        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=i - first)
+        for k in positions:
+            if not IDENTITIES[k][1](window):
+                return i, k
+    return None
+
+
+def _fork_pays(seq: ExtremalSequence, upto: int) -> bool:
+    """y_upto has at least `FORK_MIN_BITS` bits, `os.fork` exists, this
+    process runs one thread and may run on at least two CPUs."""
+    if max_norm(seq.y(upto)).bit_length() < FORK_MIN_BITS or not hasattr(os, "fork"):
+        return False
+    if threading.active_count() != 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _forked_first_failure(seq: ExtremalSequence, first: int, upto: int) -> tuple[int, int] | None:
+    """`_first_failure` over the whole table, with the `CHILD_SHARE` entries
+    evaluated in one forked child.
+
+    The child sends its first failure through a pipe as one `_VERDICT` and
+    leaves through `os._exit`.  This process reads the pipe to its end and
+    reaps the child; if the verdict is short or the child did not exit 0, it
+    evaluates the child's share itself, so no entry passes unevaluated.  If
+    this process raises meanwhile, it kills and reaps the child first.
+    """
+    child = [k for k, (name, _) in enumerate(IDENTITIES) if name in CHILD_SHARE]
+    mine = [k for k in range(len(IDENTITIES)) if k not in child]
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return _first_failure(seq, first, upto, range(len(IDENTITIES)))
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            failure = _first_failure(seq, first, upto, child)
+            os.write(w, _VERDICT.pack(failure is not None, *(failure or (0, 0))))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        failures = [_first_failure(seq, first, upto, mine)]
+        verdict = b""
+        while chunk := os.read(r, _VERDICT.size):
+            verdict += chunk
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(r)
+        try:
+            exited_0 = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        except ChildProcessError:  # reaped elsewhere, e.g. with SIGCHLD ignored
+            exited_0 = False
+    if len(verdict) == _VERDICT.size and exited_0:
+        failed, i, k = _VERDICT.unpack(verdict)
+        failures.append((i, k) if failed else None)
+    else:
+        failures.append(_first_failure(seq, first, upto, child))
+    return min((f for f in failures if f is not None), default=None)
 
 
 class ConsecutiveDistances:

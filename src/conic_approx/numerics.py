@@ -206,10 +206,10 @@ class CertifiedReal:
 
     @staticmethod
     def from_fraction(q: Fraction, precision: int) -> "CertifiedReal":
-        """q between its floor and ceiling on the grid 2**-(precision + bits(den))."""
-        k = precision + q.denominator.bit_length()
-        lo, hi = scale_outward(q.numerator, k, q.denominator)
-        return CertifiedReal(Dyadic.make(lo, -k), Dyadic.make(hi, -k), precision)
+        """q between its floor and ceiling on the grid 2**-precision."""
+        return CertifiedReal.from_scaled(
+            *scale_outward(q.numerator, precision, q.denominator), precision
+        )
 
     # -- queries -----------------------------------------------------------
     def width(self) -> Dyadic:

@@ -1,4 +1,6 @@
 """Seeded sequences on the conic: recurrences, growth, limit-point enclosures."""
+import os
+import signal
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from conic_approx import extremal
 from conic_approx.extremal import (
+    CHILD_SHARE,
     IDENTITIES,
     ConsecutiveDistances,
     ExtremalSequence,
@@ -58,7 +61,10 @@ class TestSeed:
         assert seq.det0 != 0
 
 
+@pytest.mark.usefixtures("extend_path")
 class TestExtend:
+    PATH = "serial"
+
     def test_y2_t2(self):
         seq = extend(seed_triple(2, 3), 2)
         assert seq.y(2) == (78407, 55440, 396)
@@ -180,6 +186,184 @@ class TestConstantDeterminant:
         assert len(calls) == 2
         extend(seq, 13)
         assert len(calls) == 3
+
+
+class TestExtendForked(TestExtend):
+    """`TestExtend`, and extending in several calls, with every `extend` call
+    that appends an index forking."""
+
+    PATH = "forked"
+    test_extend_in_several_calls_matches_one_call = (
+        TestConstantDeterminant.test_extend_in_several_calls_matches_one_call
+    )
+
+
+def outcome(seq, upto):
+    """((identity, index) of the violation `extend` raises, or None; the depth after)."""
+    try:
+        extend(seq, upto)
+    except InvariantViolation as err:
+        return (err.identity, err.index), seq.depth
+    return None, seq.depth
+
+
+def fails_at(table, name, index):
+    """`table` with the entry `name` failing at `index` and nowhere else."""
+
+    def wrap(holds):
+        return lambda w: w.i != index and holds(w)
+
+    return tuple((n, wrap(h) if n == name else h) for n, h in table)
+
+
+def tamper_member(seq):
+    _bump(seq, 2)  # y_5 = t_4 y_4 - y_2 then leaves the conic: q(y_5) != 1
+
+
+def tamper_det0(seq):
+    seq.det0 += 1  # only the constant determinant reads det0
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestSharedChecks:
+    """`extend` with one forked child evaluating `CHILD_SHARE` gives the serial
+    verdict, leaves the sequence as the serial path does and leaves no child
+    or descriptor behind."""
+
+    NAMES = [name for name, _ in IDENTITIES]
+
+    def both(self, monkeypatch, forks, make, upto):
+        """`outcome` of extend(make(), upto) on the serial and the forked path."""
+        monkeypatch.setattr(extremal, "FORK_MIN_BITS", 1 << 62)
+        serial = outcome(make(), upto)
+        monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0)
+        seq = make()
+        before = len(forks)
+        forked = outcome(seq, upto)
+        assert len(forks) == before + 1
+        return serial, forked
+
+    @pytest.mark.parametrize("b,c", [(2, 3), (3, 7), (3, 11)])
+    def test_same_members_at_depth_18(self, b, c, monkeypatch, forks):
+        monkeypatch.setattr(extremal, "FORK_MIN_BITS", 1 << 62)
+        serial = extend(seed_triple(b, c), 18)
+        monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0)
+        forked = extend(seed_triple(b, c), 18)
+        assert forks
+        assert forked.ys == serial.ys and forked.ts == serial.ts
+
+    def test_child_share_is_part_of_the_table(self):
+        assert CHILD_SHARE < set(self.NAMES)
+
+    @pytest.mark.parametrize(
+        "tamper,owner", [(tamper_member, "child"), (tamper_det0, "parent")]
+    )
+    def test_tampered_input_same_violation(self, tamper, owner, monkeypatch, forks):
+        def make():
+            seq = extend(seed_triple(2, 3), 4)
+            tamper(seq)
+            return seq
+
+        serial, forked = self.both(monkeypatch, forks, make, 10)
+        assert forked == serial
+        (name, index), depth = serial
+        assert (name in CHILD_SHARE) == (owner == "child")
+        assert index == depth == 5
+
+    @pytest.mark.parametrize(
+        "failures",
+        [
+            # (entry, index) pairs that fail; the first by (index, position) wins
+            [("unit value of the form", 9), ("double inequality on norms", 7)],
+            [("unit value of the form", 7), ("double inequality on norms", 9)],
+            [("inner product t_{i-1} = B(y_i, y_{i-1})", 8), ("reflection-operator recurrence", 8)],
+            [("inner product t_{i-1} = B(y_i, y_{i-1})", 8), ("t recurrence", 8)],
+            [("inner product t_{i-1} = B(y_i, y_{i-1})", 2)],
+            [("double inequality on norms", 12)],
+        ],
+    )
+    def test_first_failure_by_index_then_position(self, failures, monkeypatch, forks):
+        table = IDENTITIES
+        for name, index in failures:
+            table = fails_at(table, name, index)
+        monkeypatch.setattr(extremal, "IDENTITIES", table)
+        serial, forked = self.both(monkeypatch, forks, lambda: seed_triple(3, 7), 12)
+        want = min(failures, key=lambda f: (f[1], self.NAMES.index(f[0])))
+        assert forked == serial == (want, want[1])
+
+    @pytest.mark.parametrize("how", ["exit 0", "killed", "short verdict", "pass, then exit 1"])
+    @pytest.mark.parametrize("tamper", [None, tamper_member])
+    def test_child_without_a_verdict(self, how, tamper, monkeypatch, forks):
+        real, parent = extremal._first_failure, os.getpid()
+
+        def child_fails(seq, first, upto, positions):
+            if os.getpid() == parent:
+                return real(seq, first, upto, positions)
+            if how == "exit 0":
+                os._exit(0)
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            write = os.write
+            if how == "short verdict":
+                os.write = lambda fd, data: write(fd, data[:-1])
+                return real(seq, first, upto, positions)
+
+            def write_then_fail(fd, data):
+                write(fd, data)
+                raise OSError("after the verdict")
+
+            os.write = write_then_fail
+            return None  # claims a pass it never checked
+
+        def make():
+            seq = extend(seed_triple(2, 3), 4)
+            if tamper:
+                tamper(seq)
+            return seq
+
+        monkeypatch.setattr(extremal, "FORK_MIN_BITS", 1 << 62)
+        serial = outcome(make(), 10)
+        monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0)
+        monkeypatch.setattr(extremal, "_first_failure", child_fails)
+        assert outcome(make(), 10) == serial
+        assert forks
+        assert (serial[0] is None) == (tamper is None)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_fork_checks_everything_here(self, monkeypatch, forks):
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        seq = extend(seed_triple(2, 3), 4)
+        tamper_member(seq)
+        fds = open_fds()
+        assert outcome(seq, 10) == (("unit value of the form", 5), 5)
+        assert open_fds() == fds
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("case", ["pass", "violation", "parent raises"])
+    def test_no_child_or_descriptor_left(self, case, monkeypatch, forks):
+        seq = extend(seed_triple(2, 3), 4)
+        if case == "violation":
+            tamper_member(seq)
+        if case == "parent raises":
+            def boom(w):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(extremal, "IDENTITIES", IDENTITIES + (("boom", boom),))
+        fds = open_fds()
+        try:
+            extend(seq, 12)
+        except (InvariantViolation, KeyboardInterrupt):
+            assert case != "pass"
+        assert forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
 
 
 class TestGrowth:

@@ -196,6 +196,41 @@ class TestRationalTargets:
         assert recs[0].x == (1, 0, 2)
 
 
+def on_the_grid(x, bits: int, q: Fraction) -> bool:
+    """x has both endpoints on the grid 2**-bits, contains q and is at most
+    2**-bits wide."""
+    lo, hi = (e.as_fraction() * 2**bits for e in (x.lo, x.hi))
+    return lo.denominator == hi.denominator == 1 and x.contains(q) and hi - lo <= 1
+
+
+class TestRationalEnclosure:
+    """Rational values round to the grid 2**-bits itself, whatever their
+    denominators."""
+
+    @pytest.mark.parametrize(
+        "xi1,xi2",
+        [(Fraction(1, 3), Fraction(22, 7)), (Fraction(-5, 3**37), Fraction(2**70 + 1, 2**69)), (Fraction(1, 2), Fraction(3))],
+        ids=["small", "large", "dyadic"],
+    )
+    @pytest.mark.parametrize("bits", [1, 24, 96, 512])
+    def test_target_enclosure(self, xi1, xi2, bits):
+        for q, x in zip((xi1, xi2), RationalTarget(xi1, xi2).enclosure(bits)):
+            assert x.precision == bits
+            assert on_the_grid(x, bits, q)
+
+    def test_records(self):
+        # sqrt(2) and sqrt(3) to about 2^-64, with denominators 3^40 and 7^23
+        xi1, xi2 = Fraction(isqrt(2 * 3**80), 3**40), Fraction(isqrt(3 * 7**46), 7**23)
+        recs = enumerate_minimal(RationalTarget(xi1, xi2), 1000)
+        assert len(recs) >= 5
+        for r in recs:
+            x0, x1, x2 = r.x
+            L = max(abs(x0 * xi1 - x1), abs(x0 * xi2 - x2))
+            assert on_the_grid(r.L, 96, L)
+            assert on_the_grid(r.delta[0], 96, x1 - x0 * xi1)
+            assert on_the_grid(r.delta[1], 96, x2 - x0 * xi2)
+
+
 class TestSqrtPairEnclosure:
     @pytest.mark.parametrize(
         "a,b", [(255, 2), (256, 9), (1000, 3), (10**6 + 1, 2), (10**12 + 1, 3)]

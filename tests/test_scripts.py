@@ -23,3 +23,16 @@ def test_extremal_experiment_reads_the_height_cap_exactly():
     run = run_script("run_extremal_experiment.py", "--depth", "6", "--height-cap", "1e400")
     assert run.returncode == 0, run.stderr
     assert "summary (min over last third): 0.61516\n" in run.stdout
+
+
+def test_extremal_experiment_past_the_cap_exits_3():
+    # the records of 1e700 need 4716 bits, past the default cap of 4096
+    run = run_script("run_extremal_experiment.py", "--depth", "6", "--height-cap", "1e700")
+    assert run.returncode == 3
+    assert run.stderr == "precision cap: needs 4716 bits, cap is 4096\n"
+
+
+def test_extremal_experiment_rejects_a_square_b():
+    run = run_script("run_extremal_experiment.py", "--b", "4")
+    assert run.returncode == 3
+    assert run.stderr == "rejected: b=4 must be a square-free integer > 1\n"
