@@ -26,7 +26,7 @@ from .minpoints import (
     independence_indices,
     rigidity_check,
 )
-from .targets import ExtremalTarget, RationalTarget, SqrtPairTarget
+from .targets import ExtremalTarget, SqrtPairTarget
 
 __all__ = [
     "CanonicalReduction",
@@ -38,7 +38,6 @@ __all__ = [
     "ExtremalTarget",
     "MinimalPointRecord",
     "PellSolution",
-    "RationalTarget",
     "SqrtPairTarget",
     "TernaryQuadraticForm",
     "cf_expansion",

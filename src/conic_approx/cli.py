@@ -23,12 +23,7 @@ from .extremal import (
     extend,
     validate_bc,
 )
-from .minpoints import (
-    RationalTargetError,
-    enumerate_minimal,
-    estimate_lambda,
-    rigidity_check,
-)
+from .minpoints import enumerate_minimal, estimate_lambda, rigidity_check
 from .numerics import CertifiedReal, Dyadic, PrecisionCapError, precision_cap
 from .pell import cf_expansion, find_seed_pair, fundamental_solution, next_solution
 from .quadform import FormRejected, TernaryQuadraticForm, det3, max_norm, reduce_form
@@ -223,9 +218,6 @@ def cmd_enumerate(args) -> int:
                     )
                     return EXIT_INVARIANT
         records = enumerate_minimal(target, args.xmax, bits=args.precision)
-    except RationalTargetError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_MATH
     except UnsupportedConstruction as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_MATH
@@ -333,13 +325,11 @@ def cmd_verify(args) -> int:
             if not isinstance(obj["y"], list) or len(obj["y"]) != 3:
                 raise ValueError(f"row i={obj['i']}: y must be a list of 3 integers")
             y = tuple(read_int(v) for v in obj["y"])
+            for key in ("i", "norm_bits"):
+                if type(obj[key]) is not int:
+                    raise ValueError(f"row {key}={obj[key]!r} must be a JSON integer")
             rows.append(
-                {
-                    "i": int(obj["i"]),
-                    "y": y,
-                    "t": read_int(obj["t"]),
-                    "norm_bits": int(obj["norm_bits"]),
-                }
+                {"i": obj["i"], "y": y, "t": read_int(obj["t"]), "norm_bits": obj["norm_bits"]}
             )
         rows.sort(key=lambda r: r["i"])
         if len(rows) < 3 or [r["i"] for r in rows] != list(range(-1, len(rows) - 1)):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .numerics import (
     CertifiedReal,
@@ -35,16 +34,8 @@ from .numerics import (
     precision_cap,
     scale_outward,
 )
-from .quadform import TernaryQuadraticForm, Vec3, cross, det3, max_norm, primitive, psi
+from .quadform import TernaryQuadraticForm, Vec3, cross, det3, max_norm, psi
 from .targets import Target
-
-
-class RationalTargetError(ValueError):
-    """The target is a rational point; L vanishes and records are undefined."""
-
-    def __init__(self, point: Vec3):
-        super().__init__(f"target is the rational point {point}")
-        self.point = point
 
 
 @dataclass(frozen=True)
@@ -147,9 +138,6 @@ def enumerate_minimal(
     """Certified minimal-point records for x0 = 1..xmax."""
     if xmax <= 0:
         raise ValueError("xmax must be positive")
-    exact = target.exact_coords()
-    if exact is not None:
-        return _enumerate_rational(exact, xmax)
     p = bits if bits is not None else height_precision(xmax, 96)
     check_cap(p)
     cap = precision_cap()
@@ -161,32 +149,6 @@ def enumerate_minimal(
         if p >= cap:
             raise PrecisionCapError(f"minimal-point scan undecided at {p} bits")
         p = min(2 * p, cap)
-
-
-def _enumerate_rational(exact, xmax: int) -> list[MinimalPointRecord]:
-    xi1, xi2 = exact
-    best: Fraction | None = None
-    records = []
-    for x0 in range(1, xmax + 1):
-        v1, v2 = x0 * xi1, x0 * xi2
-        n1, n2 = round(v1), round(v2)
-        L = max(abs(v1 - n1), abs(v2 - n2))
-        if L == 0:
-            raise RationalTargetError((x0, n1, n2))
-        if best is None or L < best:
-            best = L
-            records.append(
-                MinimalPointRecord(
-                    x=primitive((x0, n1, n2)),
-                    X=x0,
-                    L=CertifiedReal.from_fraction(L, 96),
-                    delta=(
-                        CertifiedReal.from_fraction(n1 - v1, 96),
-                        CertifiedReal.from_fraction(n2 - v2, 96),
-                    ),
-                )
-            )
-    return records
 
 
 # ---------------------------------------------------------------------------

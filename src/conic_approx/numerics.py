@@ -156,9 +156,11 @@ def nearest_integer(lo: int, hi: int, p: int) -> int | None:
 
 
 def height_precision(height: int, floor: int) -> int:
-    """Working bits for certified values at heights up to `height`: L at
-    height X is about X**-0.6, so 2 bits(X) + 64 bits keep its enclosure away
-    from 0 and the record comparisons decided.  Never fewer than floor."""
+    """Working bits for certified values at heights up to `height`.  The
+    enclosure of x0*xi at height X is about X * 2**-p wide, and members of an
+    extremal sequence have L about X**-1, so 2 bits(X) + 64 bits keep L's
+    enclosure away from 0, with a relative width near 2**-64, and the record
+    comparisons decided.  Never fewer than floor."""
     return max(floor, 2 * height.bit_length() + 64)
 
 
@@ -204,21 +206,7 @@ class CertifiedReal:
         """[lo, hi] * 2**-p at precision p."""
         return CertifiedReal(Dyadic.make(lo, -p), Dyadic.make(hi, -p), p)
 
-    @staticmethod
-    def from_fraction(q: Fraction, precision: int) -> "CertifiedReal":
-        """q between its floor and ceiling on the grid 2**-precision."""
-        return CertifiedReal.from_scaled(
-            *scale_outward(q.numerator, precision, q.denominator), precision
-        )
-
     # -- queries -----------------------------------------------------------
-    def width(self) -> Dyadic:
-        return self.hi - self.lo
-
-    def contains(self, q: Fraction | int) -> bool:
-        q = Fraction(q)
-        return self.lo.as_fraction() <= q <= self.hi.as_fraction()
-
     def midpoint(self) -> Fraction:
         return (self.lo.as_fraction() + self.hi.as_fraction()) / 2
 

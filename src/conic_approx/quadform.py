@@ -208,15 +208,21 @@ class TernaryQuadraticForm:
         )
 
     # -- serialization -----------------------------------------------------
-    def to_json(self) -> str:
-        keys = ("a00", "a11", "a22", "a01", "a02", "a12")
-        return json.dumps({k: str(v) for k, v in zip(keys, self.coeffs())}, sort_keys=True)
-
     @staticmethod
     def from_json(text: str) -> "TernaryQuadraticForm":
+        """The form of a JSON object with keys a00, a11, a22, a01, a02, a12 (a
+        missing key is 0), each a JSON integer or an integer string.  Anything
+        else, a bool or a float included, is a ValueError."""
         obj = json.loads(text)
-        keys = ("a00", "a11", "a22", "a01", "a02", "a12")
-        return TernaryQuadraticForm(*(int(obj.get(k, "0")) for k in keys))
+        if not isinstance(obj, dict):
+            raise ValueError("the form must be a JSON object")
+        coeffs = []
+        for key in ("a00", "a11", "a22", "a01", "a02", "a12"):
+            v = obj.get(key, 0)
+            if type(v) is not int and not isinstance(v, str):
+                raise ValueError(f"{key} must be an integer, not {v!r}")
+            coeffs.append(int(v))
+        return TernaryQuadraticForm(*coeffs)
 
 
 def psi(phi: TernaryQuadraticForm, x, y):

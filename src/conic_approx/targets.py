@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 from typing import Protocol
 
 from .arith import is_square
@@ -12,33 +11,18 @@ from .numerics import CertifiedReal, check_cap, sqrt_outward
 
 
 class Target(Protocol):
+    """A point (1, xi1, xi2) with 1, xi1, xi2 linearly independent over Q, the
+    paper's hypothesis: L(x) never vanishes, so every record comparison is
+    decided at some finite precision."""
+
     def enclosure(self, bits: int) -> tuple[CertifiedReal, CertifiedReal]:
         """Enclosures of (xi1, xi2) with widths at most 2**-bits."""
         ...
 
-    def exact_coords(self) -> tuple[Fraction, Fraction] | None:
-        """Exact values when the target is rational, else None."""
-        ...
-
-
-@dataclass(frozen=True)
-class RationalTarget:
-    xi1: Fraction
-    xi2: Fraction
-
-    def enclosure(self, bits: int) -> tuple[CertifiedReal, CertifiedReal]:
-        return (
-            CertifiedReal.from_fraction(self.xi1, bits),
-            CertifiedReal.from_fraction(self.xi2, bits),
-        )
-
-    def exact_coords(self):
-        return (self.xi1, self.xi2)
-
 
 class DependentTargetError(ValueError):
-    """1, sqrt(a), sqrt(b) are linearly dependent over Q, but the point is not
-    rational: L has exact ties there, which no precision decides."""
+    """1, xi1, xi2 are linearly dependent over Q, so the target is outside the
+    paper's hypothesis: L vanishes or ties exactly, which no precision decides."""
 
 
 @dataclass(frozen=True)
@@ -46,9 +30,10 @@ class SqrtPairTarget:
     """The point (1, sqrt(a), sqrt(b)) for non-negative integers a, b, enclosed
     on the grid 2**-bits.
 
-    Either 1, sqrt(a), sqrt(b) are linearly independent over Q (none of a, b,
-    a*b is a square), as the paper assumes, or both a and b are squares and
-    the point is rational.  Any other pair raises `DependentTargetError`.
+    A pair is accepted exactly when none of a, b, a*b is a square, that is,
+    when 1, sqrt(a), sqrt(b) are linearly independent over Q, as the paper
+    assumes.  Any other pair, square pairs and (0, 0) among them, raises
+    `DependentTargetError`.
     """
 
     a: int
@@ -56,7 +41,7 @@ class SqrtPairTarget:
 
     def __post_init__(self) -> None:
         sa, sb = is_square(self.a), is_square(self.b)
-        if not (sa and sb) and (sa or sb or is_square(self.a * self.b)):
+        if sa or sb or is_square(self.a * self.b):
             square = self.a if sa else self.b if sb else f"{self.a}*{self.b}"
             raise DependentTargetError(
                 f"1, sqrt({self.a}) and sqrt({self.b}) are linearly dependent over Q "
@@ -68,11 +53,6 @@ class SqrtPairTarget:
             CertifiedReal.from_scaled(*sqrt_outward(self.a, bits), bits),
             CertifiedReal.from_scaled(*sqrt_outward(self.b, bits), bits),
         )
-
-    def exact_coords(self):
-        if is_square(self.a) and is_square(self.b):
-            return (Fraction(isqrt(self.a)), Fraction(isqrt(self.b)))
-        return None
 
 
 @dataclass
@@ -103,6 +83,3 @@ class ExtremalTarget:
     def enclosure(self, bits: int) -> tuple[CertifiedReal, CertifiedReal]:
         enc = self.limit(bits)
         return enc.xi1, enc.xi2
-
-    def exact_coords(self):
-        return None

@@ -98,6 +98,25 @@ class TestReduce:
         p.write_text("{not json")
         assert main(["reduce", "--form", str(p)]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '"x"',
+            "true",
+            '{"a00": null}',
+            '{"a00": 1, "a11": -2.7, "a22": -3}',
+            '{"a00": true, "a11": -2, "a22": -3}',
+            '{"a00": "1", "a11": "-2.7", "a22": "-3"}',
+        ],
+        ids=["list", "string", "bool", "null", "float", "bool-coefficient", "float-string"],
+    )
+    def test_form_that_is_not_an_object_of_integers_is_input_error(self, tmp_path, capsys, text):
+        p = tmp_path / "form.json"
+        p.write_text(text)
+        assert main(["reduce", "--form", str(p)]) == 2
+        assert_one_line(capsys, "error: cannot read form: ")
+
 
 class TestConstruct:
     def test_writes_sequence_and_target(self, tmp_path):
@@ -259,6 +278,27 @@ class TestVerify:
         f = self._construct(tmp_path)
         rows = [json.loads(line) for line in f.read_text().splitlines()]
         f.write_text("".join(json.dumps(list(r.values())) + "\n" for r in rows))
+        assert main(["verify", "--in", str(f)]) == 2
+        assert_one_line(capsys, "error: cannot parse sequence file: ")
+
+    @pytest.mark.parametrize(
+        "key,edit",
+        [
+            ("i", lambda v: v + 0.4),
+            ("i", float),
+            ("i", bool),
+            ("i", str),
+            ("norm_bits", lambda v: v + 0.9),
+            ("norm_bits", str),
+        ],
+        ids=["i-plus-0.4", "i-float", "i-bool", "i-string", "norm_bits-plus-0.9", "norm_bits-string"],
+    )
+    def test_row_field_that_is_not_a_json_integer_is_input_error(self, tmp_path, capsys, key, edit):
+        f = self._construct(tmp_path)
+        rows = [json.loads(line) for line in f.read_text().splitlines()]
+        rows[2][key] = edit(rows[2][key])  # the row of i = 1, so bool(i) is True
+        f.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
         assert main(["verify", "--in", str(f)]) == 2
         assert_one_line(capsys, "error: cannot parse sequence file: ")
 
@@ -465,12 +505,7 @@ class TestEnumerate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["rigidity"] is None  # no attached form for a control target
 
-    def test_rational_target_rejected(self, tmp_path):
-        assert main(
-            ["enumerate", "--sqrt", "4,9", "--xmax", "100", "--out", str(tmp_path)]
-        ) == 3
-
-    @pytest.mark.parametrize("pair", ["2,8", "0,2", "1,2", "8,2", "3,12"])
+    @pytest.mark.parametrize("pair", ["2,8", "0,2", "1,2", "8,2", "3,12", "4,9", "0,0", "1,1"])
     def test_dependent_sqrt_pair_rejected_before_the_scan(self, tmp_path, capsys, pair):
         out = tmp_path / "run"
         assert main(["enumerate", "--sqrt", pair, "--xmax", "100", "--out", str(out)]) == 3

@@ -411,8 +411,8 @@ class TestLimitPoint:
         seq = seed_triple(2, 3)
         for k in (30, 60, 120):
             enc = limit_point(seq, Fraction(1, 2**k))
-            assert enc.xi1.width().as_fraction() <= Fraction(1, 2**k)
-            assert enc.xi2.width().as_fraction() <= Fraction(1, 2**k)
+            for x in (enc.xi1, enc.xi2):
+                assert x.hi.as_fraction() - x.lo.as_fraction() <= Fraction(1, 2**k)
 
     def test_distance_decreases(self):
         seq = extend(seed_triple(2, 3), 11)
@@ -508,8 +508,9 @@ class TestCertifiedLimit:
         late = seq.depth + 3
         y = extend(seq, late).y(late)
         for x, coord in ((enc.xi1, 1), (enc.xi2, 2)):
-            assert x.width().as_fraction() <= tw
-            assert x.contains(Fraction(y[coord], y[0]))
+            lo, hi = x.lo.as_fraction(), x.hi.as_fraction()
+            assert hi - lo <= tw
+            assert lo <= Fraction(y[coord], y[0]) <= hi
 
     @pytest.mark.parametrize("b,c", PIPELINE_PAIRS)
     def test_tail_bound_rounds_the_exact_series_up(self, b, c):

@@ -9,7 +9,6 @@ import pytest
 from conic_approx import minpoints, targets
 from conic_approx.extremal import extend, limit_point, seed_triple
 from conic_approx.minpoints import (
-    RationalTargetError,
     _abs_interval,
     _scan,
     enumerate_minimal,
@@ -20,11 +19,10 @@ from conic_approx.minpoints import (
     rigidity_check,
 )
 from conic_approx.numerics import PrecisionCapError, height_precision, nearest_integer, scale_outward
-from conic_approx.quadform import TernaryQuadraticForm, det3
+from conic_approx.quadform import TernaryQuadraticForm, det3, max_norm
 from conic_approx.targets import (
     DependentTargetError,
     ExtremalTarget,
-    RationalTarget,
     SqrtPairTarget,
 )
 
@@ -173,16 +171,9 @@ class TestPrefilter:
 
 
 class TestRationalTargets:
-    def test_rational_point_detected(self):
-        with pytest.raises(RationalTargetError) as ei:
-            enumerate_minimal(RationalTarget(Fraction(1, 2), Fraction(1, 3)), 10)
-        assert ei.value.point == (6, 3, 2)
-
-    def test_square_sqrt_target_is_rational(self):
-        with pytest.raises(RationalTargetError):
-            enumerate_minimal(SqrtPairTarget(4, 9), 10)
-
-    @pytest.mark.parametrize("a,b", [(2, 8), (0, 2), (1, 2), (2, 1), (6, 24)])
+    @pytest.mark.parametrize(
+        "a,b", [(2, 8), (0, 2), (1, 2), (2, 1), (6, 24), (4, 9), (0, 0), (1, 1)]
+    )
     def test_dependent_sqrt_target_rejected(self, a, b):
         with pytest.raises(DependentTargetError):
             SqrtPairTarget(a, b)
@@ -191,55 +182,17 @@ class TestRationalTargets:
         with pytest.raises(ValueError):
             enumerate_minimal(SqrtPairTarget(2, 3), 0)
 
-    def test_half_integer_ties_round_to_even(self):
-        recs = enumerate_minimal(RationalTarget(Fraction(1, 2), Fraction(3, 2)), 1)
-        assert recs[0].x == (1, 0, 2)
-
-
-def on_the_grid(x, bits: int, q: Fraction) -> bool:
-    """x has both endpoints on the grid 2**-bits, contains q and is at most
-    2**-bits wide."""
-    lo, hi = (e.as_fraction() * 2**bits for e in (x.lo, x.hi))
-    return lo.denominator == hi.denominator == 1 and x.contains(q) and hi - lo <= 1
-
-
-class TestRationalEnclosure:
-    """Rational values round to the grid 2**-bits itself, whatever their
-    denominators."""
-
-    @pytest.mark.parametrize(
-        "xi1,xi2",
-        [(Fraction(1, 3), Fraction(22, 7)), (Fraction(-5, 3**37), Fraction(2**70 + 1, 2**69)), (Fraction(1, 2), Fraction(3))],
-        ids=["small", "large", "dyadic"],
-    )
-    @pytest.mark.parametrize("bits", [1, 24, 96, 512])
-    def test_target_enclosure(self, xi1, xi2, bits):
-        for q, x in zip((xi1, xi2), RationalTarget(xi1, xi2).enclosure(bits)):
-            assert x.precision == bits
-            assert on_the_grid(x, bits, q)
-
-    def test_records(self):
-        # sqrt(2) and sqrt(3) to about 2^-64, with denominators 3^40 and 7^23
-        xi1, xi2 = Fraction(isqrt(2 * 3**80), 3**40), Fraction(isqrt(3 * 7**46), 7**23)
-        recs = enumerate_minimal(RationalTarget(xi1, xi2), 1000)
-        assert len(recs) >= 5
-        for r in recs:
-            x0, x1, x2 = r.x
-            L = max(abs(x0 * xi1 - x1), abs(x0 * xi2 - x2))
-            assert on_the_grid(r.L, 96, L)
-            assert on_the_grid(r.delta[0], 96, x1 - x0 * xi1)
-            assert on_the_grid(r.delta[1], 96, x2 - x0 * xi2)
-
 
 class TestSqrtPairEnclosure:
     @pytest.mark.parametrize(
-        "a,b", [(255, 2), (256, 9), (1000, 3), (10**6 + 1, 2), (10**12 + 1, 3)]
+        "a,b", [(255, 2), (257, 3), (1000, 3), (10**6 + 1, 2), (10**12 + 1, 3)]
     )
     @pytest.mark.parametrize("bits", [1, 24, 96, 512])
     def test_widths_at_most_2_to_the_minus_bits(self, a, b, bits):
         for n, x in zip((a, b), SqrtPairTarget(a, b).enclosure(bits)):
-            assert x.width().as_fraction() <= Fraction(1, 2**bits)
-            assert x.lo.as_fraction() ** 2 <= n <= x.hi.as_fraction() ** 2
+            lo, hi = x.lo.as_fraction(), x.hi.as_fraction()
+            assert hi - lo <= Fraction(1, 2**bits)
+            assert lo**2 <= n <= hi**2
 
 
 class TestExtremalTargetLimit:
@@ -302,6 +255,16 @@ class TestHeightPrecision:
         monkeypatch.setattr(target, "enclosure", enclosure)
         records_from_sequence(seed_triple(2, 3), target, 10**50)
         assert requests == [512]
+
+    @pytest.mark.parametrize("b,c", [(2, 3), (3, 11)])
+    def test_last_member_at_the_cap_keeps_a_tight_l(self, b, c):
+        # members have L about X**-1, so the rule needs its full 2 bits(X):
+        # 1.6 bits(X) + 64 would leave this L's enclosure containing 0
+        seq = extend(seed_triple(b, c), 10)
+        records, _ = records_from_sequence(seq, ExtremalTarget(b, c), max_norm(seq.y(10)))
+        assert records[-1].x == seq.y(10)
+        lo, hi = (e.as_fraction() for e in (records[-1].L.lo, records[-1].L.hi))
+        assert lo > 0 and (hi - lo) / lo < Fraction(1, 2**32)
 
 
 class TestExponentReport:
