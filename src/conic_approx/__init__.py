@@ -16,7 +16,6 @@ from .extremal import (
     extend,
     limit_point,
     seed_triple,
-    tails_equal,
 )
 from .minpoints import (
     ExponentReport,
@@ -55,7 +54,6 @@ __all__ = [
     "reduce_form",
     "rigidity_check",
     "seed_triple",
-    "tails_equal",
 ]
 
 __version__ = "0.1.0"

@@ -169,7 +169,19 @@ def _real_fields(x: dict) -> tuple:
 
 
 def _target_from_args(args):
-    """The target, and for --xi the file's precision and enclosure fields."""
+    """The target, and for --xi the file's precision and enclosure fields.
+    Naming more than one target is a ValueError."""
+    named = [
+        flag
+        for flag, given in (
+            ("--xi", args.xi is not None),
+            ("--sqrt", args.sqrt is not None),
+            ("--b/--c", args.b is not None or args.c is not None),
+        )
+        if given
+    ]
+    if len(named) > 1:
+        raise ValueError(f"name one target, not {' and '.join(named)}")
     if args.xi is not None:
         obj = json.loads(Path(args.xi).read_text())
         if not isinstance(obj, dict):

@@ -19,7 +19,6 @@ import signal
 import struct
 import threading
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,6 +33,7 @@ from .quadform import (
     psi,
 )
 from .arith import is_squarefree
+from .records import FrozenRecord, Record, set_field
 
 
 class InvariantViolation(RuntimeError):
@@ -49,25 +49,38 @@ class UnsupportedConstruction(ValueError):
     """Seeded construction requires square-free b > 1 and c > 1."""
 
 
-@dataclass(frozen=True)
-class CertifiedVec3:
+class CertifiedVec3(FrozenRecord):
     """Enclosure of a projective representative (1, xi1, xi2), plus a bound on
     the projective distance from the last sequence member used to the limit."""
 
-    xi1: CertifiedReal
-    xi2: CertifiedReal
-    tail_bound: CertifiedReal
+    __slots__ = ("xi1", "xi2", "tail_bound")
+
+    def __init__(self, xi1: CertifiedReal, xi2: CertifiedReal, tail_bound: CertifiedReal) -> None:
+        set_field(self, "xi1", xi1)
+        set_field(self, "xi2", xi2)
+        set_field(self, "tail_bound", tail_bound)
 
 
-@dataclass
-class ExtremalSequence:
-    b: int
-    c: int
-    seed: tuple[int, int, int, int, int, int]  # (m, n, m', n', r, t)
-    form: TernaryQuadraticForm
-    ys: list[Vec3] = field(default_factory=list)  # ys[k] holds y_{k-1}
-    ts: list[int] = field(default_factory=list)
-    det0: int = 0
+class ExtremalSequence(Record):
+    __slots__ = ("b", "c", "seed", "form", "ys", "ts", "det0")
+
+    def __init__(
+        self,
+        b: int,
+        c: int,
+        seed: tuple[int, int, int, int, int, int],  # (m, n, m', n', r, t)
+        form: TernaryQuadraticForm,
+        ys: list[Vec3] | None = None,  # ys[k] holds y_{k-1}
+        ts: list[int] | None = None,
+        det0: int = 0,
+    ) -> None:
+        self.b = b
+        self.c = c
+        self.seed = seed
+        self.form = form
+        self.ys = [] if ys is None else ys
+        self.ts = [] if ts is None else ts
+        self.det0 = det0
 
     def y(self, i: int) -> Vec3:
         return self.ys[i + 1]
@@ -113,8 +126,7 @@ def seed_triple(b: int, c: int) -> ExtremalSequence:
 # the identity table, walked by `seed_triple`, `extend` and `cli verify`
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Window:
+class Window(Record):
     """The stored members that the identities at index i read.
 
     `proved` counts the indices just before i at which this same run (one
@@ -127,12 +139,23 @@ class Window:
     evaluates part of the table.
     """
 
-    form: TernaryQuadraticForm
-    ys: list[Vec3]  # ys[k] holds y_{k-1}
-    ts: list[int]
-    det0: int
-    i: int
-    proved: int = 0
+    __slots__ = ("form", "ys", "ts", "det0", "i", "proved", "__dict__")  # __dict__ for t_product
+
+    def __init__(
+        self,
+        form: TernaryQuadraticForm,
+        ys: list[Vec3],  # ys[k] holds y_{k-1}
+        ts: list[int],
+        det0: int,
+        i: int,
+        proved: int = 0,
+    ) -> None:
+        self.form = form
+        self.ys = ys
+        self.ts = ts
+        self.det0 = det0
+        self.i = i
+        self.proved = proved
 
     def y(self, j: int) -> Vec3:
         return self.ys[j + 1]
@@ -534,23 +557,6 @@ def _check_on_conic(seq: ExtremalSequence, box1, box2, p: int) -> None:
     one = 1 << 2 * p
     if not one - seq.b * t1 - seq.c * t2 <= 0 <= one - seq.b * s1 - seq.c * s2:
         raise InvariantViolation("limit point lies on the conic", seq.depth)
-
-
-def tails_equal(seq_a: ExtremalSequence, seq_b: ExtremalSequence) -> int | None:
-    """Shift a with y'_i = +/- y_{i+a} over the whole overlap, or None if distinct."""
-    na, nb = seq_a.depth, seq_b.depth
-    for a in range(-(nb + 1), na + 2):
-        lo = max(-1, -1 - a)
-        hi = min(na - a, nb)
-        if hi - lo < 2:
-            continue
-        if all(
-            seq_a.y(i + a) == seq_b.y(i)
-            or seq_a.y(i + a) == tuple(-x for x in seq_b.y(i))
-            for i in range(lo, hi + 1)
-        ):
-            return a
-    return None
 
 
 def verify_no_small_relation(seq: ExtremalSequence, coeff_bound: int = 10**6) -> bool:

@@ -23,7 +23,6 @@ record, no longer forces a precision doubling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .numerics import (
     CertifiedReal,
@@ -35,34 +34,58 @@ from .numerics import (
     scale_outward,
 )
 from .quadform import TernaryQuadraticForm, Vec3, cross, det3, max_norm, psi
+from .records import FrozenRecord, set_field
 from .targets import Target
 
 
-@dataclass(frozen=True)
-class MinimalPointRecord:
-    x: Vec3
-    X: int
-    L: CertifiedReal
-    delta: tuple[CertifiedReal, CertifiedReal]
+class MinimalPointRecord(FrozenRecord):
+    __slots__ = ("x", "X", "L", "delta")
+
+    def __init__(
+        self, x: Vec3, X: int, L: CertifiedReal, delta: tuple[CertifiedReal, CertifiedReal]
+    ) -> None:
+        set_field(self, "x", x)
+        set_field(self, "X", X)
+        set_field(self, "L", L)
+        set_field(self, "delta", delta)
 
 
-@dataclass(frozen=True)
-class ExponentReport:
-    lambda_hats: list[tuple[int, float]]
-    summary: float
-    alpha: float
-    theta: float
-    independence_set: list[int]
-    c_lower: float
+class ExponentReport(FrozenRecord):
+    __slots__ = ("lambda_hats", "summary", "alpha", "theta", "independence_set", "c_lower")
+
+    def __init__(
+        self,
+        lambda_hats: list[tuple[int, float]],
+        summary: float,
+        alpha: float,
+        theta: float,
+        independence_set: list[int],
+        c_lower: float,
+    ) -> None:
+        set_field(self, "lambda_hats", lambda_hats)
+        set_field(self, "summary", summary)
+        set_field(self, "alpha", alpha)
+        set_field(self, "theta", theta)
+        set_field(self, "independence_set", independence_set)
+        set_field(self, "c_lower", c_lower)
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    independence_set: list[int]
-    insufficient: bool
-    checks: list[tuple[int, bool]]  # (position k in the independence subsequence, passed)
-    first_holding: int | None
-    form_values: list[int]
+class RigidityReport(FrozenRecord):
+    __slots__ = ("independence_set", "insufficient", "checks", "first_holding", "form_values")
+
+    def __init__(
+        self,
+        independence_set: list[int],
+        insufficient: bool,
+        checks: list[tuple[int, bool]],  # (position k in the independence subsequence, passed)
+        first_holding: int | None,
+        form_values: list[int],
+    ) -> None:
+        set_field(self, "independence_set", independence_set)
+        set_field(self, "insufficient", insufficient)
+        set_field(self, "checks", checks)
+        set_field(self, "first_holding", first_holding)
+        set_field(self, "form_values", form_values)
 
 
 # ---------------------------------------------------------------------------

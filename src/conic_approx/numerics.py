@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+
+from .records import FrozenRecord, set_field
 
 DEFAULT_PRECISION_CAP = 4096
 _CAP_ENV = "CONIC_APPROX_MAX_BITS"
@@ -53,12 +54,14 @@ class DomainError(ValueError):
     """Operand outside the mathematical domain of an operation (e.g. sqrt of a negative)."""
 
 
-@dataclass(frozen=True)
-class Dyadic:
+class Dyadic(FrozenRecord):
     """man * 2**exp, with man odd or zero (canonical representation)."""
 
-    man: int
-    exp: int
+    __slots__ = ("man", "exp")
+
+    def __init__(self, man: int, exp: int) -> None:
+        set_field(self, "man", man)
+        set_field(self, "exp", exp)
 
     @staticmethod
     def make(man: int, exp: int = 0) -> "Dyadic":
@@ -187,18 +190,18 @@ def ratio_up(num: int, den: int) -> Dyadic:
 ZERO = Dyadic(0, 0)
 
 
-@dataclass(frozen=True)
-class CertifiedReal:
+class CertifiedReal(FrozenRecord):
     """Interval [lo, hi] guaranteed to contain the exact value it stands for;
     `precision` is the bit count p it was certified at."""
 
-    lo: Dyadic
-    hi: Dyadic
-    precision: int
+    __slots__ = ("lo", "hi", "precision")
 
-    def __post_init__(self) -> None:
-        if self.hi < self.lo:
+    def __init__(self, lo: Dyadic, hi: Dyadic, precision: int) -> None:
+        if hi < lo:
             raise ValueError("empty interval")
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
+        set_field(self, "precision", precision)
 
     # -- constructors ------------------------------------------------------
     @staticmethod

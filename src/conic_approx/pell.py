@@ -1,24 +1,26 @@
 """Continued fractions of sqrt(b) and solutions of x^2 - b*y^2 = 1."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
 from .arith import is_square, is_squarefree
+from .records import FrozenRecord, set_field
 
 
-@dataclass(frozen=True)
-class PellSolution:
-    m: int
-    n: int
-    b: int
+class PellSolution(FrozenRecord):
+    """A positive solution (m, n) of m^2 - b*n^2 = 1."""
 
-    def __post_init__(self) -> None:
-        if self.m <= 0 or self.n <= 0:
+    __slots__ = ("m", "n", "b")
+
+    def __init__(self, m: int, n: int, b: int) -> None:
+        if m <= 0 or n <= 0:
             raise ValueError("positive solution required")
-        if self.m * self.m - self.b * self.n * self.n != 1:
-            raise ValueError(f"({self.m}, {self.n}) does not solve x^2 - {self.b} y^2 = 1")
+        if m * m - b * n * n != 1:
+            raise ValueError(f"({m}, {n}) does not solve x^2 - {b} y^2 = 1")
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "b", b)
 
 
 def _check_radicand(b: int) -> None:

@@ -14,12 +14,12 @@ All arithmetic is exact (ints and Fractions).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
 
 from .arith import is_qr_mod_squarefree, squarefree_scale, vec_gcd
+from .records import FrozenRecord, set_field
 
 Vec3 = tuple[int, int, int]
 RatVec3 = tuple[Fraction, Fraction, Fraction]
@@ -133,20 +133,22 @@ def _nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 # the form itself
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TernaryQuadraticForm:
+class TernaryQuadraticForm(FrozenRecord):
     """a00*x0^2 + a11*x1^2 + a22*x2^2 + a01*x0*x1 + a02*x0*x2 + a12*x1*x2."""
 
-    a00: int
-    a11: int
-    a22: int
-    a01: int = 0
-    a02: int = 0
-    a12: int = 0
+    __slots__ = ("a00", "a11", "a22", "a01", "a02", "a12", "__dict__")  # __dict__ for gram_det
 
-    def __post_init__(self) -> None:
-        if not any(self.coeffs()):
+    def __init__(
+        self, a00: int, a11: int, a22: int, a01: int = 0, a02: int = 0, a12: int = 0
+    ) -> None:
+        if not (a00 or a11 or a22 or a01 or a02 or a12):
             raise ValueError("identically zero form")
+        set_field(self, "a00", a00)
+        set_field(self, "a11", a11)
+        set_field(self, "a22", a22)
+        set_field(self, "a01", a01)
+        set_field(self, "a02", a02)
+        set_field(self, "a12", a12)
 
     def coeffs(self) -> tuple[int, int, int, int, int, int]:
         return (self.a00, self.a11, self.a22, self.a01, self.a02, self.a12)
@@ -210,14 +212,21 @@ class TernaryQuadraticForm:
     # -- serialization -----------------------------------------------------
     @staticmethod
     def from_json(text: str) -> "TernaryQuadraticForm":
-        """The form of a JSON object with keys a00, a11, a22, a01, a02, a12 (a
-        missing key is 0), each a JSON integer or an integer string.  Anything
-        else, a bool or a float included, is a ValueError."""
+        """The form of a JSON object with keys among a00, a11, a22, a01, a02,
+        a12 (a missing key is 0), each a JSON integer or an integer string.
+        Anything else, another key, a bool or a float included, is a
+        ValueError."""
+        keys = ("a00", "a11", "a22", "a01", "a02", "a12")
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("the form must be a JSON object")
+        unknown = [key for key in obj if key not in keys]
+        if unknown:
+            raise ValueError(
+                f"unknown key {', '.join(map(repr, unknown))}; a form has only {', '.join(keys)}"
+            )
         coeffs = []
-        for key in ("a00", "a11", "a22", "a01", "a02", "a12"):
+        for key in keys:
             v = obj.get(key, 0)
             if type(v) is not int and not isinstance(v, str):
                 raise ValueError(f"{key} must be an integer, not {v!r}")
@@ -428,13 +437,15 @@ _CANONICAL = {
 }
 
 
-@dataclass(frozen=True)
-class CanonicalReduction:
-    case: str
-    T: Mat3
-    mu: Fraction
-    b: int = 0
-    c: int = 0
+class CanonicalReduction(FrozenRecord):
+    __slots__ = ("case", "T", "mu", "b", "c")
+
+    def __init__(self, case: str, T: Mat3, mu: Fraction, b: int = 0, c: int = 0) -> None:
+        set_field(self, "case", case)
+        set_field(self, "T", T)
+        set_field(self, "mu", mu)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
 
     def canonical_coeffs(self) -> tuple[int, ...]:
         return _CANONICAL[self.case](self.b, self.c)

@@ -1,0 +1,65 @@
+"""Plain record classes: fields in `__slots__`, value equality and a repr.
+
+Each class writes its own methods instead of having the standard library
+generate them at import: generating them, and importing the modules that do
+it (`inspect` among them), cost about a third of the package's import.  A record
+lists its fields in `__slots__`, plus `"__dict__"` where
+`functools.cached_property` or a per-instance attribute needs one, and writes
+its own `__init__`.
+"""
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+set_field = object.__setattr__  # how a FrozenRecord's __init__ sets its fields
+
+
+class Record:
+    """Equality over the fields, in `__slots__` order, between records of the
+    same class, and a repr naming them (only those in `_repr_fields`, where a
+    class sets it).  A `Record` is mutable and so unhashable; see
+    `FrozenRecord`.  Every record has at least two fields, so `_values`
+    returns a tuple."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = tuple(name for name in cls.__dict__.get("__slots__", ()) if name != "__dict__")
+        if fields:  # FrozenRecord itself has none
+            cls._values = attrgetter(*fields)
+            cls._repr_fields = cls.__dict__.get("_repr_fields", fields)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, by `__init__` through
+    `set_field`; assigning or deleting one later raises
+    `AttributeError`.  Hashable when its fields are."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        """Rebuild through `__init__`, for `copy` and `pickle`, which would
+        otherwise set the slots through `__setattr__`."""
+        return type(self), self._values(self)

@@ -1,13 +1,13 @@
 """Approximation targets (1, xi1, xi2) that can be certified at any precision."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Protocol
 
 from .arith import is_square
 from .extremal import CertifiedVec3, ExtremalSequence, limit_point, seed_triple
 from .numerics import CertifiedReal, check_cap, sqrt_outward
+from .records import FrozenRecord, Record, set_field
 
 
 class Target(Protocol):
@@ -25,8 +25,7 @@ class DependentTargetError(ValueError):
     paper's hypothesis: L vanishes or ties exactly, which no precision decides."""
 
 
-@dataclass(frozen=True)
-class SqrtPairTarget:
+class SqrtPairTarget(FrozenRecord):
     """The point (1, sqrt(a), sqrt(b)) for non-negative integers a, b, enclosed
     on the grid 2**-bits.
 
@@ -36,17 +35,18 @@ class SqrtPairTarget:
     `DependentTargetError`.
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        sa, sb = is_square(self.a), is_square(self.b)
-        if sa or sb or is_square(self.a * self.b):
-            square = self.a if sa else self.b if sb else f"{self.a}*{self.b}"
+    def __init__(self, a: int, b: int) -> None:
+        sa, sb = is_square(a), is_square(b)
+        if sa or sb or is_square(a * b):
+            square = a if sa else b if sb else f"{a}*{b}"
             raise DependentTargetError(
-                f"1, sqrt({self.a}) and sqrt({self.b}) are linearly dependent over Q "
+                f"1, sqrt({a}) and sqrt({b}) are linearly dependent over Q "
                 f"({square} is a square)"
             )
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     def enclosure(self, bits: int) -> tuple[CertifiedReal, CertifiedReal]:
         return (
@@ -55,14 +55,27 @@ class SqrtPairTarget:
         )
 
 
-@dataclass
-class ExtremalTarget:
-    """Limit point of the seeded sequence on x0^2 - b*x1^2 - c*x2^2 = 1."""
+class ExtremalTarget(Record):
+    """Limit point of the seeded sequence on x0^2 - b*x1^2 - c*x2^2 = 1.
 
-    b: int
-    c: int
-    _seq: ExtremalSequence | None = field(default=None, repr=False)
-    _limit: tuple[int, CertifiedVec3] | None = field(default=None, repr=False)
+    `_seq` and `_limit` cache the sequence and the tightest enclosure so far;
+    the repr leaves them out.  Instances keep a `__dict__`, so a method can
+    be replaced on one target."""
+
+    __slots__ = ("b", "c", "_seq", "_limit", "__dict__")
+    _repr_fields = ("b", "c")
+
+    def __init__(
+        self,
+        b: int,
+        c: int,
+        _seq: ExtremalSequence | None = None,
+        _limit: tuple[int, CertifiedVec3] | None = None,
+    ) -> None:
+        self.b = b
+        self.c = c
+        self._seq = _seq
+        self._limit = _limit
 
     @property
     def sequence(self) -> ExtremalSequence:

@@ -117,6 +117,15 @@ class TestReduce:
         assert main(["reduce", "--form", str(p)]) == 2
         assert_one_line(capsys, "error: cannot read form: ")
 
+    def test_unknown_key_is_input_error(self, tmp_path, capsys):
+        # a misspelt coefficient used to read as 0 and reduce x0^2 - 2x1^2 - 3x2^2
+        coeffs = {"a00": 1, "a11": -2, "a22": -3, "a99": 5}
+        assert main(["reduce", "--form", write_form(tmp_path, coeffs)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read form: unknown key 'a99'; "
+            "a form has only a00, a11, a22, a01, a02, a12\n"
+        )
+
 
 class TestConstruct:
     def test_writes_sequence_and_target(self, tmp_path):
@@ -626,6 +635,23 @@ class TestEnumerate:
 
     def test_missing_target_usage_error(self, tmp_path):
         assert main(["enumerate", "--xmax", "10", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["--b", "2", "--c", "3", "--sqrt", "2,5"], "--sqrt and --b/--c"),
+            (["--c", "3", "--sqrt", "2,5"], "--sqrt and --b/--c"),
+            (["--xi", "xi.json", "--sqrt", "2,5"], "--xi and --sqrt"),
+            (["--xi", "xi.json", "--b", "2", "--c", "3"], "--xi and --b/--c"),
+        ],
+        ids=["sqrt-and-bc", "sqrt-and-c", "xi-and-sqrt", "xi-and-bc"],
+    )
+    def test_more_than_one_target_rejected_before_the_scan(self, tmp_path, capsys, argv, named):
+        # the parent scanned (1, sqrt 2, sqrt 5) for the first and exited 0
+        out = tmp_path / "out"
+        assert main(["enumerate", *argv, "--xmax", "100", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: name one target, not {named}\n"
+        assert not out.exists()
 
     def test_deterministic_csv(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

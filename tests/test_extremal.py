@@ -20,7 +20,6 @@ from conic_approx.extremal import (
     growth_ratios,
     limit_point,
     seed_triple,
-    tails_equal,
     verify_no_small_relation,
 )
 from conic_approx.numerics import Dyadic, PrecisionCapError, ratio_up
@@ -438,32 +437,6 @@ class TestLimitPoint:
             y = seq.y(i)
             vals.append(max(abs(c) for c in cross(y, xi)) * max_norm(y))
         assert max(vals) / min(vals) < 3
-
-
-class TestTailsEqual:
-    def test_self_shift_zero(self):
-        seq = extend(seed_triple(2, 3), 6)
-        assert tails_equal(seq, seq) == 0
-
-    def test_sign_insensitive(self):
-        a = extend(seed_triple(2, 3), 6)
-        b = extend(seed_triple(2, 3), 6)
-        b.ys = [tuple(-c for c in y) for y in b.ys]
-        assert tails_equal(a, b) == 0
-
-    def test_equal_seeds_and_shifted_tails(self):
-        a = extend(seed_triple(2, 3), 8)
-        b = extend(seed_triple(2, 3), 8)
-        assert tails_equal(a, b) == 0
-        shifted = extend(seed_triple(2, 3), 8)
-        shifted.ys = shifted.ys[2:]
-        shifted.ts = shifted.ts[2:]
-        assert tails_equal(a, shifted) == 2
-
-    def test_distinct_sequences_detected(self):
-        a = extend(seed_triple(2, 3), 6)
-        b = extend(seed_triple(2, 5), 6)
-        assert tails_equal(a, b) is None
 
 
 class TestIndependenceEvidence:

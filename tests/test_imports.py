@@ -1,7 +1,10 @@
 """No module of the package imports a name it never uses (`__init__`, which
-re-exports, is exempt), and no function, class or method of the package is
-defined without being named by the package, the scripts or the benchmark."""
+re-exports, is exempt), no function, class or method of the package is
+defined without being named by the package, the scripts or the benchmark, and
+importing the CLI loads neither `dataclasses` nor `inspect`."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,6 @@ CALLERS = MODULES + sorted((REPO / "scripts").glob("*.py")) + sorted(
 )
 # definitions kept although nothing above names them, each with its reason
 UNNAMED_ALLOWED = {
-    "tails_equal": "reached only by its tests; ROADMAP deletes it in a change of its own",
     "verify_no_small_relation": "the paper's independence hypothesis; ROADMAP direction 4 wires it in",
 }
 
@@ -79,3 +81,17 @@ def test_the_check_finds_an_unnamed_definition():
 def test_every_definition_is_named_outside_the_tests():
     sources = [p.read_text() for p in PACKAGE.glob("*.py")]
     assert unnamed_definitions(sources, [p.read_text() for p in CALLERS]) == sorted(UNNAMED_ALLOWED)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every command starts a fresh process, so each pays the CLI's import;
+    # the two modules cost about a third of it.  -S keeps site hooks out.
+    probe = (
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import conic_approx.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"

@@ -178,6 +178,14 @@ class TestRationalTargets:
         with pytest.raises(DependentTargetError):
             SqrtPairTarget(a, b)
 
+    @pytest.mark.parametrize("a,b,square", [(4, 3, "4"), (2, 9, "9"), (2, 8, "2*8")])
+    def test_dependent_target_names_the_square(self, a, b, square):
+        with pytest.raises(ValueError) as exc:
+            SqrtPairTarget(a, b)
+        assert str(exc.value) == (
+            f"1, sqrt({a}) and sqrt({b}) are linearly dependent over Q ({square} is a square)"
+        )
+
     def test_xmax_validation(self):
         with pytest.raises(ValueError):
             enumerate_minimal(SqrtPairTarget(2, 3), 0)

@@ -95,8 +95,13 @@ class TestFundamentalSolution:
             fundamental_solution(1)
 
     def test_solution_invariant_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\(3, 3\) does not solve x\^2 - 2 y\^2 = 1"):
             PellSolution(3, 3, 2)
+
+    @pytest.mark.parametrize("m,n", [(1, 0), (-3, 2), (3, -2)])
+    def test_non_positive_solution_rejected(self, m, n):
+        with pytest.raises(ValueError, match="positive solution required"):
+            PellSolution(m, n, 2)
 
 
 class TestSuccessor:

@@ -27,6 +27,10 @@ PARABOLA = TernaryQuadraticForm(0, -1, 0, 0, 1, 0)  # x0*x2 - x1^2
 
 
 class TestEvalAndBilinear:
+    def test_zero_form_rejected(self):
+        with pytest.raises(ValueError, match="identically zero form"):
+            TernaryQuadraticForm(0, 0, 0)
+
     def test_unit_vector_on_diagonal(self):
         assert DIAG_23((1, 0, 0)) == 1
 
@@ -260,6 +264,11 @@ class TestSerialization:
     def test_round_trip(self):
         text = '{"a00": "1", "a11": "-2", "a22": "-3", "a01": "4", "a02": "-5", "a12": "6"}'
         assert TernaryQuadraticForm.from_json(text) == TernaryQuadraticForm(1, -2, -3, 4, -5, 6)
+
+    @pytest.mark.parametrize("key", ["a99", "a21", "A00", ""])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            TernaryQuadraticForm.from_json(f'{{"a00": 1, "a11": -2, "a22": -3, "{key}": 0}}')
 
     def test_decimal_strings(self):
         # decimal strings and JSON integers read alike; a missing key is 0
