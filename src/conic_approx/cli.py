@@ -12,7 +12,6 @@ import io
 import json
 import os
 import sys
-from pathlib import Path
 
 from .extremal import (
     IDENTITIES,
@@ -21,6 +20,7 @@ from .extremal import (
     UnsupportedConstruction,
     Window,
     extend,
+    limit_index,
     validate_bc,
 )
 from .minpoints import enumerate_minimal, estimate_lambda, rigidity_check
@@ -51,6 +51,11 @@ def _real_json(x: CertifiedReal) -> dict:
     return {"hi": _dyadic_json(x.hi), "lo": _dyadic_json(x.lo), "precision": x.precision}
 
 
+def _read(path: str) -> str:
+    with open(path) as fp:
+        return fp.read()
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
@@ -60,14 +65,13 @@ def _write(outdir: str, files: dict[str, str]) -> bool:
     temporary name first and is moved into place only once all are written;
     on OSError no file of this call is left, one `error:` line is printed
     and the result is False."""
-    out = Path(outdir)
-    staged: list[tuple[Path, Path]] = []
-    placed: list[Path] = []
+    staged: list[tuple[str, str]] = []
+    placed: list[str] = []
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        os.makedirs(outdir, exist_ok=True)
         for name, text in files.items():
-            tmp = out / f".{name}.{os.getpid()}.tmp"
-            staged.append((tmp, out / name))
+            tmp = os.path.join(outdir, f".{name}.{os.getpid()}.tmp")
+            staged.append((tmp, os.path.join(outdir, name)))
             with open(tmp, "w", newline="") as fp:
                 fp.write(text)
         for tmp, final in staged:
@@ -75,7 +79,10 @@ def _write(outdir: str, files: dict[str, str]) -> bool:
             placed.append(final)
     except OSError as exc:
         for path in [tmp for tmp, _ in staged] + placed:
-            path.unlink(missing_ok=True)
+            try:
+                os.remove(path)
+            except FileNotFoundError:
+                pass
         print(f"error: cannot write to --out {outdir}: {exc}", file=sys.stderr)
         return False
     return True
@@ -87,7 +94,7 @@ def _write(outdir: str, files: dict[str, str]) -> bool:
 
 def cmd_reduce(args) -> int:
     try:
-        phi = TernaryQuadraticForm.from_json(Path(args.form).read_text())
+        phi = TernaryQuadraticForm.from_json(_read(args.form))
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot read form: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -157,8 +164,8 @@ def cmd_construct(args) -> int:
     ) + "\n"
     if not _write(args.out, {"sequence.jsonl": sequence, "xi.json": xi}):
         return EXIT_INPUT
-    outdir = Path(args.out)
-    print(f"wrote {outdir / 'sequence.jsonl'} and {outdir / 'xi.json'}")
+    out = args.out
+    print(f"wrote {os.path.join(out, 'sequence.jsonl')} and {os.path.join(out, 'xi.json')}")
     return EXIT_OK
 
 
@@ -183,7 +190,7 @@ def _target_from_args(args):
     if len(named) > 1:
         raise ValueError(f"name one target, not {' and '.join(named)}")
     if args.xi is not None:
-        obj = json.loads(Path(args.xi).read_text())
+        obj = json.loads(_read(args.xi))
         if not isinstance(obj, dict):
             raise ValueError(f"--xi {args.xi} must hold a JSON object")
         precision = obj.get("precision")
@@ -192,13 +199,24 @@ def _target_from_args(args):
         claimed = {key: _real_fields(obj[key]) for key in ("xi1", "xi2", "tail_bound")}
         return ExtremalTarget(read_int(obj["b"]), read_int(obj["c"])), (precision, claimed)
     if args.sqrt is not None:
-        a, b = (int(s) for s in args.sqrt.split(","))
+        needs = ValueError(f"--sqrt needs two non-negative integers A,B, not {args.sqrt!r}")
+        try:
+            a, b = (int(s) for s in args.sqrt.split(","))
+        except ValueError:
+            raise needs from None
         if a < 0 or b < 0:
-            raise ValueError("--sqrt needs non-negative integers A,B")
+            raise needs
         return SqrtPairTarget(a, b), None
     if args.b is not None and args.c is not None:
         return ExtremalTarget(args.b, args.c), None
     raise ValueError("need --b/--c, --xi FILE, or --sqrt A,B")
+
+
+def _legacy_tail_bound(target: ExtremalTarget, precision: int) -> tuple:
+    """The `tail_bound` fields of an `xi.json` written before the tail bound
+    moved to the grid of xi1 and xi2: the bound eps itself, at precision 64."""
+    eps = limit_index(target.sequence, precision)[1]
+    return _real_fields(_real_json(CertifiedReal(eps, eps, 64)))
 
 
 def cmd_enumerate(args) -> int:
@@ -222,7 +240,9 @@ def cmd_enumerate(args) -> int:
             precision, claimed = xi
             enc = target.limit(precision)
             for key, fields in claimed.items():
-                if fields != _real_fields(_real_json(getattr(enc, key))):
+                if fields != _real_fields(_real_json(getattr(enc, key))) and not (
+                    key == "tail_bound" and fields == _legacy_tail_bound(target, precision)
+                ):
                     print(
                         f"invariant failure: --xi {args.xi}: {key} differs from the "
                         f"enclosure recomputed at precision {precision}",
@@ -326,7 +346,7 @@ def cmd_verify(args) -> int:
             print(f"rejected: {exc}", file=sys.stderr)
             return EXIT_MATH
     try:
-        lines = Path(args.infile).read_text().strip().splitlines()
+        lines = _read(args.infile).strip().splitlines()
         if not lines:
             raise ValueError("empty file")
         rows = []

@@ -51,7 +51,8 @@ class UnsupportedConstruction(ValueError):
 
 class CertifiedVec3(FrozenRecord):
     """Enclosure of a projective representative (1, xi1, xi2), plus a bound on
-    the projective distance from the last sequence member used to the limit."""
+    the projective distance from the last sequence member used to the limit,
+    all three on one grid."""
 
     __slots__ = ("xi1", "xi2", "tail_bound")
 
@@ -505,6 +506,7 @@ def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> Certif
     the first i >= 2 whose tail bound eps satisfies 4 eps <= 2**-P, and each
     endpoint is rounded outward to the grid 2**-bits, bits = max(64, P + 9).
     The guard bits above P keep the rounding to a small part of the width.
+    `tail_bound` is eps rounded up to the same grid.
     """
     tw = Fraction(target_width)
     if tw <= 0:
@@ -512,6 +514,22 @@ def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> Certif
     P = (scale_outward(tw.denominator, 0, tw.numerator)[1] - 1).bit_length()
     check_cap(P)
     bits = max(64, P + 9)
+    i, eps = limit_index(seq, P)
+    # |xi_j - y_j / y_0| <= eps * ||y|| / y_0 = eps: y_0 = ||y|| > 0 because
+    # q(y) = 1 with b, c > 1 and the recurrence keep the first coordinate
+    # positive and largest (representative (1, xi1, xi2) has max norm 1).
+    y = seq.y(i)
+    e = scale_outward(eps.man, eps.exp + bits)[1]  # eps rounded up to the grid
+    box1, box2 = (_enclose(y[k], y[0], e, bits) for k in (1, 2))
+    xi1, xi2 = (CertifiedReal.from_scaled(lo, hi, bits) for lo, hi in (box1, box2))
+    if any(hi - lo > 1 << (bits - P) for lo, hi in (box1, box2)):
+        raise AssertionError("enclosure construction exceeded target width")
+    _check_on_conic(seq, box1, box2, bits)
+    return CertifiedVec3(xi1, xi2, CertifiedReal.from_scaled(e, e, bits))
+
+
+def limit_index(seq: ExtremalSequence, P: int) -> tuple[int, Dyadic]:
+    """The first i >= 2 whose tail bound eps satisfies 4 eps <= 2**-P, and that eps."""
     # 4 eps <= 2**-P needs about d_i <= 2**-(P+3); one batch reaches 2**-(P+4)
     distances = ConsecutiveDistances(seq, P + 4)
     slack = Dyadic.make(1, -P - 2)
@@ -521,25 +539,14 @@ def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> Certif
         if distances[i] <= slack:
             eps = distances.tail_bound(i, slack)
             if eps <= slack:
-                break
+                return i, eps
         i += 1
-    # |xi_j - y_j / y_0| <= eps * ||y|| / y_0 = eps: y_0 = ||y|| > 0 because
-    # q(y) = 1 with b, c > 1 and the recurrence keep the first coordinate
-    # positive and largest (representative (1, xi1, xi2) has max norm 1).
-    y = seq.y(i)
-    box1, box2 = (_enclose(y[k], y[0], eps, bits) for k in (1, 2))
-    xi1, xi2 = (CertifiedReal.from_scaled(lo, hi, bits) for lo, hi in (box1, box2))
-    if any(hi - lo > 1 << (bits - P) for lo, hi in (box1, box2)):
-        raise AssertionError("enclosure construction exceeded target width")
-    _check_on_conic(seq, box1, box2, bits)
-    return CertifiedVec3(xi1, xi2, CertifiedReal(eps, eps, 64))
 
 
-def _enclose(num: int, den: int, eps: Dyadic, p: int) -> tuple[int, int]:
-    """Integers lo, hi with [num/den - eps, num/den + eps] inside [lo, hi] 2^-p, for den > 0:
-    floor(num/den 2^p) - ceil(eps 2^p) and ceil(num/den 2^p) + ceil(eps 2^p),
-    both from one division."""
-    e = scale_outward(eps.man, eps.exp + p)[1]
+def _enclose(num: int, den: int, e: int, p: int) -> tuple[int, int]:
+    """Integers lo, hi with [num/den - e 2^-p, num/den + e 2^-p] inside [lo, hi] 2^-p,
+    for den > 0: floor(num/den 2^p) - e and ceil(num/den 2^p) + e, both from one
+    division."""
     lo, hi = scale_outward(num, p, den)
     return lo - e, hi + e
 

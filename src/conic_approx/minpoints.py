@@ -39,15 +39,12 @@ from .targets import Target
 
 
 class MinimalPointRecord(FrozenRecord):
-    __slots__ = ("x", "X", "L", "delta")
+    __slots__ = ("x", "X", "L")
 
-    def __init__(
-        self, x: Vec3, X: int, L: CertifiedReal, delta: tuple[CertifiedReal, CertifiedReal]
-    ) -> None:
+    def __init__(self, x: Vec3, X: int, L: CertifiedReal) -> None:
         set_field(self, "x", x)
         set_field(self, "X", X)
         set_field(self, "L", L)
-        set_field(self, "delta", delta)
 
 
 class ExponentReport(FrozenRecord):
@@ -71,7 +68,7 @@ class ExponentReport(FrozenRecord):
 
 
 class RigidityReport(FrozenRecord):
-    __slots__ = ("independence_set", "insufficient", "checks", "first_holding", "form_values")
+    __slots__ = ("independence_set", "insufficient", "checks", "first_holding")
 
     def __init__(
         self,
@@ -79,13 +76,11 @@ class RigidityReport(FrozenRecord):
         insufficient: bool,
         checks: list[tuple[int, bool]],  # (position k in the independence subsequence, passed)
         first_holding: int | None,
-        form_values: list[int],
     ) -> None:
         set_field(self, "independence_set", independence_set)
         set_field(self, "insufficient", insufficient)
         set_field(self, "checks", checks)
         set_field(self, "first_holding", first_holding)
-        set_field(self, "form_values", form_values)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +113,6 @@ def _record(x, d1, d2, p: int) -> MinimalPointRecord:
         x=x,
         X=x[0],
         L=CertifiedReal.from_scaled(max(e1i[0], e2i[0]), max(e1i[1], e2i[1]), p),
-        delta=(-CertifiedReal.from_scaled(*d1, p), -CertifiedReal.from_scaled(*d2, p)),
     )
 
 
@@ -186,7 +180,7 @@ def _log_interval(x: CertifiedReal) -> float:
 def records_from_sequence(seq, target: Target, max_norm_cap: int):
     """Exact sequence members restated as minimal-point records, up to a norm cap.
 
-    L and delta come from the scan's arithmetic on the grid 2**-bits, where the
+    L comes from the scan's arithmetic on the grid 2**-bits, where the
     precision grows with the cap (`height_precision`, at least 512 bits), so a
     member that the scan also finds gets the same record.
     """
@@ -272,9 +266,8 @@ def rigidity_check(
     rigidity: psi(y_k, y_{k-2}) is an exact integer multiple of y_{k+1}."""
     indep = independence_indices(records)
     ys = [records[i].x for i in indep]
-    form_values = [abs(phi(y)) for y in ys]
     if len(indep) < 4:
-        return RigidityReport(indep, True, [], None, form_values)
+        return RigidityReport(indep, True, [], None)
     checks = []
     first_holding = None
     for k in range(2, len(ys) - 1):
@@ -285,4 +278,4 @@ def rigidity_check(
             first_holding = k
         if not ok:
             first_holding = None
-    return RigidityReport(indep, False, checks, first_holding, form_values)
+    return RigidityReport(indep, False, checks, first_holding)

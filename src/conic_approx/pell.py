@@ -1,8 +1,8 @@
 """Continued fractions of sqrt(b) and solutions of x^2 - b*y^2 = 1."""
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import isqrt
-from typing import Iterator
 
 from .arith import is_square, is_squarefree
 from .records import FrozenRecord, set_field

@@ -99,36 +99,6 @@ def primitive(v) -> Vec3:
     return tuple(ints)  # type: ignore[return-value]
 
 
-def _nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Nullspace basis of a matrix with Fraction entries (row count arbitrary, 3 cols)."""
-    m = [row[:] for row in rows]
-    ncols = 3
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(vec)
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # the form itself
 # ---------------------------------------------------------------------------
@@ -242,9 +212,27 @@ def psi(phi: TernaryQuadraticForm, x, y):
 
 
 def kernel(phi: TernaryQuadraticForm) -> list[Vec3]:
-    """Basis of the radical {v : B(v, w) = 0 for all w}, as primitive integer vectors."""
-    rows = [[Fraction(x) for x in row] for row in phi.gram()]
-    return [primitive(v) for v in _nullspace(rows)]
+    """Basis of the radical {v : B(v, w) = 0 for all w}, as primitive integer vectors.
+
+    From the Gram rows g_i: none at rank 3, the cross product of two
+    independent rows at rank 2, and at rank 1, with g a non-zero row and p its
+    first non-zero column, e_f - (g_f / g_p) e_p for each other column f.
+    """
+    if phi.gram_det:
+        return []
+    g = phi.gram()
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        w = cross(g[i], g[j])
+        if any(w):
+            return [primitive(w)]
+    row = next(r for r in g if any(r))
+    p = next(k for k in range(3) if row[k])
+    # g_p e_f - g_f e_p, a multiple of e_f - (g_f / g_p) e_p
+    return [
+        primitive([row[p] * (k == f) - row[f] * (k == p) for k in range(3)])
+        for f in range(3)
+        if f != p
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -302,22 +290,6 @@ def diagonalize(phi: TernaryQuadraticForm) -> tuple[list[RatVec3], list[Fraction
         values.append(Fraction(phi(v)))
         space = _project_complement(phi, v, space)
     return basis, values
-
-
-def is_reducible_over_q(phi: TernaryQuadraticForm) -> bool:
-    """Whether the form factors into two rational linear forms."""
-    _, values = diagonalize(phi)
-    nonzero = [v for v in values if v != 0]
-    rank = len(nonzero)
-    if rank == 3:
-        return False
-    if rank <= 1:
-        return True  # scalar times the square of one linear form
-    ratio = -nonzero[1] / nonzero[0]
-    if ratio <= 0:
-        return False
-    s, f = squarefree_scale(ratio)
-    return f == 1
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +350,20 @@ def rational_zero(phi: TernaryQuadraticForm) -> Vec3 | None:
 
     Requires phi irreducible over Q.
     """
-    ker = kernel(phi)
-    if len(ker) >= 2:
+    return _rational_zero(phi, *diagonalize(phi))
+
+
+def _rational_zero(phi: TernaryQuadraticForm, basis, values) -> Vec3 | None:
+    """`rational_zero` of phi, given `diagonalize(phi)`."""
+    radical = [v for v, val in zip(basis, values) if val == 0]
+    if len(radical) >= 2:
         raise DegenerateFormError("form has rank at most 1")
-    if len(ker) == 1:
+    if radical:
         # the radical line is the unique rational zero of an irreducible degenerate form
-        v = ker[0]
+        v = primitive(radical[0])
         assert phi(v) == 0
         return v
 
-    basis, values = diagonalize(phi)
-    assert all(v != 0 for v in values)
     if all(v > 0 for v in values) or all(v < 0 for v in values):
         return None  # definite: no real zero at all
 
@@ -457,14 +432,12 @@ class CanonicalReduction(FrozenRecord):
 
 
 def _orthogonal_line(phi: TernaryQuadraticForm, u, v) -> RatVec3:
-    # B(w, u) = sum_j w_j B(e_j, u); nullspace over w
-    rows_t = [
-        [Fraction(phi.bilinear(e, u)) for e in _STD],
-        [Fraction(phi.bilinear(e, v)) for e in _STD],
-    ]
-    ns = _nullspace(rows_t)
-    assert len(ns) == 1
-    return tuple(ns[0])  # type: ignore[return-value]
+    """The line B-orthogonal to u and v, scaled so its last non-zero coordinate is 1."""
+    # B(w, x) = sum_j w_j B(e_j, x), so w is orthogonal to the rows G u and G v
+    gu, gv = ([phi.bilinear(e, x) for e in _STD] for x in (u, v))
+    w = cross(gu, gv)
+    last = next(Fraction(x) for x in reversed(w) if x)
+    return tuple(x / last for x in w)  # type: ignore[return-value]
 
 
 _STD = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -475,38 +448,25 @@ def reduce_form(phi: TernaryQuadraticForm) -> CanonicalReduction:
 
     Raises FormRejected subclasses for reducible, definite, or rank <= 1 forms.
     """
-    ker = kernel(phi)
-    if len(ker) >= 2:
+    basis, values = diagonalize(phi)
+    nz = [(v, val) for v, val in zip(basis, values) if val != 0]
+    if len(nz) <= 1:
         raise DegenerateFormError("form has rank at most 1")
-    if is_reducible_over_q(phi):
-        raise ReducibleFormError("form factors over Q")
 
-    if len(ker) == 1:
-        # rank 2: candidate pair-of-lines; diagonalize the complement
-        basis, values = diagonalize(phi)
-        nz = [(v, val) for v, val in zip(basis, values) if val != 0]
-        assert len(nz) == 2
+    if len(nz) == 2:
+        # rank 2: candidate pair-of-lines
         kvec = next(v for v, val in zip(basis, values) if val == 0)
         (v0, r), (v1, s) = nz
         if r * s > 0:
             raise DefiniteFormError("real zero set is a single point")
         s1, b = squarefree_scale(-s / r)
-        if b == 1:  # would factor as difference of squares
+        if b == 1:  # -s/r a square; of all forms of rank >= 2 only these factor over Q
             raise ReducibleFormError("form factors over Q")
         v1 = tuple(s1 * x for x in v1)
-        T = mat_from_columns([v0, v1, kvec])
-        red = CanonicalReduction(CASE_PAIR_OF_LINES, T, 1 / r, b=b)
-        if not red.verify(phi):  # pragma: no cover
-            raise AssertionError("reduction identity failed")
-        return red
-
-    # nondegenerate
-    basis, values = diagonalize(phi)
-    if all(v > 0 for v in values) or all(v < 0 for v in values):
+        red = CanonicalReduction(CASE_PAIR_OF_LINES, mat_from_columns([v0, v1, kvec]), 1 / r, b=b)
+    elif all(v > 0 for v in values) or all(v < 0 for v in values):
         raise DefiniteFormError("empty real zero set")
-
-    zero = rational_zero(phi)
-    if zero is not None:
+    elif (zero := _rational_zero(phi, basis, values)) is not None:
         # hyperbolic plane through the rational zero
         v0 = zero
         w = next(e for e in _STD if phi.bilinear(v0, e) != 0)
@@ -518,28 +478,22 @@ def reduce_form(phi: TernaryQuadraticForm) -> CanonicalReduction:
         assert qv1 != 0
         scale = -qv1 / Fraction(phi.bilinear(v0, v2))
         v2 = tuple(scale * x for x in v2)
-        T = mat_from_columns([v0, v1, v2])
-        red = CanonicalReduction(CASE_PARABOLA, T, -1 / qv1)
-        if not red.verify(phi):  # pragma: no cover
-            raise AssertionError("reduction identity failed")
-        return red
-
-    # anisotropic: order so the first diagonal value has the minority sign
-    pos = [i for i, v in enumerate(values) if v > 0]
-    neg = [i for i, v in enumerate(values) if v < 0]
-    first, others = (pos[0], neg) if len(pos) == 1 else (neg[0], pos)
-    v0 = basis[first]
-    mu = 1 / values[first]
-    scaled = []
-    bc = []
-    for i in others:
-        s_i, f_i = squarefree_scale(-mu * values[i])
-        scaled.append(tuple(s_i * x for x in basis[i]))
-        bc.append(f_i)
-    b, c = bc
-    assert b > 1 and c > 1, "b or c equal to 1 contradicts absence of rational zeros"
-    T = mat_from_columns([v0, scaled[0], scaled[1]])
-    red = CanonicalReduction(CASE_ANISOTROPIC, T, mu, b=b, c=c)
+        red = CanonicalReduction(CASE_PARABOLA, mat_from_columns([v0, v1, v2]), -1 / qv1)
+    else:
+        # anisotropic: order so the first diagonal value has the minority sign
+        pos = [i for i, v in enumerate(values) if v > 0]
+        neg = [i for i, v in enumerate(values) if v < 0]
+        first, others = (pos[0], neg) if len(pos) == 1 else (neg[0], pos)
+        mu = 1 / values[first]
+        scaled = [basis[first]]
+        bc = []
+        for i in others:
+            s_i, f_i = squarefree_scale(-mu * values[i])
+            scaled.append(tuple(s_i * x for x in basis[i]))
+            bc.append(f_i)
+        b, c = bc
+        assert b > 1 and c > 1, "b or c equal to 1 contradicts absence of rational zeros"
+        red = CanonicalReduction(CASE_ANISOTROPIC, mat_from_columns(scaled), mu, b=b, c=c)
     if not red.verify(phi):  # pragma: no cover
         raise AssertionError("reduction identity failed")
     return red

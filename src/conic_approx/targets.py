@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Protocol
 
 from .arith import is_square
 from .extremal import CertifiedVec3, ExtremalSequence, limit_point, seed_triple
@@ -10,10 +9,11 @@ from .numerics import CertifiedReal, check_cap, sqrt_outward
 from .records import FrozenRecord, Record, set_field
 
 
-class Target(Protocol):
+class Target:
     """A point (1, xi1, xi2) with 1, xi1, xi2 linearly independent over Q, the
     paper's hypothesis: L(x) never vanishes, so every record comparison is
-    decided at some finite precision."""
+    decided at some finite precision.  Only annotations name it: a target is
+    any object with this method."""
 
     def enclosure(self, bits: int) -> tuple[CertifiedReal, CertifiedReal]:
         """Enclosures of (xi1, xi2) with widths at most 2**-bits."""

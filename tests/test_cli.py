@@ -56,6 +56,32 @@ def as_decimal(f: Path) -> str:
         sys.set_int_max_str_digits(old)
 
 
+# `construct --b 2 --c 3 --depth 3` as written before `tail_bound` moved to the
+# grid of xi1 and xi2: the tail bound itself, at precision 64
+LEGACY_XI = {
+    "b": "2",
+    "c": "3",
+    "depth": 3,
+    "precision": 128,
+    "seed": ["0x3", "0x2", "0x63", "0x46", "0x2", "0x1"],
+    "tail_bound": {
+        "hi": {"exp": -248, "man": "0x6a6323f32ce6c17f"},
+        "lo": {"exp": -248, "man": "0x6a6323f32ce6c17f"},
+        "precision": 64,
+    },
+    "xi1": {
+        "hi": {"exp": -135, "man": "0x5a8196a37226a8de725ff69b36215bcd77"},
+        "lo": {"exp": -137, "man": "0x16a065a8dc89aa379c97fda6cd8856f35d9"},
+        "precision": 137,
+    },
+    "xi2": {
+        "hi": {"exp": -137, "man": "0x295fcfd69ea48ac78c3451d27871c0ced"},
+        "lo": {"exp": -136, "man": "0x14afe7eb4f524563c61a28e93c38e0675"},
+        "precision": 137,
+    },
+}
+
+
 def assert_one_line(capsys, prefix: str) -> None:
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
@@ -564,6 +590,37 @@ class TestEnumerate:
         assert self._enumerate_xi(f, capsys) == 0
         assert (tmp_path / "records" / "records.csv").read_bytes() == from_hex
 
+    def test_tail_bound_shares_the_grid_of_xi1_and_xi2(self, tmp_path):
+        _, obj = self._xi(tmp_path)
+        grids = {key: obj[key]["precision"] for key in ("xi1", "xi2", "tail_bound")}
+        assert grids == dict.fromkeys(grids, 137)  # max(64, 128 + 9)
+
+    def test_legacy_xi_file_passes_the_enclosure_check(self, tmp_path, capsys):
+        f = tmp_path / "xi.json"
+        f.write_text(json.dumps(LEGACY_XI))
+        assert self._enumerate_xi(f, capsys) == 0
+        rows = (tmp_path / "records" / "records.csv").read_text().splitlines()
+        assert any(row.split(",")[1:4] == ["198", "140", "1"] for row in rows)
+
+    def test_tampered_legacy_tail_bound_is_invariant_failure(self, tmp_path, capsys):
+        obj = json.loads(json.dumps(LEGACY_XI))
+        for end in ("lo", "hi"):
+            obj["tail_bound"][end]["man"] = hex(read_int(obj["tail_bound"][end]["man"]) + 2)
+        f = tmp_path / "xi.json"
+        f.write_text(json.dumps(obj))
+        assert self._enumerate_xi(f, capsys) == 4
+        assert_one_line(capsys, f"invariant failure: --xi {f}: tail_bound differs ")
+        assert not (tmp_path / "records").exists()
+
+    @pytest.mark.parametrize("pair", ["2,3,5", ",", "2", "", "2,x", "2;3", "-1,2", "2,-3"])
+    def test_malformed_sqrt_says_what_it_needs(self, tmp_path, capsys, pair):
+        out = tmp_path / "run"
+        assert main(["enumerate", f"--sqrt={pair}", "--xmax", "100", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --sqrt needs two non-negative integers A,B, not {pair!r}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("precision", [None, 0, -1, "128", True])
     def test_xi_file_without_positive_precision_is_input_error(self, tmp_path, capsys, precision):
         f, obj = self._xi(tmp_path)
@@ -720,7 +777,7 @@ class TestPinnedOutputs:
         got["verify stdout"] = sha256(verified.encode())
         assert got == {
             "sequence.jsonl": "e73558fac6cefc5a9a9e0baa1008417626e8e9a5e204790fe9db618c8a46eeae",
-            "xi.json": "9a65774cc471f6b89dfca7e8f2ec8f99640ea8e2cea3d417420112e95080b64a",
+            "xi.json": "c0c90c370d90b8b664709e0879e499599dbed093721c6cbe92b6034fcc4a127a",
             "records.csv": "9e6c9a0ad33166fa0196d2cf2d1b2cf00820ef1e015c7eef953433f28ae3f318",
             "report.json": "d71f56f0a8f86d02fad94dd583b9c1e30f92c90721dbce91cf8b0495d4bbe7d7",
             "verify stdout": "cf22b8527640b1c3b72a07c4f834bd58397732cfa9c3913af116b3b40c4b4056",

@@ -1,4 +1,5 @@
 """Seeded sequences on the conic: recurrences, growth, limit-point enclosures."""
+import math
 import os
 import signal
 from fractions import Fraction
@@ -18,6 +19,7 @@ from conic_approx.extremal import (
     Window,
     extend,
     growth_ratios,
+    limit_index,
     limit_point,
     seed_triple,
     verify_no_small_relation,
@@ -505,8 +507,14 @@ class TestCertifiedLimit:
         while 4 * reference_tail_bound(seq, start, tw / 4) > tw:
             start += 1
         exact = reference_tail_bound(seq, start, tw / 4)
+        i, eps = limit_index(seq, 500)
+        assert i == start
+        assert exact <= eps.as_fraction() <= exact * (1 + Fraction(1, 2**56))
+        # the enclosure carries eps rounded up to the grid 2**-509 of xi1 and xi2
+        grid = Fraction(1, 2**509)
         assert enc.tail_bound.lo == enc.tail_bound.hi
-        assert exact <= enc.tail_bound.hi.as_fraction() <= exact * (1 + Fraction(1, 2**56))
+        assert enc.tail_bound.precision == enc.xi1.precision == enc.xi2.precision == 509
+        assert enc.tail_bound.hi.as_fraction() == math.ceil(eps.as_fraction() / grid) * grid
 
     def test_tampered_member_breaks_the_quartic_decay(self):
         seq = extend(seed_triple(2, 3), 12)
@@ -519,7 +527,7 @@ class TestCertifiedLimit:
     def test_tampered_enclosure_is_off_the_conic(self, monkeypatch):
         real = extremal._enclose
         monkeypatch.setattr(
-            extremal, "_enclose", lambda num, den, eps, p: real(num + 1, den, eps, p)
+            extremal, "_enclose", lambda num, den, e, p: real(num + 1, den, e, p)
         )
         with pytest.raises(InvariantViolation) as err:
             limit_point(seed_triple(2, 3), Fraction(1, 2**128))

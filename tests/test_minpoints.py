@@ -305,7 +305,7 @@ class TestExponentReport:
         shared = [r for r in recs if r.x in scanned]
         assert len(shared) == 3
         for r in shared:
-            assert (r.L, r.delta) == (scanned[r.x].L, scanned[r.x].delta)
+            assert r == scanned[r.x]
 
     def test_records_from_sequence_at_height_1e200(self):
         seq = seed_triple(2, 3)

@@ -1,12 +1,14 @@
 """Ternary forms: evaluation, the reflection operator, reduction, rational zeros."""
+import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+from conic_approx import quadform
 from conic_approx.quadform import (
     CASE_ANISOTROPIC,
     CASE_PARABOLA,
@@ -15,6 +17,9 @@ from conic_approx.quadform import (
     FormRejected,
     ReducibleFormError,
     TernaryQuadraticForm,
+    _orthogonal_line,
+    cross,
+    diagonalize,
     kernel,
     mat_det,
     psi,
@@ -123,6 +128,30 @@ class TestPsi:
         assert left == tuple(a * u + b * v for u, v in zip(py, pz))
 
 
+def _product(l, m, k=1) -> tuple[int, ...]:
+    """Coefficients of k * (l.x) * (m.x)."""
+    return (
+        k * l[0] * m[0], k * l[1] * m[1], k * l[2] * m[2],
+        k * (l[0] * m[1] + l[1] * m[0]),
+        k * (l[0] * m[2] + l[2] * m[0]),
+        k * (l[1] * m[2] + l[2] * m[1]),
+    )
+
+
+linear = st.tuples(*[st.integers(-5, 5)] * 3).filter(any)
+rank_one_form = st.builds(lambda l, k: TernaryQuadraticForm(*_product(l, l, k)), linear, nonzero)
+rank_two_form = st.builds(
+    lambda l, m, j, k: tuple(x + y for x, y in zip(_product(l, l, j), _product(m, m, k))),
+    linear, linear, nonzero, nonzero,
+).filter(any).map(lambda cs: TernaryQuadraticForm(*cs))
+any_rank_form = st.one_of(small_form, rank_one_form, rank_two_form)
+STD = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def rank(f: TernaryQuadraticForm) -> int:
+    return sum(1 for v in diagonalize(f)[1] if v)
+
+
 class TestKernel:
     def test_missing_variable(self):
         assert kernel(TernaryQuadraticForm(1, -2, 0)) == [(0, 0, 1)]
@@ -133,8 +162,57 @@ class TestKernel:
     def test_parabola_nondegenerate(self):
         assert kernel(PARABOLA) == []
 
+    @pytest.mark.parametrize(
+        "coeffs,basis",
+        [
+            ((4, 9, 25, -12, 20, -30), [(3, 2, 0), (5, 0, -2)]),  # (2x0 - 3x1 + 5x2)^2
+            ((1, 0, 0), [(0, 1, 0), (0, 0, 1)]),
+            ((0, 3, -2, -2, -4, 5), [(7, 4, -2)]),
+            ((5, -3, -11, 4, 2, -2), []),
+        ],
+    )
+    def test_pinned_basis(self, coeffs, basis):
+        assert kernel(TernaryQuadraticForm(*coeffs)) == basis
+
+    @given(any_rank_form)
+    @settings(max_examples=300)
+    def test_primitive_basis_of_the_radical(self, f):
+        ker = kernel(f)
+        assert len(ker) == 3 - rank(f)
+        for v in ker:
+            assert math.gcd(*v) == 1 and next(x for x in v if x) > 0
+            assert all(f.bilinear(v, e) == 0 for e in STD)
+        if len(ker) == 2:
+            assert any(cross(*ker))
+
+
+class TestOrthogonalLine:
+    @given(small_form, int_vec, int_vec, st.integers(1, 9))
+    @settings(max_examples=300)
+    def test_orthogonal_to_both_and_last_coordinate_one(self, f, u, v, den):
+        v = tuple(Fraction(x, den) for x in v)
+        assume(any(cross(*([f.bilinear(e, x) for e in STD] for x in (u, v)))))
+        w = _orthogonal_line(f, u, v)
+        assert f.bilinear(w, u) == 0 and f.bilinear(w, v) == 0
+        assert next(x for x in reversed(w) if x) == 1
+
 
 class TestRationalZero:
+    @pytest.mark.parametrize(
+        "coeffs,zero",
+        [
+            ((-10, -9, -3, -9, 2, -12), (3, -2, 6)),
+            ((0, 3, -2, -2, -4, 5), (7, 4, -2)),  # rank 2: the radical line
+            ((5, -3, -11, 4, 2, -2), None),
+        ],
+    )
+    def test_pinned(self, coeffs, zero):
+        assert rational_zero(TernaryQuadraticForm(*coeffs)) == zero
+
+    def test_rank_one_rejected(self):
+        with pytest.raises(DegenerateFormError, match="^form has rank at most 1$"):
+            rational_zero(TernaryQuadraticForm(4, 9, 25, -12, 20, -30))
+
     def test_parabola(self):
         v = rational_zero(PARABOLA)
         assert v is not None and PARABOLA(v) == 0
@@ -225,6 +303,53 @@ class TestReduceForm:
         # x0^2 - x1^2 = (x0-x1)(x0+x1)
         with pytest.raises(ReducibleFormError):
             reduce_form(TernaryQuadraticForm(1, -1, 0))
+
+
+F = Fraction
+# (case, T, mu, b, c), or (exception, message), of each outcome
+PINNED_REDUCTIONS = {
+    (-10, -9, -3, -9, 2, -12): (
+        CASE_PARABOLA,
+        ((3, F(2, 11), 0), (-2, F(-2, 11), F(-19, 1089)), (6, 1, F(19, 363))),
+        F(121, 95), 0, 0,
+    ),
+    (-2, -2, -2, -10, -4, -10): (
+        "pair-of-lines", ((1, -5, -1), (0, 2, 0), (0, 0, 1)), F(-1, 2), 21, 0,
+    ),
+    (5, -3, -11, 4, 2, -2): (
+        CASE_ANISOTROPIC, ((1, -2, -5), (0, 5, -35), (0, 0, 95)), F(1, 5), 19, 19285,
+    ),
+    (4, 9, 25, -12, 20, -30): (DegenerateFormError, "form has rank at most 1"),
+    (0, 3, -2, -2, -4, 5): (ReducibleFormError, "form factors over Q"),
+    (12, 10, 3, -4, 12, -2): (DefiniteFormError, "real zero set is a single point"),
+    (5, 11, 12, 12, 3, 12): (DefiniteFormError, "empty real zero set"),
+}
+
+
+@pytest.mark.parametrize("coeffs", sorted(PINNED_REDUCTIONS))
+class TestPinnedReductions:
+    def test_same_reduction_or_rejection(self, coeffs):
+        f = TernaryQuadraticForm(*coeffs)
+        want = PINNED_REDUCTIONS[coeffs]
+        if isinstance(want[0], str):
+            r = reduce_form(f)
+            assert (r.case, r.T, r.mu, r.b, r.c) == want
+            assert all(type(x) is Fraction for row in r.T for x in row)
+        else:
+            with pytest.raises(want[0]) as info:
+                reduce_form(f)
+            assert str(info.value) == want[1]
+
+    def test_one_diagonalization_and_no_kernel(self, coeffs, monkeypatch):
+        calls = []
+        diagonalize = quadform.diagonalize
+        monkeypatch.setattr(quadform, "diagonalize", lambda f: calls.append("d") or diagonalize(f))
+        monkeypatch.setattr(quadform, "kernel", lambda f: calls.append("k") or kernel(f))
+        try:
+            reduce_form(TernaryQuadraticForm(*coeffs))
+        except FormRejected:
+            pass
+        assert calls == ["d"]
 
 
 def _random_gl3(rng: random.Random):

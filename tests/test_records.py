@@ -36,8 +36,8 @@ FROZEN = {
         lambda: CertifiedVec3(HALF, HALF, -HALF),
     ),
     "MinimalPointRecord": (
-        lambda: MinimalPointRecord((1, 1, 2), 1, HALF, (HALF, HALF)),
-        lambda: MinimalPointRecord((1, 1, 2), 1, HALF, (HALF, -HALF)),
+        lambda: MinimalPointRecord((1, 1, 2), 1, HALF),
+        lambda: MinimalPointRecord((1, 1, 2), 1, -HALF),
     ),
     "SqrtPairTarget": (lambda: SqrtPairTarget(2, 3), lambda: SqrtPairTarget(2, 5)),
     "ExponentReport": (
@@ -45,8 +45,8 @@ FROZEN = {
         lambda: ExponentReport([(1, 0.5)], 0.5, 0.1, 0.2, [1, 2], 0.3),
     ),
     "RigidityReport": (
-        lambda: RigidityReport([1], False, [(1, True)], 1, [1]),
-        lambda: RigidityReport([1], True, [(1, True)], 1, [1]),
+        lambda: RigidityReport([1], False, [(1, True)], 1),
+        lambda: RigidityReport([1], True, [(1, True)], 1),
     ),
 }
 # records whose fields hold lists, so hashing them fails
