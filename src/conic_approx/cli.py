@@ -26,7 +26,14 @@ from .extremal import (
 from .minpoints import enumerate_minimal, estimate_lambda, rigidity_check
 from .numerics import CertifiedReal, Dyadic, PrecisionCapError, precision_cap
 from .pell import cf_expansion, find_seed_pair, fundamental_solution, next_solution
-from .quadform import FormRejected, TernaryQuadraticForm, det3, max_norm, reduce_form
+from .quadform import (
+    FormRejected,
+    ReductionIdentityError,
+    TernaryQuadraticForm,
+    det3,
+    max_norm,
+    reduce_form,
+)
 from .targets import DependentTargetError, ExtremalTarget, SqrtPairTarget
 
 EXIT_OK = 0
@@ -103,8 +110,8 @@ def cmd_reduce(args) -> int:
     except FormRejected as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_MATH
-    if not red.verify(phi):  # defensive re-check before printing
-        print("internal error: reduction identity failed", file=sys.stderr)
+    except ReductionIdentityError as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     out = {
         "case": red.case,

@@ -14,6 +14,7 @@ same run proved; see `Window`, `_reflection` and `_constant_determinant`.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import signal
 import struct
@@ -296,9 +297,14 @@ IDENTITIES: tuple[Identity, ...] = (
 # The entries a forked child evaluates when `extend` shares its checks, about
 # half of their cost; the parent evaluates the rest of the table.
 CHILD_SHARE = frozenset({"unit value of the form", "inner product t_{i-1} = B(y_i, y_{i-1})"})
-# Bits of ||y_upto|| from which `extend` forks: on a 2-core x86_64 machine the
-# fork, pipe and reap cost about 1.7 ms, and one index's checks 3-4 ms at 2^15 bits.
+# Bound on the bits of ||y_upto|| from which `extend` forks: on a 2-core x86_64
+# machine a fork, `_exit` and reap cost about 1.6 ms, 1.9 ms with the pipes,
+# the mapping and a child that reads the members, and one index's checks
+# 3-4 ms at 2^15 bits.
 FORK_MIN_BITS = 1 << 15
+# The notice of one new member on the pipe to the child: the bytes of each
+# coordinate of y_i and of t_i in the shared buffer.
+_NOTICE = struct.Struct("<qq")
 # The child's verdict on the pipe: whether an entry failed, its index and its
 # position in `IDENTITIES`.
 _VERDICT = struct.Struct("<?qq")
@@ -310,34 +316,51 @@ def extend(seq: ExtremalSequence, upto: int) -> ExtremalSequence:
     proved, so the first new index reuses nothing and the second reuses
     nothing from before the first.
 
-    The recurrence runs first, for every new index; then the checks.  When
-    the members are large and a second core is free (`_fork_pays`), one
-    forked child evaluates the `CHILD_SHARE` entries at every new index while
-    this process evaluates the others, and the failure reported is the
-    smaller of the two first failures by (index, table position).  That is
-    the serial verdict: every entry before the serial first failure reads
-    only values that entries before it established, so it holds in either
-    process; the failing entry fails in the process that owns it; any other
-    failure comes later.  On a failure the sequence is cut back to the
-    failing index, the last member it stored.
+    When the members will be large and a second core is free (`_fork_pays`
+    on the bound of `_stream_bound`), one child is forked before the
+    recurrence and evaluates the `CHILD_SHARE` entries at each new index as
+    soon as this process has made that member, while this process runs the
+    recurrence and then evaluates the other entries
+    (`_streamed_first_failure`).  The failure reported is the smaller of the
+    two first failures by (index, table position).  That is the serial
+    verdict: every entry before the serial first failure reads only values
+    that entries before it established, so it holds in either process; the
+    failing entry fails in the process that owns it; any other failure comes
+    later.  Otherwise the recurrence runs for every new index and then the
+    checks, here.  On a failure the sequence is cut back to the failing
+    index, the last member it stored.
     """
     first = seq.depth + 1
     if first > upto:
         return seq
-    for i in range(first, upto + 1):
-        t = seq.t(i - 1)
-        y_new = tuple(t * a - b for a, b in zip(seq.y(i - 1), seq.y(i - 3)))
-        seq.ys.append(y_new)  # type: ignore[arg-type]
-        seq.ts.append(t * seq.t(i - 2) - seq.t(i - 3))
-    if _fork_pays(seq, upto):
-        failure = _forked_first_failure(seq, first, upto)
+    bits, size = _stream_bound(seq, first, upto)
+    if _fork_pays(bits):
+        failure = _streamed_first_failure(seq, first, upto, size)
     else:
-        failure = _first_failure(seq, first, upto, range(len(IDENTITIES)))
+        failure = _serial_first_failure(seq, first, upto)
     if failure is not None:
         i, k = failure
         del seq.ys[i + 2:], seq.ts[i + 2:]
         raise InvariantViolation(IDENTITIES[k][0], i)
     return seq
+
+
+def _append_member(seq: ExtremalSequence, i: int) -> None:
+    """Appends y_i = t_{i-1} y_{i-1} - y_{i-3} and t_i = t_{i-1} t_{i-2} - t_{i-3}."""
+    t = seq.t(i - 1)
+    y = tuple(t * a - b for a, b in zip(seq.y(i - 1), seq.y(i - 3)))
+    seq.ys.append(y)  # type: ignore[arg-type]
+    seq.ts.append(t * seq.t(i - 2) - seq.t(i - 3))
+
+
+def _serial_first_failure(
+    seq: ExtremalSequence, first: int, upto: int
+) -> tuple[int, int] | None:
+    """Appends the members first..upto, then returns `_first_failure` over
+    the whole table."""
+    for i in range(first, upto + 1):
+        _append_member(seq, i)
+    return _first_failure(seq, first, upto, range(len(IDENTITIES)))
 
 
 def _first_failure(
@@ -356,10 +379,29 @@ def _first_failure(
     return None
 
 
-def _fork_pays(seq: ExtremalSequence, upto: int) -> bool:
-    """y_upto has at least `FORK_MIN_BITS` bits, `os.fork` exists, this
-    process runs one thread and may run on at least two CPUs."""
-    if max_norm(seq.y(upto)).bit_length() < FORK_MIN_BITS or not hasattr(os, "fork"):
+def _stream_bound(seq: ExtremalSequence, first: int, upto: int) -> tuple[int, int]:
+    """Upper bounds on the bits of ||y_upto|| and on the bytes `_write_member`
+    writes for the indices first..upto, read off the stored members before
+    any new one exists.
+
+    |a b - c| <= |a| |b| + |c| < 2^(bits(a) + bits(b)) + 2^bits(c), so
+    bits(a b - c) <= max(bits(a) + bits(b), bits(c)) + 1.  Both recurrences
+    have that shape, the y recurrence in each coordinate.
+    """
+    ys = [max_norm(seq.y(i)).bit_length() for i in range(first - 3, first)]
+    ts = [seq.t(i).bit_length() for i in range(first - 3, first)]
+    size = 0
+    for _ in range(first, upto + 1):
+        ys.append(max(ts[-1] + ys[-1], ys[-3]) + 1)
+        ts.append(max(ts[-1] + ts[-2], ts[-3]) + 1)
+        size += 3 * _signed_bytes(ys[-1]) + _signed_bytes(ts[-1])
+    return ys[-1], size
+
+
+def _fork_pays(bits: int) -> bool:
+    """`bits` is at least `FORK_MIN_BITS`, `os.fork` exists, this process
+    runs one thread and may run on at least two CPUs."""
+    if bits < FORK_MIN_BITS or not hasattr(os, "fork"):
         return False
     if threading.active_count() != 1:
         return False
@@ -368,55 +410,135 @@ def _fork_pays(seq: ExtremalSequence, upto: int) -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _forked_first_failure(seq: ExtremalSequence, first: int, upto: int) -> tuple[int, int] | None:
-    """`_first_failure` over the whole table, with the `CHILD_SHARE` entries
-    evaluated in one forked child.
+def _streamed_first_failure(
+    seq: ExtremalSequence, first: int, upto: int, size: int
+) -> tuple[int, int] | None:
+    """Appends the members first..upto and returns `_first_failure` over the
+    whole table on them, with the `CHILD_SHARE` entries evaluated in one
+    child forked before the first new member exists.
 
-    The child sends its first failure through a pipe as one `_VERDICT` and
-    leaves through `os._exit`.  This process reads the pipe to its end and
-    reaps the child; if the verdict is short or the child did not exit 0, it
-    evaluates the child's share itself, so no entry passes unevaluated.  If
-    this process raises meanwhile, it kills and reaps the child first.
+    This process writes each new member into an anonymous shared mapping of
+    `size` bytes (`_write_member`) and then its 16-byte `_NOTICE` into a
+    pipe, which holds thousands of them, so it never waits for the child to
+    read.  The child walks with
+    `_first_failure` on member lists that wait for the next notice when the
+    walk reads past their end (`_received`), sends its first failure through
+    a second pipe as one `_VERDICT` and leaves through `os._exit`.  This
+    process sends no further notice once the child has left, reads the
+    verdict pipe to its end and reaps the child; if the verdict is short or
+    the child did not exit 0, it evaluates the child's share itself, so no
+    entry passes unevaluated.  If this process raises meanwhile, it kills and
+    reaps the child first.  Where the mapping or the fork fails, everything
+    runs here (`_serial_first_failure`).
     """
     child = [k for k, (name, _) in enumerate(IDENTITIES) if name in CHILD_SHARE]
     mine = [k for k in range(len(IDENTITIES)) if k not in child]
-    r, w = os.pipe()
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return _first_failure(seq, first, upto, range(len(IDENTITIES)))
-    if pid == 0:
-        status = 1
+        buf = mmap.mmap(-1, size)
+    except (OSError, OverflowError):  # more than memory or the address space holds
+        return _serial_first_failure(seq, first, upto)
+    with buf:
+        notice_r, notice_w = os.pipe()
+        verdict_r, verdict_w = os.pipe()
         try:
-            os.close(r)
-            failure = _first_failure(seq, first, upto, child)
-            os.write(w, _VERDICT.pack(failure is not None, *(failure or (0, 0))))
-            status = 0
+            pid = os.fork()
+        except OSError:
+            for fd in (notice_r, notice_w, verdict_r, verdict_w):
+                os.close(fd)
+            return _serial_first_failure(seq, first, upto)
+        if pid == 0:
+            status = 1
+            try:
+                os.close(notice_w)
+                os.close(verdict_r)
+                failure = _first_failure(_received(seq, buf, notice_r), first, upto, child)
+                os.write(verdict_w, _VERDICT.pack(failure is not None, *(failure or (0, 0))))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(notice_r)
+        os.close(verdict_w)
+        try:
+            for i in range(first, upto + 1):
+                _append_member(seq, i)
+                notice = _write_member(buf, seq.ys[-1], seq.ts[-1])
+                try:
+                    os.write(notice_w, notice)
+                except BrokenPipeError:  # the child has left; its verdict tells why
+                    pass
+            failures = [_first_failure(seq, first, upto, mine)]
+            verdict = b""
+            while chunk := os.read(verdict_r, _VERDICT.size):
+                verdict += chunk
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
         finally:
-            os._exit(status)
-    os.close(w)
-    try:
-        failures = [_first_failure(seq, first, upto, mine)]
-        verdict = b""
-        while chunk := os.read(r, _VERDICT.size):
-            verdict += chunk
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(r)
-        try:
-            exited_0 = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        except ChildProcessError:  # reaped elsewhere, e.g. with SIGCHLD ignored
-            exited_0 = False
+            os.close(notice_w)
+            os.close(verdict_r)
+            try:
+                exited_0 = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            except ChildProcessError:  # reaped elsewhere, e.g. with SIGCHLD ignored
+                exited_0 = False
     if len(verdict) == _VERDICT.size and exited_0:
         failed, i, k = _VERDICT.unpack(verdict)
         failures.append((i, k) if failed else None)
     else:
         failures.append(_first_failure(seq, first, upto, child))
     return min((f for f in failures if f is not None), default=None)
+
+
+def _signed_bytes(bits: int) -> int:
+    """Bytes of a signed int whose absolute value has at most `bits` bits."""
+    return bits // 8 + 1
+
+
+def _write_member(buf: mmap.mmap, y: Vec3, t: int) -> bytes:
+    """Writes the coordinates of y, then t, at the position of `buf` as signed
+    little-endian ints, and returns the `_NOTICE` of their sizes."""
+    ny, nt = _signed_bytes(max_norm(y).bit_length()), _signed_bytes(t.bit_length())
+    for x in y:
+        buf.write(x.to_bytes(ny, "little", signed=True))
+    buf.write(t.to_bytes(nt, "little", signed=True))
+    return _NOTICE.pack(ny, nt)
+
+
+def _read_member(buf: mmap.mmap, notice: bytes) -> tuple[Vec3, int]:
+    """The y and t that `_write_member` wrote at the position of `buf`."""
+    ny, nt = _NOTICE.unpack(notice)
+    y = tuple(int.from_bytes(buf.read(ny), "little", signed=True) for _ in range(3))
+    return y, int.from_bytes(buf.read(nt), "little", signed=True)  # type: ignore[return-value]
+
+
+class _Received(list):
+    """A member list of the forked child: reading past its end first pulls
+    the parent's next members."""
+
+    __slots__ = ("pull",)
+
+    def __getitem__(self, k):
+        while k >= len(self):
+            self.pull()
+        return list.__getitem__(self, k)
+
+
+def _received(seq: ExtremalSequence, buf: mmap.mmap, fd: int) -> ExtremalSequence:
+    """`seq` with member lists that append, for each `_NOTICE` read from
+    `fd`, the member `_write_member` put in `buf`."""
+    ys, ts = _Received(seq.ys), _Received(seq.ts)
+
+    def pull() -> None:
+        # every notice is one write of fewer than PIPE_BUF bytes, so a read
+        # returns whole notices; a short one is the end of the pipe
+        notice = os.read(fd, _NOTICE.size)
+        if len(notice) < _NOTICE.size:
+            raise EOFError("the parent sent no further member")
+        y, t = _read_member(buf, notice)
+        ys.append(y)
+        ts.append(t)
+
+    ys.pull = ts.pull = pull
+    return ExtremalSequence(seq.b, seq.c, seq.seed, seq.form, ys, ts, seq.det0)
 
 
 class ConsecutiveDistances:

@@ -42,6 +42,10 @@ class DefiniteFormError(FormRejected):
     pass
 
 
+class ReductionIdentityError(RuntimeError):
+    """The identity mu * (phi o T) == canonical form failed for the reduction found."""
+
+
 # ---------------------------------------------------------------------------
 # small exact linear algebra
 # ---------------------------------------------------------------------------
@@ -446,7 +450,8 @@ _STD = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 def reduce_form(phi: TernaryQuadraticForm) -> CanonicalReduction:
     """Reduce an irreducible indefinite form to its canonical shape.
 
-    Raises FormRejected subclasses for reducible, definite, or rank <= 1 forms.
+    Raises FormRejected subclasses for reducible, definite, or rank <= 1 forms,
+    and ReductionIdentityError if the exact check of the result fails.
     """
     basis, values = diagonalize(phi)
     nz = [(v, val) for v, val in zip(basis, values) if val != 0]
@@ -494,6 +499,6 @@ def reduce_form(phi: TernaryQuadraticForm) -> CanonicalReduction:
         b, c = bc
         assert b > 1 and c > 1, "b or c equal to 1 contradicts absence of rational zeros"
         red = CanonicalReduction(CASE_ANISOTROPIC, mat_from_columns(scaled), mu, b=b, c=c)
-    if not red.verify(phi):  # pragma: no cover
-        raise AssertionError("reduction identity failed")
+    if not red.verify(phi):
+        raise ReductionIdentityError("reduction identity mu * (phi o T) = canonical form failed")
     return red

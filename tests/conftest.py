@@ -42,7 +42,7 @@ def forks(monkeypatch):
     appends an index (the size threshold is 0).  Skips where `extend` cannot
     fork at all."""
     monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0)
-    if not extremal._fork_pays(extremal.seed_triple(2, 3), 1):
+    if not extremal._fork_pays(0):
         pytest.skip("extend does not fork here: no os.fork, one CPU or other threads")
     calls = []
     real = os.fork
@@ -61,7 +61,7 @@ def extend_path(request, monkeypatch):
     "serial" never forks; "forked" forks at every call that appends an index,
     and the test fails if no call forked."""
     if getattr(request.cls, "PATH", "serial") == "serial":
-        monkeypatch.setattr(extremal, "_fork_pays", lambda seq, upto: False)
+        monkeypatch.setattr(extremal, "_fork_pays", lambda bits: False)
         yield
         return
     calls = request.getfixturevalue("forks")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conic_approx import targets
+from conic_approx import quadform, targets
 from conic_approx.cli import build_parser, main, read_int
 from conic_approx.extremal import (
     IDENTITIES,
@@ -151,6 +151,34 @@ class TestReduce:
             "error: cannot read form: unknown key 'a99'; "
             "a form has only a00, a11, a22, a01, a02, a12\n"
         )
+
+    CASES = {
+        "anisotropic": ANISO_FORM,
+        "parabola": dict(ANISO_FORM, a00="0", a11="-1", a22="0", a02="1"),
+        "pair-of-lines": dict(ANISO_FORM, a22="0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_failed_reduction_identity_is_one_invariant_line(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        monkeypatch.setattr(quadform.CanonicalReduction, "verify", lambda self, phi: False)
+        assert main(["reduce", "--form", write_form(tmp_path, self.CASES[case])]) == 4
+        assert_one_line(capsys, "invariant failure: ")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_identity_check_per_reduce(self, tmp_path, capsys, monkeypatch, case):
+        calls = []
+        real = quadform.CanonicalReduction.verify
+
+        def counting_verify(self, phi):
+            calls.append(phi)
+            return real(self, phi)
+
+        monkeypatch.setattr(quadform.CanonicalReduction, "verify", counting_verify)
+        assert main(["reduce", "--form", write_form(tmp_path, self.CASES[case])]) == 0
+        assert json.loads(capsys.readouterr().out)["case"] == case
+        assert len(calls) == 1
 
 
 class TestConstruct:

@@ -1,14 +1,17 @@
 """Seeded sequences on the conic: recurrences, growth, limit-point enclosures."""
+import io
 import math
+import mmap
 import os
+import random
 import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conic_approx import extremal
+from conic_approx import ExtremalTarget, enumerate_minimal, extremal
 from conic_approx.extremal import (
     CHILD_SHARE,
     IDENTITIES,
@@ -26,6 +29,9 @@ from conic_approx.extremal import (
 )
 from conic_approx.numerics import Dyadic, PrecisionCapError, ratio_up
 from conic_approx.quadform import cross, det3, max_norm
+
+# the pairs of the benchmark's `construct` and `pipeline` workloads
+CONSTRUCT_PAIRS = [(3, 2), (3, 6), (2, 3), (3, 7), (3, 5), (3, 11)]
 
 
 class TestSeed:
@@ -229,6 +235,38 @@ def open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
 
+def shared_mappings() -> int:
+    """Anonymous shared mappings of this process, as `mmap.mmap(-1, n)` makes them."""
+    with open("/proc/self/maps") as maps:
+        return sum(line.rstrip().endswith("/dev/zero (deleted)") for line in maps)
+
+
+def stream_hooks(monkeypatch):
+    """The pids `os.fork` returns to this process, and a list of hooks that
+    each get the number of a notice (from 1) before `extend` sends it."""
+    children, hooks, parent = [], [], os.getpid()
+    real_fork, real_write = os.fork, os.write
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    sent = []
+
+    def write(fd, data):
+        if os.getpid() == parent and len(data) == extremal._NOTICE.size:
+            sent.append(data)
+            for hook in hooks:
+                hook(len(sent))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "write", write)
+    return children, hooks
+
+
 class TestSharedChecks:
     """`extend` with one forked child evaluating `CHILD_SHARE` gives the serial
     verdict, leaves the sequence as the serial path does and leaves no child
@@ -297,12 +335,15 @@ class TestSharedChecks:
 
     @pytest.mark.parametrize("how", ["exit 0", "killed", "short verdict", "pass, then exit 1"])
     @pytest.mark.parametrize("tamper", [None, tamper_member])
-    def test_child_without_a_verdict(self, how, tamper, monkeypatch, forks):
+    def test_child_without_a_verdict(self, how, tamper, monkeypatch, forks, tmp_path):
         real, parent = extremal._first_failure, os.getpid()
+        walked = tmp_path / "child walked"
 
         def child_fails(seq, first, upto, positions):
             if os.getpid() == parent:
                 return real(seq, first, upto, positions)
+            seq.y(first)  # waits for the first streamed member
+            walked.touch()
             if how == "exit 0":
                 os._exit(0)
             if how == "killed":
@@ -330,8 +371,89 @@ class TestSharedChecks:
         monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0)
         monkeypatch.setattr(extremal, "_first_failure", child_fails)
         assert outcome(make(), 10) == serial
-        assert forks
+        assert forks and walked.exists()
         assert (serial[0] is None) == (tamper is None)
+
+    @pytest.mark.parametrize("tamper", [None, tamper_member])
+    def test_child_killed_mid_stream(self, tamper, monkeypatch, forks):
+        def make():
+            seq = extend(seed_triple(2, 3), 4)
+            if tamper:
+                tamper(seq)
+            return seq
+
+        monkeypatch.setattr(extremal, "FORK_MIN_BITS", 1 << 62)
+        serial = outcome(make(), 10)
+        monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0)
+        children, notices = stream_hooks(monkeypatch)
+        notices.append(lambda n: n == 2 and os.kill(children[0], signal.SIGKILL))
+        assert outcome(make(), 10) == serial
+        assert forks
+
+    @pytest.mark.parametrize("b,c", [(2, 3), (3, 11)])
+    def test_fork_comes_before_the_first_new_member(self, b, c, monkeypatch, forks):
+        seq = extend(seed_triple(b, c), 6)
+        depths = []
+        real = os.fork
+
+        def fork():
+            depths.append(seq.depth)
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        extend(seq, 12)
+        assert depths == [6]
+        assert seq.depth == 12
+
+    @settings(
+        max_examples=50,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        pair=st.sampled_from(CONSTRUCT_PAIRS),
+        depth=st.integers(6, 14),
+        more=st.integers(1, 4),
+        tamper=st.one_of(
+            st.none(),
+            st.tuples(
+                st.sampled_from(["y", "t"]), st.integers(0, 2), st.integers(0, 2),
+                st.integers(-3, 3).filter(bool),
+            ),
+            st.tuples(st.just("det0"), st.just(0), st.just(0), st.integers(-3, 3).filter(bool)),
+        ),
+    )
+    def test_generated_streamed_outcome_is_the_serial_one(
+        self, pair, depth, more, tamper, monkeypatch, forks
+    ):
+        """A tamper changes what the next call reads: a coordinate of y_j or
+        t_j, j = depth - back, or det0, by k."""
+
+        def make():
+            seq = extend(seed_triple(*pair), depth)
+            if tamper is not None:
+                what, back, coord, k = tamper
+                j = depth - back
+                if what == "y":
+                    y = list(seq.y(j))
+                    y[coord] += k
+                    seq.ys[j + 1] = tuple(y)
+                elif what == "t":
+                    seq.ts[j + 1] += k
+                else:
+                    seq.det0 += k
+            return seq
+
+        serial, streamed = self.both(monkeypatch, forks, make, depth + more)
+        assert streamed == serial
+
+    def checks_everything_here(self):
+        seq = extend(seed_triple(2, 3), 4)
+        tamper_member(seq)
+        fds, maps = open_fds(), shared_mappings()
+        assert outcome(seq, 10) == (("unit value of the form", 5), 5)
+        assert open_fds() == fds and shared_mappings() == maps
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_failed_fork_checks_everything_here(self, monkeypatch, forks):
@@ -339,14 +461,22 @@ class TestSharedChecks:
             raise BlockingIOError("fork: resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        seq = extend(seed_triple(2, 3), 4)
-        tamper_member(seq)
-        fds = open_fds()
-        assert outcome(seq, 10) == (("unit value of the form", 5), 5)
-        assert open_fds() == fds
+        self.checks_everything_here()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    @pytest.mark.parametrize("case", ["pass", "violation", "parent raises"])
+    def test_failed_mapping_checks_everything_here(self, monkeypatch, forks):
+        def no_mapping(fd, size):
+            raise OverflowError("Python int too large to convert to C ssize_t")
+
+        monkeypatch.setattr(extremal.mmap, "mmap", no_mapping)
+        self.checks_everything_here()
+        assert not forks
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize(
+        "case",
+        ["pass", "violation", "parent raises", "parent raises between members", "child killed"],
+    )
     def test_no_child_or_descriptor_left(self, case, monkeypatch, forks):
         seq = extend(seed_triple(2, 3), 4)
         if case == "violation":
@@ -356,15 +486,105 @@ class TestSharedChecks:
                 raise KeyboardInterrupt
 
             monkeypatch.setattr(extremal, "IDENTITIES", IDENTITIES + (("boom", boom),))
-        fds = open_fds()
+        if case == "parent raises between members":
+            _, notices = stream_hooks(monkeypatch)
+
+            def interrupt(n):
+                if n == 3:
+                    raise KeyboardInterrupt
+
+            notices.append(interrupt)
+        if case == "child killed":
+            children, notices = stream_hooks(monkeypatch)
+            notices.append(lambda n: n == 1 and os.kill(children[0], signal.SIGKILL))
+        fds, maps = open_fds(), shared_mappings()
         try:
             extend(seq, 12)
         except (InvariantViolation, KeyboardInterrupt):
-            assert case != "pass"
+            assert case in ("violation", "parent raises", "parent raises between members")
+        else:
+            assert case in ("pass", "child killed")
         assert forks
+        if case == "parent raises between members":
+            assert seq.depth == 4 + 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert open_fds() == fds
+        assert shared_mappings() == maps
+
+
+class TestNoForkBelowTheThreshold:
+    """The workloads whose members stay far below `FORK_MIN_BITS` never fork."""
+
+    @pytest.fixture
+    def fork_calls(self, monkeypatch):
+        calls, real = [], os.fork
+
+        def counting_fork():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        return calls
+
+    def test_construct_to_depth_15_and_its_enclosure(self, fork_calls):
+        for b, c in CONSTRUCT_PAIRS:  # the library side of `cli construct --depth 15`
+            target = ExtremalTarget(b, c)
+            extend(target.sequence, 15)
+            target.limit(128)
+        assert fork_calls == []
+
+    @pytest.mark.parametrize("b,c", [(3, 2), (13, 11)])
+    def test_scan_of_an_extremal_target(self, b, c, fork_calls):
+        assert enumerate_minimal(ExtremalTarget(b, c), 260_000)
+        assert fork_calls == []
+
+
+# ints of either sign with up to 10^5 bits: +-(random bits from a seed + delta)
+BIG_INTS = st.builds(
+    lambda bits, seed, delta, sign: sign * (random.Random(seed).getrandbits(bits) + delta),
+    st.integers(0, 100_000),
+    st.integers(0, 2**32),
+    st.integers(-1, 1),
+    st.sampled_from([1, -1]),
+)
+
+
+class TestStreamedMembers:
+    """The bytes of the members `extend` streams to its forked child."""
+
+    @pytest.mark.parametrize("b,c", CONSTRUCT_PAIRS)
+    def test_bound_covers_what_is_written_at_depths_2_to_22(self, b, c):
+        seq = seed_triple(b, c)
+        written = []  # bytes of member i at written[i - 2]
+        for i in range(2, 23):
+            extremal._append_member(seq, i)
+            out = io.BytesIO()
+            extremal._write_member(out, seq.y(i), seq.t(i))
+            written.append(len(out.getvalue()))
+        for first in range(2, 23):
+            ys, ts = seq.ys[:first + 1], seq.ts[:first + 1]
+            start = ExtremalSequence(b, c, seq.seed, seq.form, ys, ts, seq.det0)
+            for upto in range(first, 23):
+                bits, size = extremal._stream_bound(start, first, upto)
+                assert bits >= max_norm(seq.y(upto)).bit_length()
+                assert size >= sum(written[first - 2:upto - 1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(BIG_INTS, min_size=4, max_size=4))
+    @example([0, 0, 0, 0])
+    @example([-1, -1, -1, -1])
+    @example([0, -1, 1, -(1 << 100_000)])
+    @example([-128, 127, -129, 128])
+    def test_members_round_trip(self, ints):
+        y, t = tuple(ints[:3]), ints[3]
+        nbytes = extremal._signed_bytes
+        size = 3 * nbytes(max_norm(y).bit_length()) + nbytes(t.bit_length())
+        with mmap.mmap(-1, size) as buf:
+            notice = extremal._write_member(buf, y, t)
+            assert buf.tell() == size
+            buf.seek(0)
+            assert extremal._read_member(buf, notice) == (y, t)
 
 
 class TestGrowth:
