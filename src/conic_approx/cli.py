@@ -203,7 +203,15 @@ def _target_from_args(args):
         precision = obj.get("precision")
         if type(precision) is not int or precision < 1:
             raise ValueError(f"--xi {args.xi} needs a positive integer precision")
-        claimed = {key: _real_fields(obj[key]) for key in ("xi1", "xi2", "tail_bound")}
+        claimed = {}
+        for key in ("xi1", "xi2", "tail_bound"):
+            try:
+                claimed[key] = _real_fields(obj[key])
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(
+                    f"--xi {args.xi}: {key} must be an object with lo, hi and precision, "
+                    "lo and hi each with an integer-string man and an exp"
+                ) from None
         return ExtremalTarget(read_int(obj["b"]), read_int(obj["c"])), (precision, claimed)
     if args.sqrt is not None:
         needs = ValueError(f"--sqrt needs two non-negative integers A,B, not {args.sqrt!r}")
@@ -357,10 +365,13 @@ def cmd_verify(args) -> int:
         if not lines:
             raise ValueError("empty file")
         rows = []
-        for line in lines:
+        for n, line in enumerate(lines, 1):
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError(f"row {line[:40]!r} is not a JSON object")
+            missing = [key for key in ("i", "y", "t", "norm_bits") if key not in obj]
+            if missing:
+                raise ValueError(f"line {n} has no {' or '.join(missing)} field")
             if not isinstance(obj["y"], list) or len(obj["y"]) != 3:
                 raise ValueError(f"row i={obj['i']}: y must be a list of 3 integers")
             y = tuple(read_int(v) for v in obj["y"])
@@ -381,13 +392,13 @@ def cmd_verify(args) -> int:
     ys = [r["y"] for r in rows]
     ts = [r["t"] for r in rows]
     det0 = det3(ys[2], ys[1], ys[0])
-    failures = 0
+    first_failure: InvariantViolation | None = None
 
     def check(name: str, ok: bool, index: int) -> None:
-        nonlocal failures
+        nonlocal first_failure
         print(f"{'PASS' if ok else 'FAIL'}  {name} @ i={index}")
-        if not ok:
-            failures += 1
+        if not ok and first_failure is None:
+            first_failure = InvariantViolation(name, index)
 
     for r in rows:
         check("norm_bits", max_norm(r["y"]).bit_length() == r["norm_bits"], r["i"])
@@ -399,9 +410,11 @@ def cmd_verify(args) -> int:
     for i in range(2, len(rows) - 1):
         window = Window(phi, ys, ts, det0, i)
         for name, holds in IDENTITIES:
-            window.proved = i + 1 if failures == 0 else 0
+            window.proved = i + 1 if first_failure is None else 0
             check(name, holds(window), i)
-    return EXIT_OK if failures == 0 else EXIT_INVARIANT
+    if first_failure is not None:
+        raise first_failure  # `main` prints its one `invariant failure:` line
+    return EXIT_OK
 
 
 def cmd_pell(args) -> int:

@@ -9,7 +9,8 @@ golden-ratio growth, to a point (1 : xi1 : xi2) on the conic admitting the
 extremal uniform approximation exponent.  Every algebraic identity the
 construction relies on is re-checked exactly at runtime while extending.
 An entry of the identity tables may reuse values that earlier entries of the
-same run proved; see `Window`, `_reflection` and `_constant_determinant`.
+same run proved; see `Window`, `_reflection`, `_inner_product_next` and
+`_constant_determinant`.
 """
 from __future__ import annotations
 
@@ -141,7 +142,7 @@ class Window(Record):
     evaluates part of the table.
     """
 
-    __slots__ = ("form", "ys", "ts", "det0", "i", "proved", "__dict__")  # __dict__ for t_product
+    __slots__ = ("form", "ys", "ts", "det0", "i", "proved", "__dict__")  # __dict__ for the caches
 
     def __init__(
         self,
@@ -170,6 +171,14 @@ class Window(Record):
         """P = t_{i-1} * t_{i-2}, shared by the t recurrence and the double
         inequality on t."""
         return self.t(self.i - 1) * self.t(self.i - 2)
+
+    @cached_property
+    def t_y(self) -> Vec3:
+        """t_{i-1} * y_{i-1}, coordinate by coordinate, shared by the reflection
+        entry and the double inequality on norms."""
+        t = self.t(self.i - 1)
+        x0, x1, x2 = self.y(self.i - 1)
+        return t * x0, t * x1, t * x2
 
 
 Identity = tuple[str, Callable[[Window], bool]]
@@ -211,18 +220,30 @@ def _reflection(w: Window) -> bool:
 
     When index i-1 is proved, reuses q(y_{i-1}) = 1 (the unit value at i-1)
     and B(y_{i-1}, y_{i-3}) = t_{i-1} (the inner product t_i = B(y_i, y_{i-2})
-    at i-1, or the seed inner products when i = 2).  Otherwise evaluates both.
+    at i-1, or the seed inner products when i = 2), and reads t_{i-1} y_{i-1}
+    from `Window.t_y`.  Otherwise evaluates both.
     """
-    x, z = w.y(w.i - 1), w.y(w.i - 3)
+    z = w.y(w.i - 3)
     if w.proved < 1:
-        return w.y(w.i) == psi(w.form, x, z)
-    s = w.t(w.i - 1)
-    return w.y(w.i) == tuple(s * a - b for a, b in zip(x, z))
+        return w.y(w.i) == psi(w.form, w.y(w.i - 1), z)
+    (p0, p1, p2), (z0, z1, z2) = w.t_y, z
+    return w.y(w.i) == (p0 - z0, p1 - z1, p2 - z2)
 
 
 def _inner_product_next(w: Window) -> bool:
-    """t_{i-1} = B(y_i, y_{i-1})."""
-    return w.t(w.i - 1) == w.form.bilinear(w.y(w.i), w.y(w.i - 1))
+    """t_{i-1} = B(y_i, y_{i-1}).
+
+    When index i-1 is proved, reuses q(y_{i-1}) = 1 (the unit value at i-1,
+    or the seed's when i = 2) and q(y_i) = 1 (the unit value at i, before
+    this entry): by polarization, q(y_i + y_{i-1}) = q(y_i) + B(y_i, y_{i-1})
+    + q(y_{i-1}), so the identity reads q(y_i + y_{i-1}) = t_{i-1} + 2, three
+    squares instead of three unbalanced products.  Otherwise evaluates B.
+    """
+    x, y = w.y(w.i), w.y(w.i - 1)
+    if w.proved < 1:
+        return w.t(w.i - 1) == w.form.bilinear(x, y)
+    (x0, x1, x2), (y0, y1, y2) = x, y
+    return w.form((x0 + y0, x1 + y1, x2 + y2)) == w.t(w.i - 1) + 2
 
 
 def _inner_product_skip(w: Window) -> bool:
@@ -265,9 +286,20 @@ def _t_bounds(w: Window) -> bool:
 
 def _norm_bounds(w: Window) -> bool:
     """(t_{i-1} - 1) ||y_{i-1}|| < ||y_i|| < (t_{i-1} + 1) ||y_{i-1}||, i.e.
-    N - ||y_{i-1}|| < ||y_i|| < N + ||y_{i-1}|| with one product N = t_{i-1} ||y_{i-1}||."""
-    prev = max_norm(w.y(w.i - 1))
-    n = w.t(w.i - 1) * prev
+    N - ||y_{i-1}|| < ||y_i|| < N + ||y_{i-1}|| with N = t_{i-1} ||y_{i-1}||.
+
+    For the coordinate k of y_{i-1} of largest absolute value, N is the
+    product t_{i-1} y_{i-1,k}, negated when y_{i-1,k} < 0: read from
+    `Window.t_y` when the reflection entry made it, else computed alone.
+    """
+    x = w.y(w.i - 1)
+    norms = [abs(a) for a in x]
+    prev = max(norms)
+    k = norms.index(prev)
+    shared = w.__dict__.get("t_y")
+    n = shared[k] if shared is not None else w.t(w.i - 1) * x[k]
+    if x[k] < 0:
+        n = -n
     return n - prev < max_norm(w.y(w.i)) < n + prev
 
 
@@ -294,13 +326,23 @@ IDENTITIES: tuple[Identity, ...] = (
 )
 
 
-# The entries a forked child evaluates when `extend` shares its checks, about
-# half of their cost; the parent evaluates the rest of the table.
-CHILD_SHARE = frozenset({"unit value of the form", "inner product t_{i-1} = B(y_i, y_{i-1})"})
+# The entries a forked child evaluates when `extend` shares its checks; the
+# parent runs the recurrence and evaluates the rest of the table.  Serial CPU
+# on the `construct` mix (depths 17-21 of its six pairs, 2-core x86_64): the
+# child's five entries 886 ms, the parent's recurrence and three entries
+# 872 ms.  Each cached product has all its readers on one side:
+# `Window.t_product` in the child, `Window.t_y` in the parent.
+CHILD_SHARE = frozenset({
+    "inner product t_{i-1} = B(y_i, y_{i-1})",
+    "inner product t_i = B(y_i, y_{i-2})",
+    "constant determinant",
+    "t recurrence",
+    "double inequality on t",
+})
 # Bound on the bits of ||y_upto|| from which `extend` forks: on a 2-core x86_64
 # machine a fork, `_exit` and reap cost about 1.6 ms, 1.9 ms with the pipes,
 # the mapping and a child that reads the members, and one index's checks
-# 3-4 ms at 2^15 bits.
+# 2.3-3.3 ms at 27k-35k bits.
 FORK_MIN_BITS = 1 << 15
 # The notice of one new member on the pipe to the child: the bytes of each
 # coordinate of y_i and of t_i in the shared buffer.

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from conic_approx import cli, extremal
-from conic_approx.quadform import det3
+from conic_approx.quadform import det3, max_norm
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -23,17 +23,45 @@ def _det3_determinant(w) -> bool:
     return abs(det3(w.y(i), w.y(i - 1), w.y(i - 2))) == abs(w.det0)
 
 
-@pytest.fixture
-def det3_forced(monkeypatch):
-    """`extend` and `cli verify` walk a copy of `IDENTITIES` whose constant
-    determinant never takes the Gram path; returns that copy."""
-    table = tuple(
-        (name, _det3_determinant if name == "constant determinant" else holds)
-        for name, holds in extremal.IDENTITIES
-    )
+def _bilinear_inner_product_next(w) -> bool:
+    """t_{i-1} = B(y_i, y_{i-1}) evaluated by `form.bilinear` at every index."""
+    return w.t(w.i - 1) == w.form.bilinear(w.y(w.i), w.y(w.i - 1))
+
+
+def _own_product_norm_bounds(w) -> bool:
+    """The double inequality on norms with its own product t_{i-1} ||y_{i-1}||."""
+    prev = max_norm(w.y(w.i - 1))
+    n = w.t(w.i - 1) * prev
+    return n - prev < max_norm(w.y(w.i)) < n + prev
+
+
+def _forced(monkeypatch, plain: dict):
+    """`extend` and `cli verify` walk a copy of `IDENTITIES` with the entries
+    named in `plain` replaced; returns that copy."""
+    table = tuple((name, plain.get(name, holds)) for name, holds in extremal.IDENTITIES)
     monkeypatch.setattr(extremal, "IDENTITIES", table)
     monkeypatch.setattr(cli, "IDENTITIES", table)
     return table
+
+
+@pytest.fixture
+def det3_forced(monkeypatch):
+    """The table whose constant determinant never takes the Gram path."""
+    return _forced(monkeypatch, {"constant determinant": _det3_determinant})
+
+
+@pytest.fixture
+def plain_forced(monkeypatch):
+    """The table whose inner product t_{i-1} = B(y_i, y_{i-1}) never takes
+    the polarization path and whose norm inequality computes its own
+    product instead of reading `Window.t_y`."""
+    return _forced(
+        monkeypatch,
+        {
+            "inner product t_{i-1} = B(y_i, y_{i-1})": _bilinear_inner_product_next,
+            "double inequality on norms": _own_product_norm_bounds,
+        },
+    )
 
 
 @pytest.fixture

@@ -296,6 +296,28 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" in out and "unit value" in out
 
+    def test_failure_names_the_first_failing_entry_on_stderr(self, tmp_path, capsys):
+        f = self._construct(tmp_path)
+        rows = [json.loads(s) for s in f.read_text().strip().splitlines()]
+        rows[-1]["y"] = [hex(-read_int(v)) for v in rows[-1]["y"]]
+        rows[-1]["t"] = hex(-read_int(rows[-1]["t"]))
+        f.write_text("\n".join(json.dumps(r) for r in rows))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(f)]) == 4
+        out, err = capsys.readouterr()
+        fails = [line for line in out.splitlines() if line.startswith("FAIL  ")]
+        assert fails[0] == "FAIL  reflection-operator recurrence @ i=6"
+        assert err == "invariant failure: reflection-operator recurrence failed at index 6\n"
+
+    def test_row_without_t_names_the_row(self, tmp_path, capsys):
+        f = self._construct(tmp_path)
+        rows = [json.loads(line) for line in f.read_text().splitlines()]
+        del rows[2]["t"]
+        f.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(f)]) == 2
+        assert capsys.readouterr().err == "error: cannot parse sequence file: line 3 has no t field\n"
+
     @pytest.mark.parametrize("flag", [["--b", "5"], ["--c", "7"]])
     def test_lone_b_or_c_is_input_error(self, tmp_path, capsys, flag):
         f = self._construct(tmp_path)
@@ -471,10 +493,15 @@ class TestIdentityTable:
         return f, [json.loads(s) for s in f.read_text().strip().splitlines()]
 
     def _verify_tampered(self, tmp_path, capsys, member, how, j):
+        return self._verify_edited(tmp_path, capsys, lambda ys, ts: _tamper(ys, ts, member, how, j))
+
+    def _verify_edited(self, tmp_path, capsys, edit):
+        """(exit code, stdout) of `verify` on a depth-6 file whose members
+        `edit(ys, ts)` changed, with ys[k] holding y_{k-1}."""
         f, rows = self._rows(tmp_path)
         ys = [tuple(read_int(v) for v in r["y"]) for r in rows]
         ts = [read_int(r["t"]) for r in rows]
-        _tamper(ys, ts, member, how, j)
+        edit(ys, ts)
         for r, y, t in zip(rows, ys, ts):
             r["y"], r["t"] = [hex(v) for v in y], hex(t)
             r["norm_bits"] = max(abs(v) for v in y).bit_length()
@@ -514,6 +541,40 @@ class TestIdentityTable:
         gram = self._verify_tampered(tmp_path / "gram", capsys, member, how, 3)
         request.getfixturevalue("det3_forced")
         assert self._verify_tampered(tmp_path / "det3", capsys, member, how, 3) == gram
+
+    @pytest.mark.parametrize(
+        "member,how",
+        [t[1:] for t in INDEX_TAMPERS] + [("y", lambda v: v)],
+        ids=[t[0] for t in INDEX_TAMPERS] + ["untampered"],
+    )
+    def test_verify_and_extend_equal_the_plain_path(self, tmp_path, capsys, request, member, how):
+        def extended():
+            seq = extend(seed_triple(2, 3), 4)
+            _tamper(seq.ys, seq.ts, member, how)
+            try:
+                extend(seq, 8)
+            except InvariantViolation as err:
+                return (err.identity, err.index), seq.depth
+            return None, seq.depth
+
+        new = self._verify_tampered(tmp_path / "new", capsys, member, how, 3), extended()
+        request.getfixturevalue("plain_forced")
+        assert (self._verify_tampered(tmp_path / "plain", capsys, member, how, 3), extended()) == new
+
+    def test_verify_after_a_failure_evaluates_b_in_full(self, tmp_path, capsys, request):
+        """y_3 + v with B(v, y_2) = 0 breaks q(y_3) = 1 but keeps
+        t_2 = B(y_3, y_2), which polarization would then fail to see."""
+
+        def edit(ys, ts):
+            y2, y3 = ys[3], ys[4]
+            ys[4] = (y3[0] + 2 * y2[1], y3[1] + y2[0], y3[2])  # v = (b y2_1, y2_0, 0), b = 2
+
+        rc, out = self._verify_edited(tmp_path / "new", capsys, edit)
+        assert rc == 4
+        assert "FAIL  unit value of the form @ i=3" in out
+        assert "PASS  inner product t_{i-1} = B(y_i, y_{i-1}) @ i=3" in out
+        request.getfixturevalue("plain_forced")
+        assert self._verify_edited(tmp_path / "plain", capsys, edit) == (rc, out)
 
     def test_tampered_det0_detected_by_extend(self):
         seq = extend(seed_triple(2, 3), 4)
@@ -585,6 +646,14 @@ class TestEnumerate:
         f.write_text("[2, 3]")
         assert main(["enumerate", "--xi", str(f), "--xmax", "100", "--out", str(tmp_path)]) == 2
         assert_one_line(capsys, "error: ")
+
+    @pytest.mark.parametrize("key", ["xi1", "tail_bound"])
+    def test_xi_field_that_is_a_list_names_the_field(self, tmp_path, capsys, key):
+        f, obj = self._xi(tmp_path)
+        obj[key] = [obj[key]["lo"], obj[key]["hi"]]
+        f.write_text(json.dumps(obj))
+        assert self._enumerate_xi(f, capsys) == 2
+        assert_one_line(capsys, f"error: --xi {f}: {key} must be an object with lo, hi and precision")
 
     def _xi(self, tmp_path) -> tuple[Path, dict]:
         argv = ["construct", "--b", "2", "--c", "3", "--depth", "6", "--out", str(tmp_path)]

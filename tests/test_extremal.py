@@ -1,9 +1,11 @@
 """Seeded sequences on the conic: recurrences, growth, limit-point enclosures."""
+import inspect
 import io
 import math
 import mmap
 import os
 import random
+import re
 import signal
 from fractions import Fraction
 
@@ -167,6 +169,10 @@ class TestConstantDeterminant:
             "inner product t_i = B(y_i, y_{i-2})",
         ):
             assert names.index(earlier) < det
+        # the polarization path of B(y_i, y_{i-1}) reuses q(y_i) = 1
+        assert names.index("unit value of the form") < names.index(
+            "inner product t_{i-1} = B(y_i, y_{i-1})"
+        )
 
     @pytest.mark.parametrize("b,c", PAIRS)
     def test_extend_in_several_calls_matches_one_call(self, b, c):
@@ -193,6 +199,61 @@ class TestConstantDeterminant:
         assert len(calls) == 2
         extend(seq, 13)
         assert len(calls) == 3
+
+
+class TestPolarizationAndSharedProducts:
+    """The polarization path of t_{i-1} = B(y_i, y_{i-1}) and the norm
+    inequality read off `Window.t_y` give the verdicts of `form.bilinear` and
+    of the norm inequality's own product (`plain_forced`)."""
+
+    PAIRS = [(2, 3), (3, 7), (3, 11)]
+
+    @pytest.mark.parametrize("b,c", PAIRS)
+    def test_every_entry_passes_on_valid_windows(self, b, c):
+        seq = extend(seed_triple(b, c), 12)
+        for i in range(2, 13):
+            for proved in (0, 1, 2, i + 1):
+                assert _first_failure(IDENTITIES, seq, i, proved) is None
+
+    @pytest.mark.parametrize("b,c", PAIRS)
+    @pytest.mark.parametrize("what", ["y", "t"])
+    @pytest.mark.parametrize("back", [0, 1, 2, 3])
+    def test_tampered_window_same_first_failure(self, b, c, what, back, plain_forced):
+        for i in range(4, 13):
+            for proved in (1, 2):
+                seq = extend(seed_triple(b, c), 12)
+                if what == "y":
+                    _bump(seq, i - back)
+                else:
+                    seq.ts[i - back + 1] += 1
+                got = _first_failure(IDENTITIES, seq, i, proved)
+                assert got == _first_failure(plain_forced, seq, i, proved)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.tuples(*[st.integers(-(2**80), 2**80)] * 3),
+        k=st.integers(0, 2),
+        e=st.integers(0, 2),
+        t=st.one_of(st.integers(-3, 0), st.integers(max_value=0), st.integers()),
+        s=st.integers(-2, 2),
+        d=st.integers(-2, 2),
+        rest=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        shared=st.booleans(),
+    )
+    @example(x=(0, 0, 0), k=0, e=0, t=0, s=0, d=1, rest=(0, 0), shared=False)
+    @example(x=(5, -5, 0), k=1, e=0, t=-1, s=1, d=-1, rest=(0, 0), shared=True)
+    def test_norm_bounds_on_a_negative_largest_coordinate(self, x, k, e, t, s, d, rest, shared):
+        """y_{i-1} = x with x_k = -(||x|| + e) largest in absolute value (tied
+        when e = 0), t_{i-1} = t of either sign, and ||y_i|| near
+        (t + s) ||x||, against (t - 1) ||x|| < ||y_i|| < (t + 1) ||x||."""
+        x = list(x)
+        x[k] = -(max_norm(x) + e)
+        y = ((t + s) * max_norm(x) + d, *rest)
+        w = Window(seed_triple(2, 3).form, [(1, 0, 0), (1, 0, 0), tuple(x), y], [0, 0, t, 0], 0, 2)
+        if shared:
+            assert w.t_y == tuple(t * a for a in x)
+        holds = dict(IDENTITIES)["double inequality on norms"]
+        assert holds(w) == ((t - 1) * max_norm(x) < max_norm(y) < (t + 1) * max_norm(x))
 
 
 class TestExtendForked(TestExtend):
@@ -298,7 +359,29 @@ class TestSharedChecks:
         assert CHILD_SHARE < set(self.NAMES)
 
     @pytest.mark.parametrize(
-        "tamper,owner", [(tamper_member, "child"), (tamper_det0, "parent")]
+        "cached,readers",
+        [
+            ("t_product", {"constant determinant", "t recurrence", "double inequality on t"}),
+            ("t_y", {"reflection-operator recurrence", "double inequality on norms"}),
+        ],
+    )
+    def test_readers_of_each_cached_product_sit_in_one_share(self, cached, readers):
+        # a cached product read in both processes would be computed twice
+        found = {
+            name for name, holds in IDENTITIES
+            if re.search(rf"\b{cached}\b", inspect.getsource(holds))
+        }
+        assert found == readers
+        assert readers <= CHILD_SHARE or not readers & CHILD_SHARE
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_each_entry_failing_alone_same_violation(self, name, monkeypatch, forks):
+        monkeypatch.setattr(extremal, "IDENTITIES", fails_at(IDENTITIES, name, 8))
+        serial, forked = self.both(monkeypatch, forks, lambda: seed_triple(3, 7), 12)
+        assert forked == serial == ((name, 8), 8)
+
+    @pytest.mark.parametrize(
+        "tamper,owner", [(tamper_member, "parent"), (tamper_det0, "child")]
     )
     def test_tampered_input_same_violation(self, tamper, owner, monkeypatch, forks):
         def make():
