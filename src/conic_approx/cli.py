@@ -12,16 +12,18 @@ import io
 import json
 import os
 import sys
+from itertools import chain
 
 from .extremal import (
-    IDENTITIES,
     SEED_IDENTITIES,
+    ExtremalSequence,
     InvariantViolation,
     UnsupportedConstruction,
     Window,
     extend,
     limit_index,
     validate_bc,
+    verdicts,
 )
 from .minpoints import enumerate_minimal, estimate_lambda, rigidity_check
 from .numerics import CertifiedReal, Dyadic, PrecisionCapError, precision_cap
@@ -212,7 +214,13 @@ def _target_from_args(args):
                     f"--xi {args.xi}: {key} must be an object with lo, hi and precision, "
                     "lo and hi each with an integer-string man and an exp"
                 ) from None
-        return ExtremalTarget(read_int(obj["b"]), read_int(obj["c"])), (precision, claimed)
+        bc = []
+        for key in ("b", "c"):
+            try:
+                bc.append(read_int(obj[key]))
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"--xi {args.xi}: {key} must be an integer string") from None
+        return ExtremalTarget(*bc), (precision, claimed)
     if args.sqrt is not None:
         needs = ValueError(f"--sqrt needs two non-negative integers A,B, not {args.sqrt!r}")
         try:
@@ -351,6 +359,9 @@ def _infer_bc(rows) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
+    """Prints one `PASS`/`FAIL` line per row's `norm_bits`, per seed identity
+    and, as `extremal.verdicts` gives them, per entry of the identity table
+    at each index i >= 2; raises the first failure."""
     if (args.b is None) != (args.c is None):
         print("error: verify takes --b and --c together or neither", file=sys.stderr)
         return EXIT_INPUT
@@ -374,13 +385,16 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"line {n} has no {' or '.join(missing)} field")
             if not isinstance(obj["y"], list) or len(obj["y"]) != 3:
                 raise ValueError(f"row i={obj['i']}: y must be a list of 3 integers")
-            y = tuple(read_int(v) for v in obj["y"])
+            try:
+                y, t = tuple(read_int(v) for v in obj["y"]), read_int(obj["t"])
+            except TypeError:  # `read_int` reads strings only
+                named = zip(("y[0]", "y[1]", "y[2]", "t"), (*obj["y"], obj["t"]))
+                field = next(name for name, v in named if not isinstance(v, str))
+                raise ValueError(f"row i={obj['i']}: {field} must be an integer string") from None
             for key in ("i", "norm_bits"):
                 if type(obj[key]) is not int:
                     raise ValueError(f"row {key}={obj[key]!r} must be a JSON integer")
-            rows.append(
-                {"i": obj["i"], "y": y, "t": read_int(obj["t"]), "norm_bits": obj["norm_bits"]}
-            )
+            rows.append({"i": obj["i"], "y": y, "t": t, "norm_bits": obj["norm_bits"]})
         rows.sort(key=lambda r: r["i"])
         if len(rows) < 3 or [r["i"] for r in rows] != list(range(-1, len(rows) - 1)):
             raise ValueError("rows must hold indices -1, 0, 1, ... without gaps")
@@ -392,26 +406,18 @@ def cmd_verify(args) -> int:
     ys = [r["y"] for r in rows]
     ts = [r["t"] for r in rows]
     det0 = det3(ys[2], ys[1], ys[0])
-    first_failure: InvariantViolation | None = None
-
-    def check(name: str, ok: bool, index: int) -> None:
-        nonlocal first_failure
+    seed = Window(phi, ys, ts, det0, 1)
+    checks = [("norm_bits", r["i"], max_norm(r["y"]).bit_length() == r["norm_bits"]) for r in rows]
+    checks += [(name, 1, holds(seed)) for name, holds in SEED_IDENTITIES]
+    # the seed identities proved the indices -1, 0 and 1, unless a check failed
+    sound = all(ok for _, _, ok in checks)
+    seq = ExtremalSequence(b, c, (), phi, ys, ts, det0)  # type: ignore[arg-type]  # no Pell seed
+    walk = verdicts(seq, 2, seq.depth, 3 if sound else None)
+    first_failure = None
+    for name, index, ok in chain(checks, walk):
         print(f"{'PASS' if ok else 'FAIL'}  {name} @ i={index}")
         if not ok and first_failure is None:
             first_failure = InvariantViolation(name, index)
-
-    for r in rows:
-        check("norm_bits", max_norm(r["y"]).bit_length() == r["norm_bits"], r["i"])
-    seed = Window(phi, ys, ts, det0, 1)
-    for name, holds in SEED_IDENTITIES:
-        check(name, holds(seed), 1)
-    # values proved earlier (the seed, then every index before i, then the
-    # entries before this one at i) may be reused only while nothing has failed
-    for i in range(2, len(rows) - 1):
-        window = Window(phi, ys, ts, det0, i)
-        for name, holds in IDENTITIES:
-            window.proved = i + 1 if first_failure is None else 0
-            check(name, holds(window), i)
     if first_failure is not None:
         raise first_failure  # `main` prints its one `invariant failure:` line
     return EXIT_OK

@@ -20,7 +20,7 @@ import os
 import signal
 import struct
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -133,13 +133,13 @@ class Window(Record):
     """The stored members that the identities at index i read.
 
     `proved` counts the indices just before i at which this same run (one
-    `extend` call, or one `verify`) already proved every identity; the seed
-    identities count for the indices -1, 0 and 1.  An entry may reuse values
-    those identities established, and values that entries before it at index i
-    established.  So its verdict stands only if every entry before it held:
-    `verify` keeps `proved` at 0 after any failure, and `extend` reports only
-    the first failure of a walk in which, once it forks, each process
-    evaluates part of the table.
+    `extend` call, or one `verify`) already proved every identity; for
+    `verify` the seed identities count for the indices -1, 0 and 1.  An entry
+    may reuse values those identities established, and values that entries
+    before it at index i established.  So its verdict stands only if every
+    entry before it held.  `_first_failure`, the one loop over `IDENTITIES`,
+    is the only place that sets `proved`; `extend` reports only the first
+    failure, and `verify` walks on past it with `proved` at 0.
     """
 
     __slots__ = ("form", "ys", "ts", "det0", "i", "proved", "__dict__")  # __dict__ for the caches
@@ -354,37 +354,40 @@ _VERDICT = struct.Struct("<?qq")
 
 def extend(seq: ExtremalSequence, upto: int) -> ExtremalSequence:
     """Extend in place through index `upto`, checking every entry of
-    `IDENTITIES` at each new index; an index reuses only what this call
-    proved, so the first new index reuses nothing and the second reuses
-    nothing from before the first.
-
-    When the members will be large and a second core is free (`_fork_pays`
-    on the bound of `_stream_bound`), one child is forked before the
-    recurrence and evaluates the `CHILD_SHARE` entries at each new index as
-    soon as this process has made that member, while this process runs the
-    recurrence and then evaluates the other entries
-    (`_streamed_first_failure`).  The failure reported is the smaller of the
-    two first failures by (index, table position).  That is the serial
-    verdict: every entry before the serial first failure reads only values
-    that entries before it established, so it holds in either process; the
-    failing entry fails in the process that owns it; any other failure comes
-    later.  Otherwise the recurrence runs for every new index and then the
-    checks, here.  On a failure the sequence is cut back to the failing
-    index, the last member it stored.
+    `IDENTITIES` at each new index (`_checked_first_failure` from 0 proved
+    indices): an index reuses only what this call proved, so the first new
+    index reuses nothing and the second reuses nothing from before the
+    first.  On a failure the sequence is cut back to the failing index, the
+    last member it stored.
     """
     first = seq.depth + 1
     if first > upto:
         return seq
-    bits, size = _stream_bound(seq, first, upto)
-    if _fork_pays(bits):
-        failure = _streamed_first_failure(seq, first, upto, size)
-    else:
-        failure = _serial_first_failure(seq, first, upto)
+    failure = _checked_first_failure(seq, first, upto, 0)
     if failure is not None:
         i, k = failure
         del seq.ys[i + 2:], seq.ts[i + 2:]
         raise InvariantViolation(IDENTITIES[k][0], i)
     return seq
+
+
+def verdicts(
+    seq: ExtremalSequence, first: int, upto: int, proved: int | None
+) -> Iterator[tuple[str, int, bool]]:
+    """Appends by the recurrence the members through `upto` not yet stored,
+    and yields (name, i, holds) for each entry of `IDENTITIES` at each index
+    i in first..upto, in walk order.  The first failure is the walk's from
+    `proved` (`_checked_first_failure`, forked where it pays); each later
+    one is `_first_failure`'s from None, past the one before."""
+    positions = range(len(IDENTITIES))
+    failure = _checked_first_failure(seq, first, upto, proved)
+    for i in range(first, upto + 1):
+        for k, (name, _) in enumerate(IDENTITIES):
+            holds = (i, k) != failure
+            yield name, i, holds
+            if not holds:
+                rest = _first_failure(seq, i, i, positions[k + 1:], None)
+                failure = rest or _first_failure(seq, i + 1, upto, positions, None)
 
 
 def _append_member(seq: ExtremalSequence, i: int) -> None:
@@ -396,25 +399,28 @@ def _append_member(seq: ExtremalSequence, i: int) -> None:
 
 
 def _serial_first_failure(
-    seq: ExtremalSequence, first: int, upto: int
+    seq: ExtremalSequence, first: int, upto: int, proved: int | None
 ) -> tuple[int, int] | None:
-    """Appends the members first..upto, then returns `_first_failure` over
-    the whole table."""
-    for i in range(first, upto + 1):
+    """Appends the members through `upto` not yet stored, then returns
+    `_first_failure` over the whole table."""
+    for i in range(seq.depth + 1, upto + 1):
         _append_member(seq, i)
-    return _first_failure(seq, first, upto, range(len(IDENTITIES)))
+    return _first_failure(seq, first, upto, range(len(IDENTITIES)), proved)
 
 
 def _first_failure(
-    seq: ExtremalSequence, first: int, upto: int, positions: Sequence[int]
+    seq: ExtremalSequence, first: int, upto: int, positions: Sequence[int], proved: int | None
 ) -> tuple[int, int] | None:
     """(i, k) of the first entry `IDENTITIES[k]`, k in `positions`, that fails
     at an index i in first..upto, walking the indices in order and at each the
-    entries in table order; None if all of them hold.  Index i reads what
-    indices first..i-1 proved (`Window.proved` = i - first), so a verdict at
-    (i, k) stands only if every entry before (i, k) held."""
+    entries in table order; None if all of them hold.  The one loop over the
+    table, and the one place that sets `Window.proved`: i - first + proved,
+    `proved` counting the indices just before first that this run proved, or
+    0 when `proved` is None.  So a verdict at (i, k) stands only if every
+    entry before (i, k) held."""
     for i in range(first, upto + 1):
-        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=i - first)
+        reused = 0 if proved is None else i - first + proved
+        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i, reused)
         for k in positions:
             if not IDENTITIES[k][1](window):
                 return i, k
@@ -424,7 +430,7 @@ def _first_failure(
 def _stream_bound(seq: ExtremalSequence, first: int, upto: int) -> tuple[int, int]:
     """Upper bounds on the bits of ||y_upto|| and on the bytes `_write_member`
     writes for the indices first..upto, read off the stored members before
-    any new one exists.
+    any new one exists; when first = upto + 1, the bits of y_upto and 0.
 
     |a b - c| <= |a| |b| + |c| < 2^(bits(a) + bits(b)) + 2^bits(c), so
     bits(a b - c) <= max(bits(a) + bits(b), bits(c)) + 1.  Both recurrences
@@ -452,17 +458,24 @@ def _fork_pays(bits: int) -> bool:
     return (os.cpu_count() or 1) >= 2
 
 
-def _streamed_first_failure(
-    seq: ExtremalSequence, first: int, upto: int, size: int
+def _checked_first_failure(
+    seq: ExtremalSequence, first: int, upto: int, proved: int | None
 ) -> tuple[int, int] | None:
-    """Appends the members first..upto and returns `_first_failure` over the
-    whole table on them, with the `CHILD_SHARE` entries evaluated in one
-    child forked before the first new member exists.
+    """Appends the members through `upto` not yet stored and returns
+    `_first_failure` over the whole table at the indices first..upto, with
+    the `CHILD_SHARE` entries evaluated in one child forked before the first
+    new member exists.
+
+    The failure returned is the smaller of the two first failures by (index,
+    table position).  That is the serial verdict: every entry before the
+    serial first failure reads only values that entries before it
+    established, so it holds in either process; the failing entry fails in
+    the process that owns it; any other failure comes later.
 
     This process writes each new member into an anonymous shared mapping of
-    `size` bytes (`_write_member`) and then its 16-byte `_NOTICE` into a
-    pipe, which holds thousands of them, so it never waits for the child to
-    read.  The child walks with
+    `size` bytes (`_write_member`; one byte when no member is new) and then
+    its 16-byte `_NOTICE` into a pipe, which holds thousands of them, so it
+    never waits for the child to read.  The child walks with
     `_first_failure` on member lists that wait for the next notice when the
     walk reads past their end (`_received`), sends its first failure through
     a second pipe as one `_VERDICT` and leaves through `os._exit`.  This
@@ -470,15 +483,19 @@ def _streamed_first_failure(
     verdict pipe to its end and reaps the child; if the verdict is short or
     the child did not exit 0, it evaluates the child's share itself, so no
     entry passes unevaluated.  If this process raises meanwhile, it kills and
-    reaps the child first.  Where the mapping or the fork fails, everything
-    runs here (`_serial_first_failure`).
+    reaps the child first.  Where the fork does not pay (`_fork_pays` on the
+    bits `_stream_bound` gives for y_upto, exact when it is stored) or the
+    mapping or the fork fails, everything runs here (`_serial_first_failure`).
     """
+    bits, size = _stream_bound(seq, seq.depth + 1, upto)
+    if not _fork_pays(bits):
+        return _serial_first_failure(seq, first, upto, proved)
     child = [k for k, (name, _) in enumerate(IDENTITIES) if name in CHILD_SHARE]
     mine = [k for k in range(len(IDENTITIES)) if k not in child]
     try:
-        buf = mmap.mmap(-1, size)
+        buf = mmap.mmap(-1, max(size, 1))  # an empty mapping is an error
     except (OSError, OverflowError):  # more than memory or the address space holds
-        return _serial_first_failure(seq, first, upto)
+        return _serial_first_failure(seq, first, upto, proved)
     with buf:
         notice_r, notice_w = os.pipe()
         verdict_r, verdict_w = os.pipe()
@@ -487,13 +504,13 @@ def _streamed_first_failure(
         except OSError:
             for fd in (notice_r, notice_w, verdict_r, verdict_w):
                 os.close(fd)
-            return _serial_first_failure(seq, first, upto)
+            return _serial_first_failure(seq, first, upto, proved)
         if pid == 0:
             status = 1
             try:
                 os.close(notice_w)
                 os.close(verdict_r)
-                failure = _first_failure(_received(seq, buf, notice_r), first, upto, child)
+                failure = _first_failure(_received(seq, buf, notice_r), first, upto, child, proved)
                 os.write(verdict_w, _VERDICT.pack(failure is not None, *(failure or (0, 0))))
                 status = 0
             finally:
@@ -501,14 +518,14 @@ def _streamed_first_failure(
         os.close(notice_r)
         os.close(verdict_w)
         try:
-            for i in range(first, upto + 1):
+            for i in range(seq.depth + 1, upto + 1):
                 _append_member(seq, i)
                 notice = _write_member(buf, seq.ys[-1], seq.ts[-1])
                 try:
                     os.write(notice_w, notice)
                 except BrokenPipeError:  # the child has left; its verdict tells why
                     pass
-            failures = [_first_failure(seq, first, upto, mine)]
+            failures = [_first_failure(seq, first, upto, mine, proved)]
             verdict = b""
             while chunk := os.read(verdict_r, _VERDICT.size):
                 verdict += chunk
@@ -526,7 +543,7 @@ def _streamed_first_failure(
         failed, i, k = _VERDICT.unpack(verdict)
         failures.append((i, k) if failed else None)
     else:
-        failures.append(_first_failure(seq, first, upto, child))
+        failures.append(_first_failure(seq, first, upto, child, proved))
     return min((f for f in failures if f is not None), default=None)
 
 
@@ -679,10 +696,13 @@ def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> Certif
     check_cap(P)
     bits = max(64, P + 9)
     i, eps = limit_index(seq, P)
-    # |xi_j - y_j / y_0| <= eps * ||y|| / y_0 = eps: y_0 = ||y|| > 0 because
-    # q(y) = 1 with b, c > 1 and the recurrence keep the first coordinate
-    # positive and largest (representative (1, xi1, xi2) has max norm 1).
+    # |xi_j - y_j / y_0| <= eps * ||y|| / y_0, which is eps when y_0 = ||y|| > 0
+    # (representative (1, xi1, xi2) has max norm 1).  q(y) = 1 with b, c > 1
+    # and the recurrence keep the first coordinate positive and largest; a
+    # sequence built otherwise fails here instead of giving a wrong enclosure.
     y = seq.y(i)
+    if not 0 < y[0] == max_norm(y):
+        raise InvariantViolation("first coordinate is the norm at the limit index", i)
     e = scale_outward(eps.man, eps.exp + bits)[1]  # eps rounded up to the grid
     box1, box2 = (_enclose(y[k], y[0], e, bits) for k in (1, 2))
     xi1, xi2 = (CertifiedReal.from_scaled(lo, hi, bits) for lo, hi in (box1, box2))

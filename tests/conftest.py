@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from conic_approx import cli, extremal
+from conic_approx import extremal
 from conic_approx.quadform import det3, max_norm
 
 
@@ -36,11 +36,11 @@ def _own_product_norm_bounds(w) -> bool:
 
 
 def _forced(monkeypatch, plain: dict):
-    """`extend` and `cli verify` walk a copy of `IDENTITIES` with the entries
-    named in `plain` replaced; returns that copy."""
+    """`extend` and `cli verify`, which share `extremal`'s walk, walk a copy
+    of `IDENTITIES` with the entries named in `plain` replaced; returns that
+    copy."""
     table = tuple((name, plain.get(name, holds)) for name, holds in extremal.IDENTITIES)
     monkeypatch.setattr(extremal, "IDENTITIES", table)
-    monkeypatch.setattr(cli, "IDENTITIES", table)
     return table
 
 
@@ -67,8 +67,8 @@ def plain_forced(monkeypatch):
 @pytest.fixture
 def forks(monkeypatch):
     """Counts the calls to `os.fork`; `extend` forks at every call that
-    appends an index (the size threshold is 0).  Skips where `extend` cannot
-    fork at all."""
+    appends an index, and `verify` at every walk (the size threshold is 0).
+    Skips where neither can fork at all."""
     monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0)
     if not extremal._fork_pays(0):
         pytest.skip("extend does not fork here: no os.fork, one CPU or other threads")

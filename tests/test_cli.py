@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conic_approx import quadform, targets
+from conic_approx import extremal, quadform, targets
 from conic_approx.cli import build_parser, main, read_int
 from conic_approx.extremal import (
     IDENTITIES,
@@ -318,6 +318,20 @@ class TestVerify:
         assert main(["verify", "--in", str(f)]) == 2
         assert capsys.readouterr().err == "error: cannot parse sequence file: line 3 has no t field\n"
 
+    @pytest.mark.parametrize("field", ["t", "y[1]"])
+    def test_row_field_that_is_a_json_number_names_the_row(self, tmp_path, capsys, field):
+        f = self._construct(tmp_path)
+        rows = [json.loads(line) for line in f.read_text().splitlines()]
+        if field == "t":
+            rows[4]["t"] = read_int(rows[4]["t"])
+        else:
+            rows[4]["y"][1] = read_int(rows[4]["y"][1])
+        f.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot parse sequence file: row i=3: {field} must be an integer string\n"
+
     @pytest.mark.parametrize("flag", [["--b", "5"], ["--c", "7"]])
     def test_lone_b_or_c_is_input_error(self, tmp_path, capsys, flag):
         f = self._construct(tmp_path)
@@ -484,6 +498,24 @@ SEED_TAMPERS = [
 ]
 
 
+def _unit_value_off_b_kept(ys, ts):
+    """y_3 += v = (b y2_1, y2_0, 0) with b = 2, so B(v, y_2) = 0."""
+    y2, y3 = ys[3], ys[4]
+    ys[4] = (y3[0] + 2 * y2[1], y3[1] + y2[0], y3[2])
+
+
+def _tampering(member, how, j):
+    return lambda ys, ts: _tamper(ys, ts, member, how, j)
+
+
+# (id, edit) of the depth-6 files that `verify` reads forked and serially
+FORK_EDITS = (
+    [(f"{name} @ {j}", _tampering(m, how, j)) for name, m, how in INDEX_TAMPERS for j in (3, 5)]
+    + [(name, _tampering(m, how, j)) for name, m, how, j in SEED_TAMPERS]
+    + [("B kept, q off", _unit_value_off_b_kept), ("untampered", lambda ys, ts: None)]
+)
+
+
 class TestIdentityTable:
     def _rows(self, tmp_path):
         assert main(
@@ -498,6 +530,9 @@ class TestIdentityTable:
     def _verify_edited(self, tmp_path, capsys, edit):
         """(exit code, stdout) of `verify` on a depth-6 file whose members
         `edit(ys, ts)` changed, with ys[k] holding y_{k-1}."""
+        return self._verify(capsys, self._edited(tmp_path, edit))
+
+    def _edited(self, tmp_path, edit) -> Path:
         f, rows = self._rows(tmp_path)
         ys = [tuple(read_int(v) for v in r["y"]) for r in rows]
         ts = [read_int(r["t"]) for r in rows]
@@ -506,6 +541,9 @@ class TestIdentityTable:
             r["y"], r["t"] = [hex(v) for v in y], hex(t)
             r["norm_bits"] = max(abs(v) for v in y).bit_length()
         f.write_text("\n".join(json.dumps(r) for r in rows))
+        return f
+
+    def _verify(self, capsys, f: Path):
         capsys.readouterr()
         rc = main(["verify", "--in", str(f), "--b", "2", "--c", "3"])
         return rc, capsys.readouterr().out
@@ -564,17 +602,22 @@ class TestIdentityTable:
     def test_verify_after_a_failure_evaluates_b_in_full(self, tmp_path, capsys, request):
         """y_3 + v with B(v, y_2) = 0 breaks q(y_3) = 1 but keeps
         t_2 = B(y_3, y_2), which polarization would then fail to see."""
-
-        def edit(ys, ts):
-            y2, y3 = ys[3], ys[4]
-            ys[4] = (y3[0] + 2 * y2[1], y3[1] + y2[0], y3[2])  # v = (b y2_1, y2_0, 0), b = 2
-
-        rc, out = self._verify_edited(tmp_path / "new", capsys, edit)
+        rc, out = self._verify_edited(tmp_path / "new", capsys, _unit_value_off_b_kept)
         assert rc == 4
         assert "FAIL  unit value of the form @ i=3" in out
         assert "PASS  inner product t_{i-1} = B(y_i, y_{i-1}) @ i=3" in out
         request.getfixturevalue("plain_forced")
-        assert self._verify_edited(tmp_path / "plain", capsys, edit) == (rc, out)
+        assert self._verify_edited(tmp_path / "plain", capsys, _unit_value_off_b_kept) == (rc, out)
+
+    @pytest.mark.parametrize("edit", [e for _, e in FORK_EDITS], ids=[i for i, _ in FORK_EDITS])
+    def test_forked_verify_equals_the_serial_one(self, tmp_path, capsys, monkeypatch, request, edit):
+        f = self._edited(tmp_path, edit)
+        with monkeypatch.context() as serial:
+            serial.setattr(extremal, "_fork_pays", lambda bits: False)
+            want = self._verify(capsys, f)
+        forks = request.getfixturevalue("forks")  # every walk forks, as its threshold is 0
+        assert self._verify(capsys, f) == want
+        assert forks == [1]
 
     def test_tampered_det0_detected_by_extend(self):
         seq = extend(seed_triple(2, 3), 4)
@@ -654,6 +697,18 @@ class TestEnumerate:
         f.write_text(json.dumps(obj))
         assert self._enumerate_xi(f, capsys) == 2
         assert_one_line(capsys, f"error: --xi {f}: {key} must be an object with lo, hi and precision")
+
+    @pytest.mark.parametrize(
+        "key,edit",
+        [("b", lambda obj: obj.pop("b")), ("c", lambda obj: obj.update(c=3))],
+        ids=["no-b", "c-a-json-number"],
+    )
+    def test_bad_b_or_c_in_xi_names_the_field(self, tmp_path, capsys, key, edit):
+        f, obj = self._xi(tmp_path)
+        edit(obj)
+        f.write_text(json.dumps(obj))
+        assert self._enumerate_xi(f, capsys) == 2
+        assert capsys.readouterr().err == f"error: --xi {f}: {key} must be an integer string\n"
 
     def _xi(self, tmp_path) -> tuple[Path, dict]:
         argv = ["construct", "--b", "2", "--c", "3", "--depth", "6", "--out", str(tmp_path)]

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conic_approx import ExtremalTarget, enumerate_minimal, extremal
+from conic_approx.cli import main
 from conic_approx.extremal import (
     CHILD_SHARE,
     IDENTITIES,
@@ -27,6 +28,7 @@ from conic_approx.extremal import (
     limit_index,
     limit_point,
     seed_triple,
+    verdicts,
     verify_no_small_relation,
 )
 from conic_approx.numerics import Dyadic, PrecisionCapError, ratio_up
@@ -34,6 +36,7 @@ from conic_approx.quadform import cross, det3, max_norm
 
 # the pairs of the benchmark's `construct` and `pipeline` workloads
 CONSTRUCT_PAIRS = [(3, 2), (3, 6), (2, 3), (3, 7), (3, 5), (3, 11)]
+PIPELINE_PAIRS = [(2, 3), (3, 2), (3, 5), (3, 6), (3, 7), (3, 11)]
 
 
 class TestSeed:
@@ -422,9 +425,9 @@ class TestSharedChecks:
         real, parent = extremal._first_failure, os.getpid()
         walked = tmp_path / "child walked"
 
-        def child_fails(seq, first, upto, positions):
+        def child_fails(seq, first, upto, positions, proved):
             if os.getpid() == parent:
-                return real(seq, first, upto, positions)
+                return real(seq, first, upto, positions, proved)
             seq.y(first)  # waits for the first streamed member
             walked.touch()
             if how == "exit 0":
@@ -434,7 +437,7 @@ class TestSharedChecks:
             write = os.write
             if how == "short verdict":
                 os.write = lambda fd, data: write(fd, data[:-1])
-                return real(seq, first, upto, positions)
+                return real(seq, first, upto, positions, proved)
 
             def write_then_fail(fd, data):
                 write(fd, data)
@@ -596,6 +599,58 @@ class TestSharedChecks:
         assert shared_mappings() == maps
 
 
+def reference_verdicts(seq, proved):
+    """(name, i, holds) as `verify` walked the table in its own loop: index i
+    reused the i + 1 indices before it (the seed's three among them) until
+    an entry failed, and nothing from then on, or at all when `proved` is
+    None."""
+    out, failed = [], proved is None
+    for i in range(2, seq.depth + 1):
+        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i)
+        for name, holds in IDENTITIES:
+            window.proved = 0 if failed else i + 1
+            ok = holds(window)
+            failed = failed or not ok
+            out.append((name, i, ok))
+    return out
+
+
+class TestVerdicts:
+    """`verdicts`, which `verify` prints, gives the verdicts of `verify`'s own
+    loop, serial or forked, with any number of failures."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        pair=st.sampled_from(CONSTRUCT_PAIRS),
+        # (index, coordinate of y or 3 for t, change)
+        tampers=st.lists(
+            st.tuples(st.integers(2, 10), st.integers(0, 3), st.integers(-2, 2).filter(bool)),
+            max_size=3,
+        ),
+        sound=st.booleans(),
+        forked=st.booleans(),
+    )
+    def test_equal_the_reference(self, pair, tampers, sound, forked, monkeypatch):
+        seq = extend(seed_triple(*pair), 10)
+        for j, coord, k in tampers:
+            if coord == 3:
+                seq.ts[j + 1] += k
+            else:
+                y = list(seq.y(j))
+                y[coord] += k
+                seq.ys[j + 1] = tuple(y)
+        proved = 3 if sound else None
+        want = reference_verdicts(seq, proved)
+        monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0 if forked else 1 << 62)
+        assert list(verdicts(seq, 2, 10, proved)) == want
+        assert seq.depth == 10
+
+
 class TestNoForkBelowTheThreshold:
     """The workloads whose members stay far below `FORK_MIN_BITS` never fork."""
 
@@ -615,6 +670,13 @@ class TestNoForkBelowTheThreshold:
             target = ExtremalTarget(b, c)
             extend(target.sequence, 15)
             target.limit(128)
+        assert fork_calls == []
+
+    @pytest.mark.parametrize("b,c", PIPELINE_PAIRS)
+    def test_verify_at_depth_15(self, b, c, fork_calls, tmp_path):
+        argv = ["construct", "--b", str(b), "--c", str(c), "--depth", "15", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(["verify", "--in", str(tmp_path / "sequence.jsonl")]) == 0
         assert fork_calls == []
 
     @pytest.mark.parametrize("b,c", [(3, 2), (13, 11)])
@@ -773,8 +835,6 @@ def reference_tail_bound(seq: ExtremalSequence, start: int, slack: Fraction) -> 
         k += 1
 
 
-PIPELINE_PAIRS = [(2, 3), (3, 2), (3, 5), (3, 6), (3, 7), (3, 11)]
-
 
 class TestCertifiedLimit:
     @pytest.mark.parametrize("b,c", PIPELINE_PAIRS)
@@ -826,6 +886,24 @@ class TestCertifiedLimit:
             limit_point(seq, Fraction(1, 2**128))
         assert err.value.identity == "quartic decay of consecutive distances"
         assert err.value.index == 4
+
+    @pytest.mark.parametrize(
+        "move",
+        [lambda y: (y[1], y[0], y[2]), lambda y: (-y[0], -y[1], -y[2])],
+        ids=["|y_1| > y_0", "y_0 < 0"],
+    )
+    def test_member_whose_first_coordinate_is_not_its_norm(self, move):
+        """Swapping or negating coordinates of every member keeps each
+        distance d_j, so the limit index is the one of the true sequence."""
+        true = extend(seed_triple(2, 3), 12)
+        i = limit_index(true, 64)[0]
+        ys = [move(y) for y in true.ys]
+        seq = ExtremalSequence(2, 3, true.seed, true.form, ys, true.ts, true.det0)
+        with pytest.raises(InvariantViolation) as err:
+            limit_point(seq, Fraction(1, 2**64))
+        assert err.value.identity == "first coordinate is the norm at the limit index"
+        assert err.value.index == i
+        assert seq.depth == true.depth == 12
 
     def test_tampered_enclosure_is_off_the_conic(self, monkeypatch):
         real = extremal._enclose

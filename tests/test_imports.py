@@ -85,6 +85,29 @@ def test_every_definition_is_named_outside_the_tests():
     assert unnamed_definitions(sources, [p.read_text() for p in CALLERS]) == sorted(UNNAMED_ALLOWED)
 
 
+def proved_uses(source: str) -> list[int]:
+    """Lines of `source` that read or assign an attribute `proved` or pass a
+    keyword argument `proved=`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "proved"
+        or isinstance(node, ast.Call) and any(kw.arg == "proved" for kw in node.keywords)
+    )
+
+
+def test_the_check_finds_every_use_of_proved():
+    source = "w.proved = 1\nx = w.proved\nWindow(f, ys, ts, d, 2, proved=3)\nproved = 4\n"
+    assert proved_uses(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_extremal_applies_the_reuse_rule(path):
+    # `Window.proved` says what an entry may reuse; one walk in `extremal` sets it
+    if path.name != "extremal.py":
+        assert proved_uses(path.read_text()) == []
+
+
 def test_cli_import_loads_no_avoidable_module():
     # every command starts a fresh process, so each pays the CLI's import;
     # dataclasses and inspect cost about a third of it, typing and pathlib
