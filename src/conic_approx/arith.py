@@ -1,7 +1,12 @@
-"""Elementary integer arithmetic: factorization, square-free parts, quadratic residues.
+"""Integer arithmetic: factorization, square-free parts, quadratic residues,
+and exact products of big integers.
 
-Everything here uses trial division; inputs are desk-scale (coefficients of
-small quadratic forms), so no advanced factoring is needed.
+Factoring uses trial division; its inputs are desk-scale (coefficients of
+small quadratic forms), so no advanced factoring is needed.  The products
+`square` and `mul` serve the construction's identity checks, whose operands
+grow to hundreds of thousands of bits: from `TOOM_MIN_BITS` on, each splits
+its operands once by Toom-3 and recurses, where CPython multiplies by
+Karatsuba alone.
 """
 from __future__ import annotations
 
@@ -95,3 +100,72 @@ def vec_gcd(*xs: int) -> int:
     for x in xs:
         g = gcd(g, x)
     return g
+
+
+# Operand bits from which `square` and `mul` take a Toom-3 step.  Timed
+# against CPython's own product (2-core x86_64, Python 3.11.7, medians of
+# interleaved runs, this constant), the kernel is at par up to about 48k
+# bits, 0.85-0.97 at 64k-135k bits and 0.79-0.81 at 200k-400k bits, for
+# squares and for operands 1:1 or 1.6:1 apart; below the constant a step
+# gains nothing for its additions and shifts.  It must be at least 6,
+# so that each step shrinks its operands.
+TOOM_MIN_BITS = 1 << 15
+
+
+def square(x: int) -> int:
+    """x * x, by one Toom-3 step and recursion from `TOOM_MIN_BITS` bits."""
+    n = x.bit_length()
+    if n < TOOM_MIN_BITS:
+        return x * x
+    k = (n + 2) // 3
+    x = abs(x)
+    mask = (1 << k) - 1
+    x0, x1, x2 = x & mask, (x >> k) & mask, x >> 2 * k
+    p = x0 + x2
+    return _toom3_join(
+        square(x0),
+        square(p + x1),
+        square(p - x1),
+        square((((x2 << 1) - x1) << 1) + x0),
+        square(x2),
+        k,
+    )
+
+
+def mul(a: int, b: int) -> int:
+    """a * b, by one Toom-3 step and recursion when both operands have at
+    least `TOOM_MIN_BITS` bits and neither has more than twice the other's."""
+    na, nb = a.bit_length(), b.bit_length()
+    if na < nb:
+        na, nb = nb, na
+    if nb < TOOM_MIN_BITS or na > 2 * nb:
+        return a * b
+    k = (na + 2) // 3
+    negative = (a < 0) != (b < 0)
+    a, b = abs(a), abs(b)
+    mask = (1 << k) - 1
+    a0, a1, a2 = a & mask, (a >> k) & mask, a >> 2 * k
+    b0, b1, b2 = b & mask, (b >> k) & mask, b >> 2 * k
+    pa, pb = a0 + a2, b0 + b2
+    r = _toom3_join(
+        mul(a0, b0),
+        mul(pa + a1, pb + b1),
+        mul(pa - a1, pb - b1),
+        mul((((a2 << 1) - a1) << 1) + a0, (((b2 << 1) - b1) << 1) + b0),
+        mul(a2, b2),
+        k,
+    )
+    return -r if negative else r
+
+
+def _toom3_join(v0: int, v1: int, vm1: int, vm2: int, vinf: int, k: int) -> int:
+    """r(2^k) for the product polynomial r of degree 4 whose values at 0, 1,
+    -1, -2 and infinity are given: the interpolation of Bodrato and Zanoni
+    (2007), with one exact division by 3 and exact halvings."""
+    r3 = (vm2 - v1) // 3
+    r1 = (v1 - vm1) >> 1
+    r2 = vm1 - v0
+    r3 = ((r2 - r3) >> 1) + (vinf << 1)
+    r2 += r1 - vinf
+    r1 -= r3
+    return ((((((vinf << k) + r3) << k) + r2) << k) + r1 << k) + v0

@@ -11,6 +11,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from itertools import chain
 
@@ -44,12 +45,46 @@ EXIT_MATH = 3
 EXIT_INVARIANT = 4
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def read_int(s: str) -> int:
-    """An integer string of a CLI file: `0x` hex as written, or decimal as in
-    files written before hex.  Decimal text is subject to CPython's int/str
-    digit limit (a ValueError past it); hex is not.  A non-string is a
-    TypeError."""
-    return int(s, 0)
+    """An integer string of a CLI file: an optional `-`, then `0x` and hex
+    digits as written, or decimal digits as in files written before hex.
+    Any other string is a ValueError, and so is decimal text past CPython's
+    int/str digit limit; hex has no limit.  A non-string is a TypeError.
+    Each message reads on from the name of the field, as in `t must be an
+    integer string`."""
+    if not isinstance(s, str):
+        raise TypeError("must be an integer string")
+    if s.startswith(("0x", "-0x")):
+        # int(s, 16) alone also takes underscores, surrounding whitespace and
+        # non-ASCII digits
+        if s.isascii() and "_" not in s and s[-1].isalnum():
+            try:
+                return int(s, 16)
+            except ValueError:
+                pass
+    elif _DECIMAL.fullmatch(s):
+        try:
+            return int(s)
+        except ValueError:  # the int/str digit limit, the only error left
+            raise ValueError(
+                f"has more than {sys.get_int_max_str_digits()} decimal digits, "
+                "the int/str limit (hex has none)"
+            ) from None
+    raise ValueError("must be an integer string")
+
+
+def _row_field_error(row: dict) -> str:
+    """The message for the first of a sequence row's `y` coordinates and `t`
+    that `read_int` refuses."""
+    for field, v in zip(("y[0]", "y[1]", "y[2]", "t"), (*row["y"], row["t"])):
+        try:
+            read_int(v)
+        except (TypeError, ValueError) as exc:
+            return f"row i={row['i']}: {field} {exc}"
+    raise AssertionError("every field of the row reads")  # pragma: no cover - called on a failed read
 
 
 def _dyadic_json(d: Dyadic) -> dict:
@@ -386,11 +421,10 @@ def cmd_verify(args) -> int:
             if not isinstance(obj["y"], list) or len(obj["y"]) != 3:
                 raise ValueError(f"row i={obj['i']}: y must be a list of 3 integers")
             try:
-                y, t = tuple(read_int(v) for v in obj["y"]), read_int(obj["t"])
-            except TypeError:  # `read_int` reads strings only
-                named = zip(("y[0]", "y[1]", "y[2]", "t"), (*obj["y"], obj["t"]))
-                field = next(name for name, v in named if not isinstance(v, str))
-                raise ValueError(f"row i={obj['i']}: {field} must be an integer string") from None
+                y0, y1, y2 = obj["y"]
+                y, t = (read_int(y0), read_int(y1), read_int(y2)), read_int(obj["t"])
+            except (TypeError, ValueError):
+                raise ValueError(_row_field_error(obj)) from None
             for key in ("i", "norm_bits"):
                 if type(obj[key]) is not int:
                     raise ValueError(f"row {key}={obj[key]!r} must be a JSON integer")

@@ -22,7 +22,6 @@ import struct
 import threading
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
-from functools import cached_property
 
 from .numerics import ZERO, CertifiedReal, Dyadic, check_cap, ratio_up, scale_outward
 from .pell import fundamental_solution, find_seed_pair
@@ -34,6 +33,7 @@ from .quadform import (
     max_norm,
     psi,
 )
+from . import arith
 from .arith import is_squarefree
 from .records import FrozenRecord, Record, set_field
 
@@ -129,6 +129,23 @@ def seed_triple(b: int, c: int) -> ExtremalSequence:
 # the identity table, walked by `seed_triple`, `extend` and `cli verify`
 # ---------------------------------------------------------------------------
 
+class _cached:
+    """`functools.cached_property` without the lock that CPython 3.11 takes
+    on each first read, about 0.6 us, paid twice per index: the first read
+    stores the value in the instance `__dict__`, where later reads find it
+    first.  A `Window` is read by one thread."""
+
+    def __init__(self, func: Callable) -> None:
+        self.func, self.name = func, func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Window(Record):
     """The stored members that the identities at index i read.
 
@@ -166,18 +183,24 @@ class Window(Record):
     def t(self, j: int) -> int:
         return self.ts[j + 1]
 
-    @cached_property
+    @_cached
     def t_product(self) -> int:
         """P = t_{i-1} * t_{i-2}, shared by the t recurrence and the double
         inequality on t."""
-        return self.t(self.i - 1) * self.t(self.i - 2)
+        a, b = self.t(self.i - 1), self.t(self.i - 2)
+        return arith.mul(a, b) if a.bit_length() >= arith.TOOM_MIN_BITS else a * b
 
-    @cached_property
+    @_cached
     def t_y(self) -> Vec3:
         """t_{i-1} * y_{i-1}, coordinate by coordinate, shared by the reflection
-        entry and the double inequality on norms."""
+        entry and the double inequality on norms.  These are the products the
+        recurrence made y_i from; from `arith.TOOM_MIN_BITS` on they are made
+        again by another algorithm, `arith.mul`, so a fault of either shows."""
         t = self.t(self.i - 1)
         x0, x1, x2 = self.y(self.i - 1)
+        if t.bit_length() >= arith.TOOM_MIN_BITS:
+            mul = arith.mul
+            return mul(t, x0), mul(t, x1), mul(t, x2)
         return t * x0, t * x1, t * x2
 
 
@@ -268,7 +291,11 @@ def _constant_determinant(w: Window) -> bool:
     g = w.form.gram_det
     if w.proved >= 2 and g:
         a, b, c = w.t(i - 1), w.t(i - 2), w.t(i)
-        return 8 + 2 * c * (w.t_product - c) - 2 * (a * a + b * b) == g * w.det0 * w.det0
+        if a.bit_length() >= arith.TOOM_MIN_BITS:
+            squares = arith.square(a) + arith.square(b)
+        else:
+            squares = a * a + b * b
+        return 8 + 2 * c * (w.t_product - c) - 2 * squares == g * w.det0 * w.det0
     return abs(det3(w.y(i), w.y(i - 1), w.y(i - 2))) == abs(w.det0)
 
 
@@ -328,9 +355,11 @@ IDENTITIES: tuple[Identity, ...] = (
 
 # The entries a forked child evaluates when `extend` shares its checks; the
 # parent runs the recurrence and evaluates the rest of the table.  Serial CPU
-# on the `construct` mix (depths 17-21 of its six pairs, 2-core x86_64): the
-# child's five entries 886 ms, the parent's recurrence and three entries
-# 872 ms.  Each cached product has all its readers on one side:
+# on the `construct` mix (depths 17-21 of its six pairs, 2-core x86_64, best
+# of 5, with the products of `arith`): the child's five entries 796 ms
+# (B_next 350, B_skip 335, determinant 109, t entries 2), the parent's
+# recurrence and three entries 791 ms (recurrence 248, q 350, psi 190, norm
+# 3).  Each cached product has all its readers on one side:
 # `Window.t_product` in the child, `Window.t_y` in the parent.
 CHILD_SHARE = frozenset({
     "inner product t_{i-1} = B(y_i, y_{i-1})",
@@ -391,7 +420,9 @@ def verdicts(
 
 
 def _append_member(seq: ExtremalSequence, i: int) -> None:
-    """Appends y_i = t_{i-1} y_{i-1} - y_{i-3} and t_i = t_{i-1} t_{i-2} - t_{i-3}."""
+    """Appends y_i = t_{i-1} y_{i-1} - y_{i-3} and t_i = t_{i-1} t_{i-2} - t_{i-3},
+    multiplying with `*`; from `arith.TOOM_MIN_BITS` on, the checks redo the
+    products t_{i-1} y_{i-1} and t_{i-1} t_{i-2} with `arith.mul`."""
     t = seq.t(i - 1)
     y = tuple(t * a - b for a, b in zip(seq.y(i - 1), seq.y(i - 3)))
     seq.ys.append(y)  # type: ignore[arg-type]

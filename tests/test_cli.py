@@ -332,6 +332,31 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == f"error: cannot parse sequence file: row i=3: {field} must be an integer string\n"
 
+    @pytest.mark.parametrize(
+        "field,spell",
+        [
+            ("t", bin),  # verified with exit 0 when `read_int` was int(s, 0)
+            ("t", lambda v: f"{v:_}"),  # so did underscores
+            ("y[1]", lambda v: "abc"),  # named neither the row nor the field
+            ("y[2]", lambda v: f" {hex(v)}"),
+        ],
+        ids=["t-binary", "t-underscores", "y1-abc", "y2-leading-space"],
+    )
+    def test_row_field_that_is_no_integer_string_names_the_row(self, tmp_path, capsys, field, spell):
+        f = self._construct(tmp_path)
+        rows = [json.loads(line) for line in f.read_text().splitlines()]
+        if field == "t":
+            rows[4]["t"] = spell(read_int(rows[4]["t"]))
+        else:
+            k = int(field[2])
+            rows[4]["y"][k] = spell(read_int(rows[4]["y"][k]))
+        f.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot parse sequence file: row i=3: {field} must be an integer string\n"
+
     @pytest.mark.parametrize("flag", [["--b", "5"], ["--c", "7"]])
     def test_lone_b_or_c_is_input_error(self, tmp_path, capsys, flag):
         f = self._construct(tmp_path)
@@ -459,6 +484,38 @@ def test_read_int_inverts_hex_and_str(v):
         assert read_int(str(v)) == v
     finally:
         sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [("0x1f", 31), ("-0x1F", -31), ("0x0", 0), ("-0", 0), ("42", 42), ("-42", -42), ("007", 7)],
+)
+def test_read_int_takes_hex_and_decimal(text, value):
+    assert read_int(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "-", "0x", "-0x", "0b101", "0o17", "0X1f", "1_000", "0x_1f", "0x1_f", " 42", "42 ",
+        "0x1f\n", "+42", "--42", "-+42", "0x-1f", "ff", "4 2", "\u0664\u0662", "0x\u0664",
+    ],
+)
+def test_read_int_refuses_other_strings(text):
+    with pytest.raises(ValueError, match="^must be an integer string$"):
+        read_int(text)
+
+
+@pytest.mark.parametrize("value", [42, None, ["0x1"], 4.0])
+def test_read_int_refuses_a_non_string(value):
+    with pytest.raises(TypeError, match="^must be an integer string$"):
+        read_int(value)
+
+
+def test_read_int_names_the_digit_limit(int_str_limit):
+    with pytest.raises(ValueError, match="^has more than 4300 decimal digits"):
+        read_int("9" * 4301)
+    assert read_int(hex(10**4301)) == 10**4301
 
 
 def _checked_names(out: str) -> set[str]:
@@ -697,6 +754,23 @@ class TestEnumerate:
         f.write_text(json.dumps(obj))
         assert self._enumerate_xi(f, capsys) == 2
         assert_one_line(capsys, f"error: --xi {f}: {key} must be an object with lo, hi and precision")
+
+    @pytest.mark.parametrize("key,end", [("xi1", "lo"), ("tail_bound", "hi")])
+    def test_xi_mantissa_in_binary_names_the_field(self, tmp_path, capsys, key, end):
+        # `int(s, 0)` read it, and the enclosure check passed with exit 0
+        f, obj = self._xi(tmp_path)
+        obj[key][end]["man"] = bin(read_int(obj[key][end]["man"]))
+        f.write_text(json.dumps(obj))
+        assert self._enumerate_xi(f, capsys) == 2
+        assert_one_line(capsys, f"error: --xi {f}: {key} must be an object with lo, hi and precision")
+
+    @pytest.mark.parametrize("key,text", [("b", "0b10"), ("c", "0o3")])
+    def test_xi_b_or_c_in_another_base_names_the_field(self, tmp_path, capsys, key, text):
+        f, obj = self._xi(tmp_path)
+        obj[key] = text
+        f.write_text(json.dumps(obj))
+        assert self._enumerate_xi(f, capsys) == 2
+        assert capsys.readouterr().err == f"error: --xi {f}: {key} must be an integer string\n"
 
     @pytest.mark.parametrize(
         "key,edit",

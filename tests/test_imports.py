@@ -1,7 +1,9 @@
 """No module of the package imports a name it never uses (`__init__`, which
 re-exports, is exempt), no function, class or method of the package is
-defined without being named by the package, the scripts or the benchmark, and
-importing the CLI loads none of `dataclasses`, `inspect`, `typing` and `pathlib`."""
+defined without being named by the package, the scripts or the benchmark,
+importing the CLI loads none of `dataclasses`, `inspect`, `typing` and
+`pathlib`, and the big-integer kernel lives in `arith` alone and stays out of
+the recurrence."""
 import ast
 import subprocess
 import sys
@@ -121,3 +123,70 @@ def test_cli_import_loads_no_avoidable_module():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"
+
+
+def split_products(source: str) -> list[str]:
+    """Functions of `source` that multiply by recursive splitting, as Toom-3
+    and Karatsuba do: each calls itself at least three times and shifts by
+    an amount it computes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        self_calls = sum(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == node.name
+            for n in ast.walk(node)
+        )
+        computed_shift = any(
+            isinstance(n, ast.BinOp)
+            and isinstance(n.op, (ast.RShift, ast.LShift))
+            and not isinstance(n.right, ast.Constant)
+            for n in ast.walk(node)
+        )
+        if self_calls >= 3 and computed_shift:
+            found.append(node.name)
+    return found
+
+
+def test_the_check_finds_a_split_product():
+    source = (
+        "def karatsuba(a, b):\n"
+        "    if a < 16 or b < 16:\n"
+        "        return a * b\n"
+        "    k = max(a.bit_length(), b.bit_length()) // 2\n"
+        "    a1, a0, b1, b0 = a >> k, a & ((1 << k) - 1), b >> k, b & ((1 << k) - 1)\n"
+        "    hi, lo = karatsuba(a1, b1), karatsuba(a0, b0)\n"
+        "    mid = karatsuba(a0 + a1, b0 + b1) - hi - lo\n"
+        "    return (hi << 2 * k) + (mid << k) + lo\n"
+        "def fib(n):\n"
+        "    return n if n < 2 else fib(n - 1) + fib(n - 2)\n"
+    )
+    assert split_products(source) == ["karatsuba"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_arith_splits_products(path):
+    # one kernel: `arith.square` and `arith.mul`
+    found = split_products(path.read_text())
+    assert found == (["square", "mul"] if path.name == "arith.py" else [])
+
+
+def called_names(source: str, function: str) -> set[str]:
+    """Names that the function `function` of `source` calls, as a bare name
+    or as an attribute."""
+    node = next(
+        n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef) and n.name == function
+    )
+    return {
+        n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_the_recurrence_multiplies_with_the_operator():
+    # the checks redo the recurrence's products t_{i-1} y_{i-1} with the
+    # kernel, so a fault of either fails an identity instead of passing
+    names = called_names((PACKAGE / "extremal.py").read_text(), "_append_member")
+    assert "append" in names
+    assert not names & {"square", "mul"}
