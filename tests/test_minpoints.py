@@ -5,11 +5,14 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conic_approx import minpoints, targets
 from conic_approx.extremal import extend, limit_point, seed_triple
 from conic_approx.minpoints import (
     _abs_interval,
+    _scaled_enclosure,
     _scan,
     enumerate_minimal,
     estimate_lambda,
@@ -18,7 +21,13 @@ from conic_approx.minpoints import (
     records_from_sequence,
     rigidity_check,
 )
-from conic_approx.numerics import PrecisionCapError, height_precision, nearest_integer, scale_outward
+from conic_approx.numerics import (
+    CertifiedReal,
+    Dyadic,
+    PrecisionCapError,
+    height_precision,
+    nearest_integer,
+)
 from conic_approx.quadform import TernaryQuadraticForm, det3, max_norm
 from conic_approx.targets import (
     DependentTargetError,
@@ -86,23 +95,30 @@ class TestEnumerateAgainstBruteForce:
             assert r2.L.hi < r1.L.lo  # certified strict decrease
 
 
-def unfiltered_scan(target, xmax, p):
-    """The scan without the first-coordinate skip: every x0 is rounded and compared."""
-    (a1lo, a1hi), (a2lo, a2hi) = (
-        (scale_outward(e.lo.man, e.lo.exp + p)[0], scale_outward(e.hi.man, e.hi.exp + p)[1])
-        for e in target.enclosure(p)
-    )
+def reference_scan(target, xmax, p, *, skip):
+    """The scan written from its definition, and the x0 it rounds.
+
+    Without `skip` every x0 is rounded and compared.  With it, x0 is skipped
+    when x0*a1lo mod 2**p lies in [best_hi + slack, 2**p - 1 - best_hi - slack],
+    tested directly on that residue.  Returns ((records, p) or None, the x0
+    rounded in order, up to the end of the pass or the undecided x0).
+    """
+    (a1lo, a1hi), (a2lo, a2hi) = _scaled_enclosure(target, p)
+    mask = (1 << p) - 1
+    slack = xmax * (a1hi - a1lo) + 1
     records = []
+    visited = []
     best = None
     for x0 in range(1, xmax + 1):
+        if skip and best is not None and best[1] + slack <= x0 * a1lo & mask <= mask - best[1] - slack:
+            continue
+        visited.append(x0)
         v1lo, v1hi = x0 * a1lo, x0 * a1hi
         v2lo, v2hi = x0 * a2lo, x0 * a2hi
         n1 = nearest_integer(v1lo, v1hi, p)
-        if n1 is None:
-            return None
         n2 = nearest_integer(v2lo, v2hi, p)
-        if n2 is None:
-            return None
+        if n1 is None or n2 is None:
+            return None, visited
         d1 = (v1lo - (n1 << p), v1hi - (n1 << p))
         d2 = (v2lo - (n2 << p), v2hi - (n2 << p))
         e1i = _abs_interval(*d1)
@@ -112,8 +128,13 @@ def unfiltered_scan(target, xmax, p):
             best = li
             records.append((x0, n1, n2, li, d1, d2))
         elif li[0] < best[1]:
-            return None
-    return records, p
+            return None, visited
+    return (records, p), visited
+
+
+def unfiltered_scan(target, xmax, p):
+    """The scan without the first-coordinate skip: every x0 is rounded and compared."""
+    return reference_scan(target, xmax, p, skip=False)[0]
 
 
 SQUAREFREE_60 = [n for n in range(2, 61) if all(n % (k * k) for k in range(2, 8))]
@@ -170,6 +191,186 @@ class TestPrefilter:
         assert undecided >= len(PREFILTER_TARGETS)
 
 
+class ShiftedTarget:
+    """Test-only target (1, sign*xi1 + shift, xi2) on the enclosures of `inner`.
+
+    With sign -1 or a negative shift the xi1 enclosure is negative, so a1lo is
+    too.  The records are those of `inner`: the same x0 and L, with
+    x1 = sign*n1 + shift*x0.
+    """
+
+    def __init__(self, inner, sign, shift):
+        self.inner, self.sign, self.shift = inner, sign, shift
+
+    def enclosure(self, bits):
+        e1, e2 = self.inner.enclosure(bits)
+        if self.sign < 0:
+            e1 = -e1
+        m = Dyadic.make(self.shift)
+        return CertifiedReal(e1.lo + m, e1.hi + m, e1.precision), e2
+
+    def __repr__(self):
+        return f"ShiftedTarget({self.inner!r}, {self.sign}, {self.shift})"
+
+
+class IntegerXi1Target:
+    """Test-only target (1, k, xi2) with xi1 exactly the integer k, so a1lo =
+    k*2**p is a multiple of 2**p (0 when k = 0) at every p: the residues of
+    x0*a1lo are all 0, and the records are those of xi2 alone."""
+
+    def __init__(self, k, inner):
+        self.k, self.inner = k, inner
+
+    def enclosure(self, bits):
+        k = Dyadic.make(self.k)
+        return CertifiedReal(k, k, bits), self.inner.enclosure(bits)[1]
+
+    def __repr__(self):
+        return f"IntegerXi1Target({self.k}, {self.inner!r})"
+
+
+class GridTarget:
+    """Test-only target (1, n1*2**-q, n2*2**-q), exact on the grid 2**-q.  At
+    p = q every enclosure has width 0, so slack = 1 and every rounding is
+    decided, and over a few thousand x0 some residues x0*a1lo mod 2**p fall
+    exactly on an end of the skip window."""
+
+    def __init__(self, n1, n2, q):
+        self.n1, self.n2, self.q = n1, n2, q
+
+    def enclosure(self, bits):
+        return tuple(
+            CertifiedReal(Dyadic.make(n, -self.q), Dyadic.make(n, -self.q), self.q)
+            for n in (self.n1, self.n2)
+        )
+
+    def __repr__(self):
+        return f"GridTarget({self.n1}, {self.n2}, {self.q})"
+
+
+SQRT_PAIRS_60 = [(a, b) for a in SQUAREFREE_60 for b in SQUAREFREE_60 if a != b]
+EXTREMAL_POOL = [ExtremalTarget(b, c) for b, c in ((2, 3), (3, 5), (5, 7), (3, 2))]
+FAKE_TARGETS = [
+    ShiftedTarget(SqrtPairTarget(2, 3), -1, 0),
+    ShiftedTarget(SqrtPairTarget(5, 7), 1, -4),
+    ShiftedTarget(ExtremalTarget(2, 3), -1, 3),
+    IntegerXi1Target(0, SqrtPairTarget(2, 3)),
+    IntegerXi1Target(-3, SqrtPairTarget(2, 7)),
+    IntegerXi1Target(5, SqrtPairTarget(11, 13)),
+]
+SCAN_TARGETS = st.one_of(
+    st.sampled_from(SQRT_PAIRS_60).map(lambda ab: SqrtPairTarget(*ab)),
+    st.sampled_from(EXTREMAL_POOL),
+    st.sampled_from(FAKE_TARGETS),
+)
+
+
+def exact_records(target, xmax):
+    """(x0, x1, x2) of the records, from the unfiltered scan at the first
+    doubling of the default precision that decides it."""
+    p = height_precision(xmax, 96)
+    while (out := unfiltered_scan(target, xmax, p)) is None:
+        p *= 2
+    return [r[:3] for r in out[0]]
+
+
+def rounded_x0(monkeypatch, target, xmax, p):
+    """The x0 that `_scan` passes to `nearest_integer`, in order, and its result."""
+    (a1lo, _), _ = _scaled_enclosure(target, p)
+    calls = []
+
+    def counted(lo, hi, p):
+        calls.append(lo)
+        return nearest_integer(lo, hi, p)
+
+    monkeypatch.setattr(minpoints, "nearest_integer", counted)
+    out = _scan(target, xmax, p)
+    return [v // a1lo for v in calls[::2]], out  # each x0 rounds x0*a1lo, then x0*a2lo
+
+
+class TestRebasedSkip:
+    """`_scan` runs its skip test on the re-based sums u = x0*step - base; these
+    compare it with the scans written from their definitions."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        target=SCAN_TARGETS,
+        xmax=st.integers(1, 3000),
+        p=st.one_of(st.none(), st.integers(16, 40)),
+    )
+    @example(target=SqrtPairTarget(2, 3), xmax=1, p=None)
+    @example(target=IntegerXi1Target(0, SqrtPairTarget(2, 3)), xmax=3000, p=None)
+    @example(target=ShiftedTarget(SqrtPairTarget(2, 3), -1, 0), xmax=3000, p=20)
+    def test_equals_unfiltered_scan_where_it_decides(self, target, xmax, p):
+        p = p or height_precision(xmax, 96)
+        want = unfiltered_scan(target, xmax, p)
+        got = _scan(target, xmax, p)
+        if want is not None:
+            assert got == want
+        elif got is not None:
+            assert got[1] == p
+            assert [r[:3] for r in got[0]] == exact_records(target, xmax)
+
+    @pytest.mark.parametrize("target", FAKE_TARGETS, ids=repr)
+    def test_fake_targets_get_their_exact_records(self, target):
+        xmax = 3000
+        got = [r.x for r in enumerate_minimal(target, xmax)]
+        if isinstance(target, ShiftedTarget):
+            inner = [r.x for r in enumerate_minimal(target.inner, xmax)]
+            want = [(x0, target.sign * x1 + target.shift * x0, x2) for x0, x1, x2 in inner]
+        else:
+            digits = 30
+            scaled = (target.k * 10**digits, decimal_scaled_sqrt(target.inner.b, digits))
+            want = brute_force_records(scaled, xmax, digits)
+        assert got == want
+
+    def test_records_at_one_and_at_xmax(self):
+        target = SqrtPairTarget(2, 3)
+        records = enumerate_minimal(target, 2000)
+        for xmax in (1, records[1].X, records[-1].X):
+            p = height_precision(xmax, 96)
+            got = _scan(target, xmax, p)
+            assert got == unfiltered_scan(target, xmax, p)
+            assert got[0][0][0] == 1 and got[0][-1][0] == xmax
+
+    def test_empty_window_skips_nothing(self, monkeypatch):
+        # at 12 bits slack = xmax + 1 > 2**11, so span < 0 after every record
+        # and every x0 up to the undecided one is rounded
+        target = SqrtPairTarget(2, 3)
+        xmax, p = 3000, 12
+        (a1lo, a1hi), _ = _scaled_enclosure(target, p)
+        assert xmax * (a1hi - a1lo) + 1 > 1 << (p - 1)
+        visited, got = rounded_x0(monkeypatch, target, xmax, p)
+        want, want_visited = reference_scan(target, xmax, p, skip=False)
+        assert got == want
+        assert visited == want_visited == list(range(1, len(visited) + 1))
+
+
+class TestSameCandidates:
+    """`_scan` rounds exactly the x0 that the skip test on x0*a1lo mod 2**p keeps."""
+
+    @pytest.mark.parametrize("target", PREFILTER_TARGETS, ids=repr)
+    @pytest.mark.parametrize("bits", [None, 24, 28])
+    def test_rounds_the_x0_that_the_direct_skip_keeps(self, monkeypatch, target, bits):
+        xmax = 2 * 10**4
+        p = bits or height_precision(xmax, 96)
+        want, want_visited = reference_scan(target, xmax, p, skip=True)
+        visited, got = rounded_x0(monkeypatch, target, xmax, p)
+        assert got == want
+        assert visited == want_visited
+        assert len(visited) < xmax // 20
+
+    @pytest.mark.parametrize("q", [12, 13, 17])
+    def test_window_ends(self, monkeypatch, q):
+        rng = random.Random(q)
+        for _ in range(5):
+            target = GridTarget(rng.randrange(1, 1 << q), rng.randrange(1, 1 << q), q)
+            want, want_visited = reference_scan(target, 3000, q, skip=True)
+            visited, got = rounded_x0(monkeypatch, target, 3000, q)
+            assert got == want
+            assert visited == want_visited
+
+
 class TestRationalTargets:
     @pytest.mark.parametrize(
         "a,b", [(2, 8), (0, 2), (1, 2), (2, 1), (6, 24), (4, 9), (0, 0), (1, 1)]
@@ -189,6 +390,11 @@ class TestRationalTargets:
     def test_xmax_validation(self):
         with pytest.raises(ValueError):
             enumerate_minimal(SqrtPairTarget(2, 3), 0)
+
+    @pytest.mark.parametrize("bits", [0, -3])
+    def test_bits_below_one_rejected(self, bits):
+        with pytest.raises(ValueError, match="^bits must be at least 1$"):
+            enumerate_minimal(SqrtPairTarget(2, 3), 10, bits=bits)
 
 
 class TestSqrtPairEnclosure:
