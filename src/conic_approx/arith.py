@@ -21,6 +21,11 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
+# b, c and Pell radicands must be below 2^FACTOR_BITS: trial division, which
+# tries divisors up to the square root, runs for hours on an 80-bit prime.
+FACTOR_BITS = 32
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| by trial division. Returns {prime: exponent}."""
     n = abs(n)

@@ -13,14 +13,12 @@ import json
 import os
 import re
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 from .extremal import (
-    SEED_IDENTITIES,
     ExtremalSequence,
     InvariantViolation,
     UnsupportedConstruction,
-    Window,
     extend,
     limit_index,
     validate_bc,
@@ -28,7 +26,7 @@ from .extremal import (
 )
 from .minpoints import enumerate_minimal, estimate_lambda, rigidity_check
 from .numerics import CertifiedReal, Dyadic, PrecisionCapError, precision_cap
-from .pell import cf_expansion, find_seed_pair, fundamental_solution, next_solution
+from .pell import cf_expansion, find_seed_pair, solutions
 from .quadform import (
     FormRejected,
     ReductionIdentityError,
@@ -394,9 +392,8 @@ def _infer_bc(rows) -> tuple[int, int]:
 
 
 def cmd_verify(args) -> int:
-    """Prints one `PASS`/`FAIL` line per row's `norm_bits`, per seed identity
-    and, as `extremal.verdicts` gives them, per entry of the identity table
-    at each index i >= 2; raises the first failure."""
+    """Prints one `PASS`/`FAIL` line per row's `norm_bits` and then one per
+    verdict of `extremal.verdicts`; raises the first failure."""
     if (args.b is None) != (args.c is None):
         print("error: verify takes --b and --c together or neither", file=sys.stderr)
         return EXIT_INPUT
@@ -440,15 +437,10 @@ def cmd_verify(args) -> int:
     ys = [r["y"] for r in rows]
     ts = [r["t"] for r in rows]
     det0 = det3(ys[2], ys[1], ys[0])
-    seed = Window(phi, ys, ts, det0, 1)
-    checks = [("norm_bits", r["i"], max_norm(r["y"]).bit_length() == r["norm_bits"]) for r in rows]
-    checks += [(name, 1, holds(seed)) for name, holds in SEED_IDENTITIES]
-    # the seed identities proved the indices -1, 0 and 1, unless a check failed
-    sound = all(ok for _, _, ok in checks)
     seq = ExtremalSequence(b, c, (), phi, ys, ts, det0)  # type: ignore[arg-type]  # no Pell seed
-    walk = verdicts(seq, 2, seq.depth, 3 if sound else None)
+    checks = [("norm_bits", r["i"], max_norm(r["y"]).bit_length() == r["norm_bits"]) for r in rows]
     first_failure = None
-    for name, index, ok in chain(checks, walk):
+    for name, index, ok in chain(checks, verdicts(seq)):
         print(f"{'PASS' if ok else 'FAIL'}  {name} @ i={index}")
         if not ok and first_failure is None:
             first_failure = InvariantViolation(name, index)
@@ -462,11 +454,8 @@ def cmd_pell(args) -> int:
         print("error: --count must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     try:
-        fund = fundamental_solution(args.b)
+        sols = list(islice(solutions(args.b), args.count))
         first, second = find_seed_pair(args.b)
-        sols = [fund]
-        for _ in range(args.count - 1):
-            sols.append(next_solution(sols[-1]))
         expansion = cf_expansion(args.b, 12)
     except ValueError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
@@ -476,7 +465,7 @@ def cmd_pell(args) -> int:
             {
                 "b": str(args.b),
                 "cf_expansion_prefix": expansion,
-                "fundamental": {"m": str(fund.m), "n": str(fund.n)},
+                "fundamental": {"m": str(sols[0].m), "n": str(sols[0].n)},
                 "seed_pair": {
                     "first": {"m": str(first.m), "n": str(first.n)},
                     "second": {"m": str(second.m), "n": str(second.n)},

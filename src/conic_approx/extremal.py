@@ -99,6 +99,8 @@ class ExtremalSequence(Record):
 
 def validate_bc(b: int, c: int) -> None:
     for name, v in (("b", b), ("c", c)):
+        if v >= 1 << arith.FACTOR_BITS:
+            raise UnsupportedConstruction(f"{name} must be below 2^{arith.FACTOR_BITS}")
         if v <= 1 or not is_squarefree(v):
             raise UnsupportedConstruction(f"{name}={v} must be a square-free integer > 1")
 
@@ -118,15 +120,14 @@ def seed_triple(b: int, c: int) -> ExtremalSequence:
     ]
     det0 = det3(ys[2], ys[1], ys[0])
     seq = ExtremalSequence(b, c, (m, n, mp, np_, r, t), form, ys, ts, det0)
-    window = Window(form, ys, ts, det0, 1)
-    for name, holds in SEED_IDENTITIES:
-        if not holds(window):
-            raise InvariantViolation(name, 1)
+    for name, i, holds in verdicts(seq):
+        if not holds:
+            raise InvariantViolation(name, i)
     return seq
 
 
 # ---------------------------------------------------------------------------
-# the identity table, walked by `seed_triple`, `extend` and `cli verify`
+# the identity tables, walked by `seed_triple`, `extend` and `cli verify`
 # ---------------------------------------------------------------------------
 
 class _cached:
@@ -150,13 +151,13 @@ class Window(Record):
     """The stored members that the identities at index i read.
 
     `proved` counts the indices just before i at which this same run (one
-    `extend` call, or one `verify`) already proved every identity; for
-    `verify` the seed identities count for the indices -1, 0 and 1.  An entry
-    may reuse values those identities established, and values that entries
-    before it at index i established.  So its verdict stands only if every
-    entry before it held.  `_first_failure`, the one loop over `IDENTITIES`,
-    is the only place that sets `proved`; `extend` reports only the first
-    failure, and `verify` walks on past it with `proved` at 0.
+    `extend` call, or one `verdicts` walk) already proved every identity; for
+    `verdicts` the seed identities count for the indices -1, 0 and 1.  An
+    entry may reuse values those identities established, and values that
+    entries before it at index i established.  So its verdict stands only if
+    every entry before it held.  `_first_failure`, the one loop over
+    `IDENTITIES`, is the only place that sets `proved`; `extend` reports only
+    the first failure, and `verdicts` walks on past it with `proved` at 0.
     """
 
     __slots__ = ("form", "ys", "ts", "det0", "i", "proved", "__dict__")  # __dict__ for the caches
@@ -376,9 +377,10 @@ FORK_MIN_BITS = 1 << 15
 # The notice of one new member on the pipe to the child: the bytes of each
 # coordinate of y_i and of t_i in the shared buffer.
 _NOTICE = struct.Struct("<qq")
-# The child's verdict on the pipe: whether an entry failed, its index and its
-# position in `IDENTITIES`.
-_VERDICT = struct.Struct("<?qq")
+# The child's verdict at the start of the shared mapping: whether it was
+# written (a fresh mapping reads False), whether an entry failed, its index
+# and its position in `IDENTITIES`.
+_VERDICT = struct.Struct("<??qq")
 
 
 def extend(seq: ExtremalSequence, upto: int) -> ExtremalSequence:
@@ -400,23 +402,27 @@ def extend(seq: ExtremalSequence, upto: int) -> ExtremalSequence:
     return seq
 
 
-def verdicts(
-    seq: ExtremalSequence, first: int, upto: int, proved: int | None
-) -> Iterator[tuple[str, int, bool]]:
-    """Appends by the recurrence the members through `upto` not yet stored,
-    and yields (name, i, holds) for each entry of `IDENTITIES` at each index
-    i in first..upto, in walk order.  The first failure is the walk's from
-    `proved` (`_checked_first_failure`, forked where it pays); each later
-    one is `_first_failure`'s from None, past the one before."""
+def verdicts(seq: ExtremalSequence) -> Iterator[tuple[str, int, bool]]:
+    """(name, i, holds) for each entry of `SEED_IDENTITIES` at i = 1, then of
+    `IDENTITIES` at each stored i >= 2, in walk order.  The walk reuses the
+    seed's three indices exactly when every seed identity held; its first
+    failure is `_checked_first_failure`'s, forked where it pays, and each
+    later one `_first_failure`'s from None, past the one before."""
+    seed = Window(seq.form, seq.ys, seq.ts, seq.det0, 1)
+    proved: int | None = 3
+    for name, holds in SEED_IDENTITIES:
+        ok = holds(seed)
+        proved = proved if ok else None
+        yield name, 1, ok
     positions = range(len(IDENTITIES))
-    failure = _checked_first_failure(seq, first, upto, proved)
-    for i in range(first, upto + 1):
+    failure = _checked_first_failure(seq, 2, seq.depth, proved) if seq.depth > 1 else None
+    for i in range(2, seq.depth + 1):
         for k, (name, _) in enumerate(IDENTITIES):
             holds = (i, k) != failure
             yield name, i, holds
             if not holds:
                 rest = _first_failure(seq, i, i, positions[k + 1:], None)
-                failure = rest or _first_failure(seq, i + 1, upto, positions, None)
+                failure = rest or _first_failure(seq, i + 1, seq.depth, positions, None)
 
 
 def _append_member(seq: ExtremalSequence, i: int) -> None:
@@ -503,19 +509,18 @@ def _checked_first_failure(
     established, so it holds in either process; the failing entry fails in
     the process that owns it; any other failure comes later.
 
-    This process writes each new member into an anonymous shared mapping of
-    `size` bytes (`_write_member`; one byte when no member is new) and then
-    its 16-byte `_NOTICE` into a pipe, which holds thousands of them, so it
-    never waits for the child to read.  The child walks with
-    `_first_failure` on member lists that wait for the next notice when the
-    walk reads past their end (`_received`), sends its first failure through
-    a second pipe as one `_VERDICT` and leaves through `os._exit`.  This
-    process sends no further notice once the child has left, reads the
-    verdict pipe to its end and reaps the child; if the verdict is short or
-    the child did not exit 0, it evaluates the child's share itself, so no
-    entry passes unevaluated.  If this process raises meanwhile, it kills and
-    reaps the child first.  Where the fork does not pay (`_fork_pays` on the
-    bits `_stream_bound` gives for y_upto, exact when it is stored) or the
+    This process writes each new member into an anonymous shared mapping
+    past the `_VERDICT` at its start (`_write_member`) and then its 16-byte
+    `_NOTICE` into a pipe, which holds thousands of them, so it never waits
+    for the child to read.  The child walks with `_first_failure` on member
+    lists that wait for the next notice when the walk reads past their end
+    (`_received`), packs its first failure into the `_VERDICT` and leaves
+    through `os._exit(0)`.  This process sends no further notice once the
+    child has left and reaps it; unless the child exited 0 and wrote its
+    verdict, it evaluates the child's share itself, so no entry passes
+    unevaluated.  If this process raises meanwhile, it kills and reaps the
+    child first.  Where the fork does not pay (`_fork_pays` on the bits
+    `_stream_bound` gives for y_upto, exact when it is stored) or the
     mapping or the fork fails, everything runs here (`_serial_first_failure`).
     """
     bits, size = _stream_bound(seq, seq.depth + 1, upto)
@@ -524,54 +529,48 @@ def _checked_first_failure(
     child = [k for k, (name, _) in enumerate(IDENTITIES) if name in CHILD_SHARE]
     mine = [k for k in range(len(IDENTITIES)) if k not in child]
     try:
-        buf = mmap.mmap(-1, max(size, 1))  # an empty mapping is an error
+        buf = mmap.mmap(-1, _VERDICT.size + size)
     except (OSError, OverflowError):  # more than memory or the address space holds
         return _serial_first_failure(seq, first, upto, proved)
     with buf:
+        buf.seek(_VERDICT.size)
         notice_r, notice_w = os.pipe()
-        verdict_r, verdict_w = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (notice_r, notice_w, verdict_r, verdict_w):
-                os.close(fd)
+            os.close(notice_r)
+            os.close(notice_w)
             return _serial_first_failure(seq, first, upto, proved)
         if pid == 0:
             status = 1
             try:
                 os.close(notice_w)
-                os.close(verdict_r)
                 failure = _first_failure(_received(seq, buf, notice_r), first, upto, child, proved)
-                os.write(verdict_w, _VERDICT.pack(failure is not None, *(failure or (0, 0))))
+                _VERDICT.pack_into(buf, 0, True, failure is not None, *(failure or (0, 0)))
                 status = 0
             finally:
                 os._exit(status)
         os.close(notice_r)
-        os.close(verdict_w)
         try:
             for i in range(seq.depth + 1, upto + 1):
                 _append_member(seq, i)
                 notice = _write_member(buf, seq.ys[-1], seq.ts[-1])
                 try:
                     os.write(notice_w, notice)
-                except BrokenPipeError:  # the child has left; its verdict tells why
+                except BrokenPipeError:  # the child has left; its exit status tells why
                     pass
             failures = [_first_failure(seq, first, upto, mine, proved)]
-            verdict = b""
-            while chunk := os.read(verdict_r, _VERDICT.size):
-                verdict += chunk
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             os.close(notice_w)
-            os.close(verdict_r)
             try:
                 exited_0 = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
             except ChildProcessError:  # reaped elsewhere, e.g. with SIGCHLD ignored
                 exited_0 = False
-    if len(verdict) == _VERDICT.size and exited_0:
-        failed, i, k = _VERDICT.unpack(verdict)
+        written, failed, i, k = _VERDICT.unpack_from(buf) if exited_0 else (False,) * 4
+    if written:
         failures.append((i, k) if failed else None)
     else:
         failures.append(_first_failure(seq, first, upto, child, proved))

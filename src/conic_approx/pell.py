@@ -4,7 +4,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import isqrt
 
-from .arith import is_square, is_squarefree
+from .arith import FACTOR_BITS, is_square, is_squarefree
 from .records import FrozenRecord, set_field
 
 
@@ -26,6 +26,8 @@ class PellSolution(FrozenRecord):
 def _check_radicand(b: int) -> None:
     if b < 2:
         raise ValueError("radicand must be at least 2")
+    if b >= 1 << FACTOR_BITS:
+        raise ValueError(f"radicand must be below 2^{FACTOR_BITS}")
     if is_square(b):
         raise ValueError(f"{b} is a perfect square")
 
@@ -72,17 +74,20 @@ def fundamental_solution(b: int) -> PellSolution:
         k, k_prev = a * k + k_prev, k
 
 
-def next_solution(s: PellSolution) -> PellSolution:
-    """Successor under the group law (m + n*sqrt(b)) * (m1 + n1*sqrt(b))."""
-    f = fundamental_solution(s.b)
+def next_solution(s: PellSolution, f: PellSolution | None = None) -> PellSolution:
+    """Successor under the group law (m + n*sqrt(b)) * (m1 + n1*sqrt(b)), with
+    (m1, n1) the fundamental solution `f`, computed here when not given."""
+    if f is None:
+        f = fundamental_solution(s.b)
     return PellSolution(s.m * f.m + s.b * s.n * f.n, s.m * f.n + s.n * f.m, s.b)
 
 
 def solutions(b: int) -> Iterator[PellSolution]:
-    s = fundamental_solution(b)
+    """The positive solutions in increasing order, powers of one fundamental solution."""
+    f = s = fundamental_solution(b)
     while True:
         yield s
-        s = next_solution(s)
+        s = next_solution(s, f)
 
 
 def find_seed_pair(b: int) -> tuple[PellSolution, PellSolution]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conic_approx import extremal, quadform, targets
+from conic_approx import arith, extremal, quadform, targets
 from conic_approx.cli import build_parser, main, read_int
 from conic_approx.extremal import (
     IDENTITIES,
@@ -274,6 +274,64 @@ class TestConstruct:
             ) == 0
         assert (a / "sequence.jsonl").read_bytes() == (b / "sequence.jsonl").read_bytes()
         assert (a / "xi.json").read_bytes() == (b / "xi.json").read_bytes()
+
+
+class TestHugeCoefficients:
+    """b, c or a Pell radicand of 2^32 or more is refused (exit 3, one
+    `rejected:` line naming the bound) before it is factored: trial division
+    runs for hours on such numbers, so `arith.factorize` is replaced here by
+    a function that raises on them."""
+
+    HUGE = 99999999999999999999999
+
+    @pytest.fixture(autouse=True)
+    def no_huge_factoring(self, monkeypatch):
+        real = arith.factorize
+
+        def factorize(n):
+            if abs(n) >= 1 << 32:
+                raise AssertionError(f"factorize called on a {abs(n).bit_length()}-bit number")
+            return real(n)
+
+        monkeypatch.setattr(arith, "factorize", factorize)
+
+    @pytest.mark.parametrize("which", ["b", "c"])
+    @pytest.mark.parametrize("command", ["construct", "enumerate", "verify"])
+    def test_b_or_c_refused(self, tmp_path, capsys, command, which):
+        b, c = (str(self.HUGE), "3") if which == "b" else ("2", str(self.HUGE))
+        assert main(["construct", "--b", "2", "--c", "3", "--depth", "3", "--out", str(tmp_path)]) == 0
+        extra = {
+            "construct": ["--out", str(tmp_path / "run")],
+            "enumerate": ["--xmax", "100", "--out", str(tmp_path / "run")],
+            "verify": ["--in", str(tmp_path / "sequence.jsonl")],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--b", b, "--c", c, *extra]) == 3
+        assert capsys.readouterr().err == f"rejected: {which} must be below 2^32\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_b_of_an_xi_file_refused(self, tmp_path, capsys):
+        assert main(["construct", "--b", "2", "--c", "3", "--depth", "3", "--out", str(tmp_path)]) == 0
+        f = tmp_path / "xi.json"
+        obj = json.loads(f.read_text())
+        obj["b"] = hex((1 << 20_000) + 1)  # past the int/str digit limit in decimal
+        f.write_text(json.dumps(obj))
+        capsys.readouterr()
+        argv = ["enumerate", "--xi", str(f), "--xmax", "100", "--out", str(tmp_path / "run")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "rejected: b must be below 2^32\n"
+
+    @pytest.mark.parametrize("b", [HUGE, 1000000000000000000000007, 1 << 32])
+    def test_pell_radicand_refused(self, capsys, b):
+        assert main(["pell", "--b", str(b)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rejected: radicand must be below 2^32\n"
+
+    def test_largest_accepted_b(self, tmp_path):
+        # 2^32 - 1 = 3 * 5 * 17 * 257 * 65537 is square-free
+        argv = ["construct", "--b", str((1 << 32) - 1), "--c", "3", "--depth", "3"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
 
 
 class TestVerify:
@@ -689,6 +747,47 @@ class TestIdentityTable:
         assert main(["verify", "--in", str(f)]) == 0
         names = {name for name, _ in SEED_IDENTITIES + IDENTITIES}
         assert _checked_names(capsys.readouterr().out) == names | {"norm_bits"}
+
+    @pytest.mark.parametrize("path", ["serial", "forked"])
+    @pytest.mark.parametrize(
+        "identity",
+        [None, ("unit value of the form", "y", lambda v: v + 1)],
+        ids=["norm_bits only", "norm_bits and an identity"],
+    )
+    def test_norm_bits_fault_keeps_the_reuse(
+        self, tmp_path, capsys, monkeypatch, request, identity, path
+    ):
+        """A row's `norm_bits` is a format check: off by one, it prints one
+        more `FAIL` line and names the first failure, but the walk still
+        reuses the seed's indices and prints the verdicts of the file
+        without that fault."""
+        edit = (lambda ys, ts: None) if identity is None else _tampering(*identity[1:], 3)
+        f = self._edited(tmp_path, edit)
+        rows = [json.loads(line) for line in f.read_text().splitlines()]
+        if path == "serial":
+            monkeypatch.setattr(extremal, "_fork_pays", lambda bits: False)
+        else:
+            forks = request.getfixturevalue("forks")
+        capsys.readouterr()
+        assert main(["verify", "--in", str(f)]) == (0 if identity is None else 4)
+        clean = capsys.readouterr()
+        rows[5]["norm_bits"] += 1
+        f.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        proved = []
+        real = extremal._checked_first_failure
+
+        def spy(seq, first, upto, reused):
+            proved.append(reused)
+            return real(seq, first, upto, reused)
+
+        monkeypatch.setattr(extremal, "_checked_first_failure", spy)
+        assert main(["verify", "--in", str(f)]) == 4
+        out, err = capsys.readouterr()
+        assert out == clean.out.replace("PASS  norm_bits @ i=4", "FAIL  norm_bits @ i=4")
+        assert err == "invariant failure: norm_bits failed at index 4\n"
+        assert proved == [3]
+        if path == "forked":
+            assert forks == [1, 1]
 
 
 class TestEnumerate:

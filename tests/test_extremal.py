@@ -18,6 +18,7 @@ from conic_approx.cli import main
 from conic_approx.extremal import (
     CHILD_SHARE,
     IDENTITIES,
+    SEED_IDENTITIES,
     ConsecutiveDistances,
     ExtremalSequence,
     InvariantViolation,
@@ -331,6 +332,29 @@ def stream_hooks(monkeypatch):
     return children, hooks
 
 
+REAL_VERDICT = extremal._VERDICT
+
+
+class VerdictThen:
+    """`extremal._VERDICT`, with `then` called in the child once its verdict
+    is packed into the mapping, and each unpacked verdict appended to
+    `unpacked`."""
+
+    size = REAL_VERDICT.size
+
+    def __init__(self, then=lambda: None, unpacked=None):
+        self.then, self.unpacked = then, [] if unpacked is None else unpacked
+
+    def pack_into(self, buf, offset, *values):
+        REAL_VERDICT.pack_into(buf, offset, *values)
+        self.then()
+
+    def unpack_from(self, buf):
+        verdict = REAL_VERDICT.unpack_from(buf)
+        self.unpacked.append(verdict)
+        return verdict
+
+
 class TestSharedChecks:
     """`extend` with one forked child evaluating `CHILD_SHARE` gives the serial
     verdict, leaves the sequence as the serial path does and leaves no child
@@ -419,9 +443,15 @@ class TestSharedChecks:
         want = min(failures, key=lambda f: (f[1], self.NAMES.index(f[0])))
         assert forked == serial == (want, want[1])
 
-    @pytest.mark.parametrize("how", ["exit 0", "killed", "short verdict", "pass, then exit 1"])
-    @pytest.mark.parametrize("tamper", [None, tamper_member])
+    @pytest.mark.parametrize(
+        "how", ["exit 0", "killed", "writes a pass, then killed", "writes a pass, then fails"]
+    )
+    @pytest.mark.parametrize("tamper", [None, tamper_member, tamper_det0])
     def test_child_without_a_verdict(self, how, tamper, monkeypatch, forks, tmp_path):
+        """A child that exits 0 without writing its verdict, or does not
+        exit 0 (killed, or failing after it wrote a pass it never checked):
+        this process evaluates the child's share itself, so such a pass
+        never hides `tamper_det0`'s failure."""
         real, parent = extremal._first_failure, os.getpid()
         walked = tmp_path / "child walked"
 
@@ -434,17 +464,12 @@ class TestSharedChecks:
                 os._exit(0)
             if how == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
-            write = os.write
-            if how == "short verdict":
-                os.write = lambda fd, data: write(fd, data[:-1])
-                return real(seq, first, upto, positions, proved)
-
-            def write_then_fail(fd, data):
-                write(fd, data)
-                raise OSError("after the verdict")
-
-            os.write = write_then_fail
             return None  # claims a pass it never checked
+
+        def after_the_verdict():
+            if how == "writes a pass, then killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError("after the verdict")
 
         def make():
             seq = extend(seed_triple(2, 3), 4)
@@ -453,14 +478,15 @@ class TestSharedChecks:
             return seq
 
         monkeypatch.setattr(extremal, "FORK_MIN_BITS", 1 << 62)
-        serial = outcome(make(), 10)
+        serial, seq = outcome(make(), 10), make()
         monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0)
         monkeypatch.setattr(extremal, "_first_failure", child_fails)
-        assert outcome(make(), 10) == serial
-        assert forks and walked.exists()
+        monkeypatch.setattr(extremal, "_VERDICT", VerdictThen(after_the_verdict))
+        assert outcome(seq, 10) == serial
+        assert forks == [1] and walked.exists()
         assert (serial[0] is None) == (tamper is None)
 
-    @pytest.mark.parametrize("tamper", [None, tamper_member])
+    @pytest.mark.parametrize("tamper", [None, tamper_member, tamper_det0])
     def test_child_killed_mid_stream(self, tamper, monkeypatch, forks):
         def make():
             seq = extend(seed_triple(2, 3), 4)
@@ -469,12 +495,15 @@ class TestSharedChecks:
             return seq
 
         monkeypatch.setattr(extremal, "FORK_MIN_BITS", 1 << 62)
-        serial = outcome(make(), 10)
+        serial, seq = outcome(make(), 10), make()
         monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0)
         children, notices = stream_hooks(monkeypatch)
         notices.append(lambda n: n == 2 and os.kill(children[0], signal.SIGKILL))
-        assert outcome(make(), 10) == serial
-        assert forks
+        unpacked = []
+        monkeypatch.setattr(extremal, "_VERDICT", VerdictThen(unpacked=unpacked))
+        assert outcome(seq, 10) == serial
+        assert forks == [1]
+        assert unpacked == []  # the mapping's verdict is never read
 
     @pytest.mark.parametrize("b,c", [(2, 3), (3, 11)])
     def test_fork_comes_before_the_first_new_member(self, b, c, monkeypatch, forks):
@@ -599,12 +628,14 @@ class TestSharedChecks:
         assert shared_mappings() == maps
 
 
-def reference_verdicts(seq, proved):
-    """(name, i, holds) as `verify` walked the table in its own loop: index i
-    reused the i + 1 indices before it (the seed's three among them) until
-    an entry failed, and nothing from then on, or at all when `proved` is
-    None."""
-    out, failed = [], proved is None
+def reference_verdicts(seq):
+    """(name, i, holds) as `verify` walked the tables in its own loops: the
+    seed identities at index 1, then index i >= 2 reusing the i + 1 indices
+    before it (the seed's three among them) until an entry failed, and
+    nothing from then on, or at all when a seed identity failed."""
+    seed = Window(seq.form, seq.ys, seq.ts, seq.det0, 1)
+    out = [(name, 1, holds(seed)) for name, holds in SEED_IDENTITIES]
+    failed = not all(ok for _, _, ok in out)
     for i in range(2, seq.depth + 1):
         window = Window(seq.form, seq.ys, seq.ts, seq.det0, i)
         for name, holds in IDENTITIES:
@@ -617,7 +648,8 @@ def reference_verdicts(seq, proved):
 
 class TestVerdicts:
     """`verdicts`, which `verify` prints, gives the verdicts of `verify`'s own
-    loop, serial or forked, with any number of failures."""
+    loops, serial or forked, with any number of failures, in the seed or
+    past it."""
 
     @settings(
         max_examples=60,
@@ -632,10 +664,14 @@ class TestVerdicts:
             st.tuples(st.integers(2, 10), st.integers(0, 3), st.integers(-2, 2).filter(bool)),
             max_size=3,
         ),
-        sound=st.booleans(),
+        # (index of the seed's t, change); t_{-1}, t_0 and t_1 are each one
+        # side of the seed inner products, so any change breaks the seed
+        seed_tamper=st.one_of(
+            st.none(), st.tuples(st.integers(-1, 1), st.integers(-2, 2).filter(bool))
+        ),
         forked=st.booleans(),
     )
-    def test_equal_the_reference(self, pair, tampers, sound, forked, monkeypatch):
+    def test_equal_the_reference(self, pair, tampers, seed_tamper, forked, monkeypatch):
         seq = extend(seed_triple(*pair), 10)
         for j, coord, k in tampers:
             if coord == 3:
@@ -644,11 +680,33 @@ class TestVerdicts:
                 y = list(seq.y(j))
                 y[coord] += k
                 seq.ys[j + 1] = tuple(y)
-        proved = 3 if sound else None
-        want = reference_verdicts(seq, proved)
+        if seed_tamper is not None:
+            j, k = seed_tamper
+            seq.ts[j + 1] += k
+        want = reference_verdicts(seq)
+        sound = all(ok for _, i, ok in want if i == 1)
+        assert sound == (seed_tamper is None)
         monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0 if forked else 1 << 62)
-        assert list(verdicts(seq, 2, 10, proved)) == want
+        assert list(verdicts(seq)) == want
         assert seq.depth == 10
+
+    def test_the_seed_alone_at_depth_1(self, forks):
+        seq = seed_triple(2, 3)
+        assert list(verdicts(seq)) == [(name, 1, True) for name, _ in SEED_IDENTITIES]
+        assert forks == []
+
+    def test_seed_triple_raises_the_first_failing_verdict(self, monkeypatch):
+        evaluated = []
+
+        def entry(name, ok):
+            return name, lambda w: evaluated.append(name) or ok
+
+        table = [entry(name, name != SEED_IDENTITIES[2][0]) for name, _ in SEED_IDENTITIES]
+        monkeypatch.setattr(extremal, "SEED_IDENTITIES", tuple(table))
+        with pytest.raises(InvariantViolation) as err:
+            seed_triple(2, 3)
+        assert (err.value.identity, err.value.index) == (SEED_IDENTITIES[2][0], 1)
+        assert evaluated == [name for name, _ in SEED_IDENTITIES[:3]]
 
 
 class TestNoForkBelowTheThreshold:

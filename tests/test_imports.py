@@ -110,6 +110,32 @@ def test_only_extremal_applies_the_reuse_rule(path):
         assert proved_uses(path.read_text()) == []
 
 
+def names_read(source: str) -> set[str]:
+    """Every name that `source` imports, reads as a variable or reads as an
+    attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_the_check_finds_every_kind_of_name():
+    source = "from .extremal import Window as W\nimport x\nx.IDENTITIES\nSEED_IDENTITIES\n"
+    assert names_read(source) >= {"Window", "IDENTITIES", "SEED_IDENTITIES"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_extremal_names_the_identity_tables(path):
+    # `extremal.verdicts` is the one walk over the tables outside `extend`
+    if path.name != "extremal.py":
+        assert not names_read(path.read_text()) & {"SEED_IDENTITIES", "IDENTITIES", "Window"}
+
+
 def test_cli_import_loads_no_avoidable_module():
     # every command starts a fresh process, so each pays the CLI's import;
     # dataclasses and inspect cost about a third of it, typing and pathlib

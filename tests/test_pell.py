@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conic_approx import pell
+from conic_approx.cli import main
 from conic_approx.pell import (
     PellSolution,
     cf_expansion,
@@ -153,6 +155,45 @@ class TestSeedPair:
                 mid = first.m * s.m - b * first.n * s.n
                 assert not (first.m < mid < s.m)
             s = next_solution(s)
+
+
+class TestFundamentalComputedOnce:
+    """`solutions` multiplies by one fundamental solution, whose cost grows
+    with the regulator (seconds for some b near 2^29), instead of computing
+    it again for each successor."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, real = [], pell.fundamental_solution
+
+        def counting(b):
+            calls.append(b)
+            return real(b)
+
+        monkeypatch.setattr(pell, "fundamental_solution", counting)
+        return calls
+
+    @pytest.mark.parametrize("b", SQUAREFREE_SMALL)
+    def test_solutions(self, b, calls):
+        it = solutions(b)
+        got = [next(it) for _ in range(8)]
+        assert calls == [b]
+        s = fundamental_solution(b)
+        for want in got:
+            assert want == s
+            s = next_solution(s, fundamental_solution(b))
+
+    @pytest.mark.parametrize("b", SQUAREFREE_SMALL)
+    def test_find_seed_pair(self, b, calls):
+        find_seed_pair(b)
+        assert calls == [b]
+
+    def test_pell_command(self, calls, capsys):
+        # one for the listed solutions, one for the seed pair
+        assert main(["pell", "--b", "109", "--count", "5"]) == 0
+        assert calls == [109, 109]
+        out = capsys.readouterr().out
+        assert '"m": "158070671986249"' in out
 
 
 @given(st.integers(2, 400).filter(lambda b: isqrt(b) ** 2 != b))
