@@ -6,7 +6,7 @@ small quadratic forms), so no advanced factoring is needed.  The products
 `square` and `mul` serve the construction's identity checks, whose operands
 grow to hundreds of thousands of bits: from `TOOM_MIN_BITS` on, each splits
 its operands once by Toom-3 and recurses, where CPython multiplies by
-Karatsuba alone.
+Karatsuba alone.  Each decides that itself, so callers never test sizes.
 """
 from __future__ import annotations
 
@@ -21,9 +21,10 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-# b, c and Pell radicands must be below 2^FACTOR_BITS: trial division, which
-# tries divisors up to the square root, runs for hours on an 80-bit prime.
+# b, c, Pell radicands and what `quadform.reduce_form` factors must be below
+# 2^FACTOR_BITS: trial division, up to the square root, takes hours on 80 bits.
 FACTOR_BITS = 32
+# `quadform.HOLZER_MAX_POINTS` bounds the other search `reduce` could not end.
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -73,9 +74,9 @@ def squarefree_scale(q: Fraction) -> tuple[Fraction, int]:
     """
     if q <= 0:
         raise ValueError("positive rational required")
-    u, v = q.numerator, q.denominator
-    w, f = squarefree_decompose(u * v)
-    s = Fraction(v, w)
+    # numerator and denominator are coprime: f is the product of their square-free parts
+    (su, fu), (sv, fv) = squarefree_decompose(q.numerator), squarefree_decompose(q.denominator)
+    s, f = Fraction(sv * fv, su), fu * fv
     assert q * s * s == f
     return s, f
 
@@ -117,10 +118,9 @@ def vec_gcd(*xs: int) -> int:
 TOOM_MIN_BITS = 1 << 15
 
 
-def square(x: int) -> int:
-    """x * x, by one Toom-3 step and recursion from `TOOM_MIN_BITS` bits."""
-    n = x.bit_length()
-    if n < TOOM_MIN_BITS:
+def square(x):
+    """x * x of any number; of an int from `TOOM_MIN_BITS` bits, by Toom-3 and recursion."""
+    if type(x) is not int or (n := x.bit_length()) < TOOM_MIN_BITS:
         return x * x
     k = (n + 2) // 3
     x = abs(x)

@@ -13,7 +13,7 @@ import json
 import os
 import re
 import sys
-from itertools import chain, islice
+from itertools import accumulate, chain, repeat
 
 from .extremal import (
     ExtremalSequence,
@@ -26,7 +26,7 @@ from .extremal import (
 )
 from .minpoints import enumerate_minimal, estimate_lambda, rigidity_check
 from .numerics import CertifiedReal, Dyadic, PrecisionCapError, precision_cap
-from .pell import cf_expansion, find_seed_pair, solutions
+from .pell import cf_expansion, find_seed_pair, next_solution
 from .quadform import (
     FormRejected,
     ReductionIdentityError,
@@ -454,8 +454,8 @@ def cmd_pell(args) -> int:
         print("error: --count must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     try:
-        sols = list(islice(solutions(args.b), args.count))
-        first, second = find_seed_pair(args.b)
+        first, second = find_seed_pair(args.b)  # first is the fundamental solution
+        sols = list(accumulate(repeat(first, args.count - 1), next_solution, initial=first))
         expansion = cf_expansion(args.b, 12)
     except ValueError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
@@ -465,7 +465,7 @@ def cmd_pell(args) -> int:
             {
                 "b": str(args.b),
                 "cf_expansion_prefix": expansion,
-                "fundamental": {"m": str(sols[0].m), "n": str(sols[0].n)},
+                "fundamental": {"m": str(first.m), "n": str(first.n)},
                 "seed_pair": {
                     "first": {"m": str(first.m), "n": str(first.n)},
                     "second": {"m": str(second.m), "n": str(second.n)},

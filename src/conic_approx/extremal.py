@@ -188,21 +188,17 @@ class Window(Record):
     def t_product(self) -> int:
         """P = t_{i-1} * t_{i-2}, shared by the t recurrence and the double
         inequality on t."""
-        a, b = self.t(self.i - 1), self.t(self.i - 2)
-        return arith.mul(a, b) if a.bit_length() >= arith.TOOM_MIN_BITS else a * b
+        return arith.mul(self.t(self.i - 1), self.t(self.i - 2))
 
     @_cached
     def t_y(self) -> Vec3:
         """t_{i-1} * y_{i-1}, coordinate by coordinate, shared by the reflection
         entry and the double inequality on norms.  These are the products the
-        recurrence made y_i from; from `arith.TOOM_MIN_BITS` on they are made
-        again by another algorithm, `arith.mul`, so a fault of either shows."""
-        t = self.t(self.i - 1)
+        recurrence made y_i from, made again by `arith.mul`, by Toom-3 where it
+        takes that, so a fault of either algorithm shows."""
+        t, mul = self.t(self.i - 1), arith.mul
         x0, x1, x2 = self.y(self.i - 1)
-        if t.bit_length() >= arith.TOOM_MIN_BITS:
-            mul = arith.mul
-            return mul(t, x0), mul(t, x1), mul(t, x2)
-        return t * x0, t * x1, t * x2
+        return mul(t, x0), mul(t, x1), mul(t, x2)
 
 
 Identity = tuple[str, Callable[[Window], bool]]
@@ -292,10 +288,7 @@ def _constant_determinant(w: Window) -> bool:
     g = w.form.gram_det
     if w.proved >= 2 and g:
         a, b, c = w.t(i - 1), w.t(i - 2), w.t(i)
-        if a.bit_length() >= arith.TOOM_MIN_BITS:
-            squares = arith.square(a) + arith.square(b)
-        else:
-            squares = a * a + b * b
+        squares = arith.square(a) + arith.square(b)
         return 8 + 2 * c * (w.t_product - c) - 2 * squares == g * w.det0 * w.det0
     return abs(det3(w.y(i), w.y(i - 1), w.y(i - 2))) == abs(w.det0)
 
@@ -427,8 +420,8 @@ def verdicts(seq: ExtremalSequence) -> Iterator[tuple[str, int, bool]]:
 
 def _append_member(seq: ExtremalSequence, i: int) -> None:
     """Appends y_i = t_{i-1} y_{i-1} - y_{i-3} and t_i = t_{i-1} t_{i-2} - t_{i-3},
-    multiplying with `*`; from `arith.TOOM_MIN_BITS` on, the checks redo the
-    products t_{i-1} y_{i-1} and t_{i-1} t_{i-2} with `arith.mul`."""
+    multiplying with `*`; the checks redo the products t_{i-1} y_{i-1} and
+    t_{i-1} t_{i-2} with `arith.mul`, by Toom-3 from `arith.TOOM_MIN_BITS` on."""
     t = seq.t(i - 1)
     y = tuple(t * a - b for a, b in zip(seq.y(i - 1), seq.y(i - 3)))
     seq.ys.append(y)  # type: ignore[arg-type]
@@ -451,17 +444,20 @@ def _first_failure(
     """(i, k) of the first entry `IDENTITIES[k]`, k in `positions`, that fails
     at an index i in first..upto, walking the indices in order and at each the
     entries in table order; None if all of them hold.  The one loop over the
-    table, and the one place that sets `Window.proved`: i - first + proved,
-    `proved` counting the indices just before first that this run proved, or
-    0 when `proved` is None.  So a verdict at (i, k) stands only if every
-    entry before (i, k) held."""
+    table, and the one place that sets `Window.proved`, to `_reused`.  So a
+    verdict at (i, k) stands only if every entry before (i, k) held."""
     for i in range(first, upto + 1):
-        reused = 0 if proved is None else i - first + proved
-        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i, reused)
+        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i, _reused(i, first, proved))
         for k in positions:
             if not IDENTITIES[k][1](window):
                 return i, k
     return None
+
+
+def _reused(i: int, first: int, proved: int | None) -> int:
+    """Indices just before i that a run from `first` proved, `proved` counting
+    those before first (None: 0); the forked child passes it as `proved`."""
+    return 0 if proved is None else i - first + proved
 
 
 def _stream_bound(seq: ExtremalSequence, first: int, upto: int) -> tuple[int, int]:
@@ -512,16 +508,17 @@ def _checked_first_failure(
     This process writes each new member into an anonymous shared mapping
     past the `_VERDICT` at its start (`_write_member`) and then its 16-byte
     `_NOTICE` into a pipe, which holds thousands of them, so it never waits
-    for the child to read.  The child walks with `_first_failure` on member
-    lists that wait for the next notice when the walk reads past their end
-    (`_received`), packs its first failure into the `_VERDICT` and leaves
-    through `os._exit(0)`.  This process sends no further notice once the
-    child has left and reaps it; unless the child exited 0 and wrote its
-    verdict, it evaluates the child's share itself, so no entry passes
-    unevaluated.  If this process raises meanwhile, it kills and reaps the
-    child first.  Where the fork does not pay (`_fork_pays` on the bits
-    `_stream_bound` gives for y_upto, exact when it is stored) or the
-    mapping or the fork fails, everything runs here (`_serial_first_failure`).
+    for the child to read.  The child walks the indices in order, and before
+    index i appends the members of the notices it reads (`_read_member`)
+    until it stores y_i; it evaluates its share at i with `_first_failure`,
+    packs its first failure into the `_VERDICT` and leaves through
+    `os._exit(0)`.  This process sends no further notice once the child has
+    left and reaps it; unless the child exited 0 and wrote its verdict, it
+    evaluates the child's share itself, so no entry passes unevaluated.  If
+    this process raises meanwhile, it kills and reaps the child first.
+    Where the fork does not pay (`_fork_pays` on the bits `_stream_bound`
+    gives for y_upto, exact when it is stored) or the mapping or the fork
+    fails, everything runs here (`_serial_first_failure`).
     """
     bits, size = _stream_bound(seq, seq.depth + 1, upto)
     if not _fork_pays(bits):
@@ -545,7 +542,20 @@ def _checked_first_failure(
             status = 1
             try:
                 os.close(notice_w)
-                failure = _first_failure(_received(seq, buf, notice_r), first, upto, child, proved)
+                failure = None
+                for i in range(first, upto + 1):
+                    while seq.depth < i:
+                        # every notice is one write of fewer than PIPE_BUF bytes, so a
+                        # read returns whole notices; a short one is the end of the pipe
+                        notice = os.read(notice_r, _NOTICE.size)
+                        if len(notice) < _NOTICE.size:
+                            raise EOFError("the parent sent no further member")
+                        y, t = _read_member(buf, notice)
+                        seq.ys.append(y)
+                        seq.ts.append(t)
+                    failure = _first_failure(seq, i, i, child, _reused(i, first, proved))
+                    if failure is not None:
+                        break
                 _VERDICT.pack_into(buf, 0, True, failure is not None, *(failure or (0, 0)))
                 status = 0
             finally:
@@ -597,37 +607,6 @@ def _read_member(buf: mmap.mmap, notice: bytes) -> tuple[Vec3, int]:
     ny, nt = _NOTICE.unpack(notice)
     y = tuple(int.from_bytes(buf.read(ny), "little", signed=True) for _ in range(3))
     return y, int.from_bytes(buf.read(nt), "little", signed=True)  # type: ignore[return-value]
-
-
-class _Received(list):
-    """A member list of the forked child: reading past its end first pulls
-    the parent's next members."""
-
-    __slots__ = ("pull",)
-
-    def __getitem__(self, k):
-        while k >= len(self):
-            self.pull()
-        return list.__getitem__(self, k)
-
-
-def _received(seq: ExtremalSequence, buf: mmap.mmap, fd: int) -> ExtremalSequence:
-    """`seq` with member lists that append, for each `_NOTICE` read from
-    `fd`, the member `_write_member` put in `buf`."""
-    ys, ts = _Received(seq.ys), _Received(seq.ts)
-
-    def pull() -> None:
-        # every notice is one write of fewer than PIPE_BUF bytes, so a read
-        # returns whole notices; a short one is the end of the pipe
-        notice = os.read(fd, _NOTICE.size)
-        if len(notice) < _NOTICE.size:
-            raise EOFError("the parent sent no further member")
-        y, t = _read_member(buf, notice)
-        ys.append(y)
-        ts.append(t)
-
-    ys.pull = ts.pull = pull
-    return ExtremalSequence(seq.b, seq.c, seq.seed, seq.form, ys, ts, seq.det0)
 
 
 class ConsecutiveDistances:

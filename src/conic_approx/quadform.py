@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice, product
 from math import gcd, isqrt
 
 from . import arith
@@ -130,17 +131,11 @@ class TernaryQuadraticForm(FrozenRecord):
 
     def __call__(self, x):
         """q(x), on int or Fraction coordinates.  Each diagonal term squares
-        its coordinate before scaling it, so CPython takes its faster squaring
-        path for x_j * x_j.  When x0 is an int of at least
-        `arith.TOOM_MIN_BITS` bits (the construction's members have their
-        largest coordinate there), the three squares go through
-        `arith.square`; that one test is all that smaller or rational x pay
-        for it."""
+        its coordinate before scaling it, with `arith.square`, which takes
+        Toom-3 on the construction's big members and CPython's faster squaring
+        path for x_j * x_j on everything else."""
         x0, x1, x2 = x
-        if type(x0) is int and x0.bit_length() >= arith.TOOM_MIN_BITS and type(x1) is type(x2) is int:
-            s0, s1, s2 = arith.square(x0), arith.square(x1), arith.square(x2)
-        else:
-            s0, s1, s2 = x0 * x0, x1 * x1, x2 * x2
+        s0, s1, s2 = arith.square(x0), arith.square(x1), arith.square(x2)
         return (
             self.a00 * s0
             + self.a11 * s1
@@ -342,24 +337,47 @@ def _legendre_normalize(d: list[int]) -> tuple[list[int], list[int]]:
     return coeffs, scale
 
 
+def _factorable(v, what: str):
+    """v, once its numerator and denominator, which `arith` factors, are found
+    below 2^FACTOR_BITS in absolute value; else FormRejected naming v `what`."""
+    q = Fraction(v)
+    if max(abs(q.numerator), q.denominator) >= 1 << arith.FACTOR_BITS:
+        raise FormRejected(
+            f"{what} {v} is too large to factor: its numerator and denominator "
+            f"must be below 2^{arith.FACTOR_BITS}"
+        )
+    return v
+
+
+# Points of a Holzer box searched before the form is refused: 2^21 of them took
+# 0.31-0.59 s in 10 runs (2-core x86_64, Python 3.11.7, 150-280 ns a point);
+# twice as many could pass a second when the machine is slow.
+HOLZER_MAX_POINTS = 1 << 21
+
+
 def _holzer_search(f: list[int]) -> Vec3 | None:
-    """Witness for f0 x^2 + f1 y^2 + f2 z^2 = 0 within the Holzer box."""
+    """Witness for f0 x^2 + f1 y^2 + f2 z^2 = 0 among the first `HOLZER_MAX_POINTS`
+    points of the Holzer box; FormRejected if those hold none and it has more."""
     f0, f1, f2 = f
     bx = isqrt(abs(f1 * f2)) + 1
     by = isqrt(abs(f0 * f2)) + 1
-    for x in range(bx + 1):
-        for y in range(by + 1):
-            if x == 0 and y == 0:
-                continue
-            rest = -(f0 * x * x + f1 * y * y)
-            if rest % f2:
-                continue
-            z2 = rest // f2
-            if z2 < 0:
-                continue
-            z = isqrt(z2)
-            if z * z == z2:
-                return (x, y, z)
+    for x, y in islice(product(range(bx + 1), range(by + 1)), HOLZER_MAX_POINTS):
+        if x == 0 and y == 0:
+            continue
+        rest = -(f0 * x * x + f1 * y * y)
+        if rest % f2:
+            continue
+        z2 = rest // f2
+        if z2 < 0:
+            continue
+        z = isqrt(z2)
+        if z * z == z2:
+            return (x, y, z)
+    if (bx + 1) * (by + 1) > HOLZER_MAX_POINTS:
+        raise FormRejected(
+            f"the Holzer box of the diagonal values ({f0}, {f1}, {f2}) has "
+            f"{(bx + 1) * (by + 1)} points; the first {HOLZER_MAX_POINTS} searched hold no zero"
+        )
     return None
 
 
@@ -389,14 +407,14 @@ def _rational_zero(phi: TernaryQuadraticForm, basis, values) -> Vec3 | None:
     scales: list[Fraction] = []
     fs: list[int] = []
     for v in values:
-        s, f = squarefree_scale(abs(v))
+        s, f = squarefree_scale(abs(_factorable(v, "diagonal value")))
         if v < 0:
             f = -f
         scales.append(s)
         fs.append(f)
 
     coeffs, descent_scale = _legendre_normalize(fs)
-    f0, f1, f2 = coeffs
+    f0, f1, f2 = (_factorable(f, "normalized diagonal value") for f in coeffs)
     if not (
         is_qr_mod_squarefree(-f1 * f2, f0)
         and is_qr_mod_squarefree(-f0 * f2, f1)
@@ -478,7 +496,7 @@ def reduce_form(phi: TernaryQuadraticForm) -> CanonicalReduction:
         (v0, r), (v1, s) = nz
         if r * s > 0:
             raise DefiniteFormError("real zero set is a single point")
-        s1, b = squarefree_scale(-s / r)
+        s1, b = squarefree_scale(_factorable(-s / r, "ratio of diagonal values"))
         if b == 1:  # -s/r a square; of all forms of rank >= 2 only these factor over Q
             raise ReducibleFormError("form factors over Q")
         v1 = tuple(s1 * x for x in v1)
@@ -507,7 +525,7 @@ def reduce_form(phi: TernaryQuadraticForm) -> CanonicalReduction:
         scaled = [basis[first]]
         bc = []
         for i in others:
-            s_i, f_i = squarefree_scale(-mu * values[i])
+            s_i, f_i = squarefree_scale(_factorable(-mu * values[i], "ratio of diagonal values"))
             scaled.append(tuple(s_i * x for x in basis[i]))
             bc.append(f_i)
         b, c = bc

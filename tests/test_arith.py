@@ -56,6 +56,22 @@ class TestKernel:
     def test_square_is_the_product(self, small_toom, x):
         assert square(x) == x * x
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            Fraction(-7, 3),
+            0,
+            -_bits(arith.TOOM_MIN_BITS - 1),
+            -_bits(arith.TOOM_MIN_BITS),
+            -_bits(3 * arith.TOOM_MIN_BITS),
+        ],
+        ids=["fraction", "zero", "below", "at", "above"],
+    )
+    def test_square_takes_any_number(self, x):
+        # at the real constant: the kernel alone decides how to multiply
+        assert square(x) == x * x
+        assert type(square(x)) is type(x * x)
+
     @KERNEL
     @given(operands(), operands())
     @example(0, _bits(500))
@@ -200,9 +216,9 @@ class TestIdentitiesThroughTheKernelForked(TestIdentitiesThroughTheKernel):
     ],
     ids=["q", "t_product", "t_y", "determinant"],
 )
-def test_each_caller_reads_the_lowered_constant(small_toom, monkeypatch, product, kernel_calls):
-    # at index 14 every member is far below the real constant, so a caller
-    # reaches the kernel only if it reads `arith.TOOM_MIN_BITS`
+def test_each_caller_leaves_the_size_test_to_the_kernel(monkeypatch, product, kernel_calls):
+    # at index 14 every member is far below `arith.TOOM_MIN_BITS`, yet each
+    # caller goes through the kernel, the one place that reads the constant
     seq = extend(seed_triple(2, 3), 14)
     w = extremal.Window(seq.form, seq.ys, seq.ts, seq.det0, 14, 12)
     calls = []

@@ -3,7 +3,9 @@ import builtins
 import hashlib
 import json
 import sys
+import time
 import tracemalloc
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,24 @@ class TestReduce:
     def test_definite_rejected(self, tmp_path):
         coeffs = dict(ANISO_FORM, a11="2", a22="3")
         assert main(["reduce", "--form", write_form(tmp_path, coeffs)]) == 3
+
+    def test_unsearchable_holzer_box_rejected(self, tmp_path, capsys):
+        # 1000003 and 1000037 are primes, each a square modulo the other, so
+        # the form has a rational zero; its Holzer box has about 10^9 points
+        coeffs = {"a00": 1, "a11": -1000003, "a22": -1000037}
+        start = time.perf_counter()
+        assert main(["reduce", "--form", write_form(tmp_path, coeffs)]) == 3
+        assert time.perf_counter() - start < 1
+        assert_one_line(capsys, "rejected: the Holzer box of the diagonal values (1, -1000003, -1000037) ")
+
+    def test_small_witness_in_a_huge_holzer_box(self, tmp_path, capsys):
+        # 9699690 = 2*3*5*...*19 is square-free, so the normal form is
+        # (1, -1, -9699690); the bound caps the points searched, not the box,
+        # and the witness (1, 1, 0) comes after about 3 * 10^3 of them
+        assert (isqrt(9699690) + 2) ** 2 > quadform.HOLZER_MAX_POINTS
+        coeffs = {"a00": 1, "a11": -1, "a22": -9699690}
+        assert main(["reduce", "--form", write_form(tmp_path, coeffs)]) == 0
+        assert json.loads(capsys.readouterr().out)["case"] == "parabola"
 
     def test_missing_file(self):
         assert main(["reduce", "--form", "/nonexistent/form.json"]) == 2
@@ -277,10 +297,10 @@ class TestConstruct:
 
 
 class TestHugeCoefficients:
-    """b, c or a Pell radicand of 2^32 or more is refused (exit 3, one
-    `rejected:` line naming the bound) before it is factored: trial division
-    runs for hours on such numbers, so `arith.factorize` is replaced here by
-    a function that raises on them."""
+    """b, c, a Pell radicand or a number `reduce` would factor of 2^32 or
+    more is refused (exit 3, one `rejected:` line naming the bound) before it
+    is factored: trial division runs for hours on such numbers, so
+    `arith.factorize` is replaced here by a function that raises on them."""
 
     HUGE = 99999999999999999999999
 
@@ -320,6 +340,38 @@ class TestHugeCoefficients:
         argv = ["enumerate", "--xi", str(f), "--xmax", "100", "--out", str(tmp_path / "run")]
         assert main(argv) == 3
         assert capsys.readouterr().err == "rejected: b must be below 2^32\n"
+
+    @pytest.mark.parametrize(
+        "coeffs,named",
+        [
+            ({"a00": 1, "a11": "-1000000000000000000000007", "a22": -3}, "diagonal value"),
+            ({"a00": 1, "a11": -2, "a22": -3, "a01": str(HUGE)}, "diagonal value"),
+            ({"a00": 1, "a11": str(-HUGE)}, "ratio of diagonal values"),
+            (
+                {"a00": 67108859, "a11": 2, "a22": -38, "a01": -11, "a02": -11, "a12": 4},
+                "ratio of diagonal values",
+            ),
+            (
+                {"a00": 134217689, "a11": -2, "a22": 20, "a01": 32, "a02": 50, "a12": -23},
+                "normalized diagonal value",
+            ),
+        ],
+        ids=["coefficient", "off-diagonal", "pair-of-lines", "anisotropic", "normal-form"],
+    )
+    def test_reduce_refused(self, tmp_path, capsys, coeffs, named):
+        assert main(["reduce", "--form", write_form(tmp_path, coeffs)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"rejected: {named} ")
+        assert captured.err.endswith(" must be below 2^32\n") and captured.err.count("\n") == 1
+
+    def test_reduce_factors_numerator_and_denominator_apart(self, tmp_path, capsys):
+        # three primes below 2^32, whose products b and c are not: each ratio
+        # of diagonal values is factored as numerator and denominator
+        coeffs = {"a00": 2147483647, "a11": -2147483629, "a22": -2147483587}
+        assert main(["reduce", "--form", write_form(tmp_path, coeffs)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["case"], out["b"], out["c"]) == ("anisotropic", "4611685975477714963", "4611685885283401789")
 
     @pytest.mark.parametrize("b", [HUGE, 1000000000000000000000007, 1 << 32])
     def test_pell_radicand_refused(self, capsys, b):

@@ -22,7 +22,7 @@ CALLERS = MODULES + sorted((REPO / "scripts").glob("*.py")) + sorted(
 )
 # definitions kept although nothing above names them, each with its reason
 UNNAMED_ALLOWED = {
-    "verify_no_small_relation": "the paper's independence hypothesis; ROADMAP direction 4 wires it in",
+    "verify_no_small_relation": "the paper's independence hypothesis; ROADMAP direction 6 wires it in",
     "kernel": "public API of conic_approx; reduce_form reads the radical off its one diagonalization",
     "rational_zero": "public API of conic_approx; reduce_form passes its diagonalization to _rational_zero",
 }
