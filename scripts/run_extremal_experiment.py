@@ -3,18 +3,18 @@
 
 Usage: python scripts/run_extremal_experiment.py --b 2 --c 3 --depth 18
 
-Like the CLI, a pair it cannot build on and a height past the precision cap
-exit 3 with one `rejected:` or `precision cap:` line on stderr.
+Like the CLI, whose `run` calls it, a `--height-cap` below 1 exits 2 with one
+`error:` line on stderr, and a pair it cannot build on and a height past the
+precision cap exit 3 with one `rejected:` or `precision cap:` line.
 """
 import argparse
 import math
 import sys
 from fractions import Fraction
 
-from conic_approx.cli import EXIT_MATH
-from conic_approx.extremal import UnsupportedConstruction, extend, growth_ratios, seed_triple
+from conic_approx.cli import InputError, run
+from conic_approx.extremal import extend, growth_ratios, seed_triple
 from conic_approx.minpoints import estimate_lambda, records_from_sequence
-from conic_approx.numerics import PrecisionCapError
 from conic_approx.quadform import max_norm
 from conic_approx.targets import ExtremalTarget
 
@@ -31,19 +31,12 @@ def main() -> int:
     ap.add_argument("--depth", type=int, default=18)
     ap.add_argument("--height-cap", type=exact_int, default=10**50,
                     help="norm cap for the exponent table, e.g. 1e400")
-    args = ap.parse_args()
-    try:
-        report(args)
-    except UnsupportedConstruction as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except PrecisionCapError as exc:
-        print(f"precision cap: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    return 0
+    return run(report, ap.parse_args())
 
 
 def report(args: argparse.Namespace) -> None:
+    if args.height_cap < 1:
+        raise InputError("--height-cap must be at least 1")
     seq = extend(seed_triple(args.b, args.c), args.depth)
     print(f"seed (m, n, m', n', r, t) = {seq.seed}")
     print(f"|det(y_1, y_0, y_-1)| = {abs(seq.det0)}")

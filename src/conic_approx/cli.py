@@ -1,7 +1,9 @@
 """Command-line front end: reduce forms, construct extremal points, enumerate
 minimal points, verify sequence files, and print Pell data.
 
-Exit codes: 0 success, 2 input error, 3 mathematical rejection, 4 invariant failure.
+Exit codes: 0 success, 2 input error, 3 mathematical rejection, 4 invariant
+failure.  Commands raise; `run` alone prints the one line of a failure and
+picks its code from `FAILURES`.
 """
 from __future__ import annotations
 
@@ -43,6 +45,42 @@ EXIT_MATH = 3
 EXIT_INVARIANT = 4
 
 
+class InputError(Exception):
+    """An argument or file the command cannot use (exit 2)."""
+
+
+class Rejected(Exception):
+    """Input the command reads but refuses to work on (exit 3)."""
+
+
+class FileMismatch(Exception):
+    """An `--xi` enclosure that differs from the one recomputed (exit 4)."""
+
+
+# (exception types, prefix of the stderr line, exit code); the first row that
+# holds the exception's class decides
+FAILURES = (
+    ((InputError,), "error", EXIT_INPUT),
+    ((UnsupportedConstruction, FormRejected, DependentTargetError, Rejected), "rejected", EXIT_MATH),
+    ((PrecisionCapError,), "precision cap", EXIT_MATH),
+    ((InvariantViolation, ReductionIdentityError, FileMismatch), "invariant failure", EXIT_INVARIANT),
+)
+_FAILING = tuple(chain.from_iterable(types for types, _, _ in FAILURES))
+
+
+def run(command, *args) -> int:
+    """Call `command(*args)` and return 0, or for an exception of `FAILURES`
+    print `<prefix>: <message>` once to stderr and return the row's code.
+    Any other exception propagates, so a bug still ends in a traceback."""
+    try:
+        command(*args)
+    except _FAILING as exc:
+        prefix, code = next((p, c) for types, p, c in FAILURES if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
+    return EXIT_OK
+
+
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
@@ -74,17 +112,6 @@ def read_int(s: str) -> int:
     raise ValueError("must be an integer string")
 
 
-def _row_field_error(row: dict) -> str:
-    """The message for the first of a sequence row's `y` coordinates and `t`
-    that `read_int` refuses."""
-    for field, v in zip(("y[0]", "y[1]", "y[2]", "t"), (*row["y"], row["t"])):
-        try:
-            read_int(v)
-        except (TypeError, ValueError) as exc:
-            return f"row i={row['i']}: {field} {exc}"
-    raise AssertionError("every field of the row reads")  # pragma: no cover - called on a failed read
-
-
 def _dyadic_json(d: Dyadic) -> dict:
     return {"exp": d.exp, "man": hex(d.man)}
 
@@ -102,11 +129,10 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _write(outdir: str, files: dict[str, str]) -> bool:
+def _write(outdir: str, files: dict[str, str]) -> None:
     """Write {name: text} into outdir, creating it.  Every file goes to a
     temporary name first and is moved into place only once all are written;
-    on OSError no file of this call is left, one `error:` line is printed
-    and the result is False."""
+    on OSError no file of this call is left and an InputError is raised."""
     staged: list[tuple[str, str]] = []
     placed: list[str] = []
     try:
@@ -125,29 +151,19 @@ def _write(outdir: str, files: dict[str, str]) -> bool:
                 os.remove(path)
             except FileNotFoundError:
                 pass
-        print(f"error: cannot write to --out {outdir}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise InputError(f"cannot write to --out {outdir}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> None:
     try:
         phi = TernaryQuadraticForm.from_json(_read(args.form))
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: cannot read form: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        red = reduce_form(phi)
-    except FormRejected as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except ReductionIdentityError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    except (OSError, ValueError, KeyError, RecursionError) as exc:  # json nested too deep
+        raise InputError(f"cannot read form: {exc}") from None
+    red = reduce_form(phi)
     out = {
         "case": red.case,
         "mu": str(red.mu),
@@ -156,29 +172,16 @@ def cmd_reduce(args) -> int:
         "c": str(red.c),
     }
     print(_dump(out))
-    return EXIT_OK
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> None:
     if args.depth < 1:
-        print("error: --depth must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--depth must be at least 1")
     if args.precision < 1:
-        print("error: --precision must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        target = ExtremalTarget(args.b, args.c)
-        seq = extend(target.sequence, args.depth)
-        enclosure = target.limit(args.precision)  # checks the cap before 2**precision
-    except UnsupportedConstruction as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except PrecisionCapError as exc:
-        print(f"precision cap: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except InvariantViolation as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InputError("--precision must be at least 1")
+    target = ExtremalTarget(args.b, args.c)
+    seq = extend(target.sequence, args.depth)
+    enclosure = target.limit(args.precision)  # checks the cap before 2**precision
     sequence = "".join(
         json.dumps(
             {
@@ -204,11 +207,9 @@ def cmd_construct(args) -> int:
             "xi2": _real_json(enclosure.xi2),
         }
     ) + "\n"
-    if not _write(args.out, {"sequence.jsonl": sequence, "xi.json": xi}):
-        return EXIT_INPUT
+    _write(args.out, {"sequence.jsonl": sequence, "xi.json": xi})
     out = args.out
     print(f"wrote {os.path.join(out, 'sequence.jsonl')} and {os.path.join(out, 'xi.json')}")
-    return EXIT_OK
 
 
 def _real_fields(x: dict) -> tuple:
@@ -219,7 +220,7 @@ def _real_fields(x: dict) -> tuple:
 
 def _target_from_args(args):
     """The target, and for --xi the file's precision and enclosure fields.
-    Naming more than one target is a ValueError."""
+    Naming more than one target, or none, is an InputError."""
     named = [
         flag
         for flag, given in (
@@ -230,20 +231,23 @@ def _target_from_args(args):
         if given
     ]
     if len(named) > 1:
-        raise ValueError(f"name one target, not {' and '.join(named)}")
+        raise InputError(f"name one target, not {' and '.join(named)}")
     if args.xi is not None:
-        obj = json.loads(_read(args.xi))
+        try:
+            obj = json.loads(_read(args.xi))
+        except (OSError, ValueError, RecursionError) as exc:
+            raise InputError(exc) from None
         if not isinstance(obj, dict):
-            raise ValueError(f"--xi {args.xi} must hold a JSON object")
+            raise InputError(f"--xi {args.xi} must hold a JSON object")
         precision = obj.get("precision")
         if type(precision) is not int or precision < 1:
-            raise ValueError(f"--xi {args.xi} needs a positive integer precision")
+            raise InputError(f"--xi {args.xi} needs a positive integer precision")
         claimed = {}
         for key in ("xi1", "xi2", "tail_bound"):
             try:
                 claimed[key] = _real_fields(obj[key])
             except (KeyError, TypeError, ValueError):
-                raise ValueError(
+                raise InputError(
                     f"--xi {args.xi}: {key} must be an object with lo, hi and precision, "
                     "lo and hi each with an integer-string man and an exp"
                 ) from None
@@ -252,10 +256,10 @@ def _target_from_args(args):
             try:
                 bc.append(read_int(obj[key]))
             except (KeyError, TypeError, ValueError):
-                raise ValueError(f"--xi {args.xi}: {key} must be an integer string") from None
+                raise InputError(f"--xi {args.xi}: {key} must be an integer string") from None
         return ExtremalTarget(*bc), (precision, claimed)
     if args.sqrt is not None:
-        needs = ValueError(f"--sqrt needs two non-negative integers A,B, not {args.sqrt!r}")
+        needs = InputError(f"--sqrt needs two non-negative integers A,B, not {args.sqrt!r}")
         try:
             a, b = (int(s) for s in args.sqrt.split(","))
         except ValueError:
@@ -265,7 +269,7 @@ def _target_from_args(args):
         return SqrtPairTarget(a, b), None
     if args.b is not None and args.c is not None:
         return ExtremalTarget(args.b, args.c), None
-    raise ValueError("need --b/--c, --xi FILE, or --sqrt A,B")
+    raise InputError("need --b/--c, --xi FILE, or --sqrt A,B")
 
 
 def _legacy_tail_bound(target: ExtremalTarget, precision: int) -> tuple:
@@ -275,50 +279,30 @@ def _legacy_tail_bound(target: ExtremalTarget, precision: int) -> tuple:
     return _real_fields(_real_json(CertifiedReal(eps, eps, 64)))
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> None:
     if args.xmax <= 0:
-        print("error: --xmax must be positive", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--xmax must be positive")
     if args.precision is not None and args.precision < 1:
-        print("error: --precision must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        target, xi = _target_from_args(args)
-    except DependentTargetError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except (ValueError, OSError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if xi is not None:
-            # the target keeps this enclosure, so a scan at no more bits reuses it
-            precision, claimed = xi
-            enc = target.limit(precision)
-            for key, fields in claimed.items():
-                if fields != _real_fields(_real_json(getattr(enc, key))) and not (
-                    key == "tail_bound" and fields == _legacy_tail_bound(target, precision)
-                ):
-                    print(
-                        f"invariant failure: --xi {args.xi}: {key} differs from the "
-                        f"enclosure recomputed at precision {precision}",
-                        file=sys.stderr,
-                    )
-                    return EXIT_INVARIANT
-        records = enumerate_minimal(target, args.xmax, bits=args.precision)
-    except UnsupportedConstruction as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except PrecisionCapError as exc:
-        print(f"precision cap: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        raise InputError("--precision must be at least 1")
+    target, xi = _target_from_args(args)
+    if xi is not None:
+        # the target keeps this enclosure, so a scan at no more bits reuses it
+        precision, claimed = xi
+        enc = target.limit(precision)
+        for key, fields in claimed.items():
+            if fields != _real_fields(_real_json(getattr(enc, key))) and not (
+                key == "tail_bound" and fields == _legacy_tail_bound(target, precision)
+            ):
+                raise FileMismatch(
+                    f"--xi {args.xi}: {key} differs from the enclosure recomputed "
+                    f"at precision {precision}"
+                )
+    records = enumerate_minimal(target, args.xmax, bits=args.precision)
     if len(records) < 2:
-        print(
-            f"error: {len(records)} minimal point(s) up to --xmax {args.xmax}; "
-            "the exponent estimate needs at least two",
-            file=sys.stderr,
+        raise InputError(
+            f"{len(records)} minimal point(s) up to --xmax {args.xmax}; "
+            "the exponent estimate needs at least two"
         )
-        return EXIT_INPUT
     report = estimate_lambda(records)
     hat_by_index = dict(report.lambda_hats)
     rows = []
@@ -364,10 +348,8 @@ def cmd_enumerate(args) -> int:
             "theta": repr(report.theta),
         }
     ) + "\n"
-    if not _write(args.out, files):
-        return EXIT_INPUT
+    _write(args.out, files)
     print(f"{len(records)} records; lambda-hat summary {report.summary:.5f}")
-    return EXIT_OK
 
 
 def _infer_bc(rows) -> tuple[int, int]:
@@ -391,18 +373,13 @@ def _infer_bc(rows) -> tuple[int, int]:
     raise ValueError("cannot infer c")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     """Prints one `PASS`/`FAIL` line per row's `norm_bits` and then one per
     verdict of `extremal.verdicts`; raises the first failure."""
     if (args.b is None) != (args.c is None):
-        print("error: verify takes --b and --c together or neither", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("verify takes --b and --c together or neither")
     if args.b is not None:
-        try:
-            validate_bc(args.b, args.c)
-        except UnsupportedConstruction as exc:
-            print(f"rejected: {exc}", file=sys.stderr)
-            return EXIT_MATH
+        validate_bc(args.b, args.c)
     try:
         lines = _read(args.infile).strip().splitlines()
         if not lines:
@@ -417,22 +394,22 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"line {n} has no {' or '.join(missing)} field")
             if not isinstance(obj["y"], list) or len(obj["y"]) != 3:
                 raise ValueError(f"row i={obj['i']}: y must be a list of 3 integers")
-            try:
-                y0, y1, y2 = obj["y"]
-                y, t = (read_int(y0), read_int(y1), read_int(y2)), read_int(obj["t"])
-            except (TypeError, ValueError):
-                raise ValueError(_row_field_error(obj)) from None
+            ints = []
+            for field, v in zip(("y[0]", "y[1]", "y[2]", "t"), (*obj["y"], obj["t"])):
+                try:
+                    ints.append(read_int(v))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"row i={obj['i']}: {field} {exc}") from None
             for key in ("i", "norm_bits"):
                 if type(obj[key]) is not int:
                     raise ValueError(f"row {key}={obj[key]!r} must be a JSON integer")
-            rows.append({"i": obj["i"], "y": y, "t": t, "norm_bits": obj["norm_bits"]})
+            rows.append({"i": obj["i"], "y": tuple(ints[:3]), "t": ints[3], "norm_bits": obj["norm_bits"]})
         rows.sort(key=lambda r: r["i"])
         if len(rows) < 3 or [r["i"] for r in rows] != list(range(-1, len(rows) - 1)):
             raise ValueError("rows must hold indices -1, 0, 1, ... without gaps")
         b, c = (args.b, args.c) if args.b is not None else _infer_bc(rows)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: cannot parse sequence file: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise InputError(f"cannot parse sequence file: {exc}") from None
     phi = TernaryQuadraticForm(1, -b, -c)
     ys = [r["y"] for r in rows]
     ts = [r["t"] for r in rows]
@@ -445,21 +422,32 @@ def cmd_verify(args) -> int:
         if not ok and first_failure is None:
             first_failure = InvariantViolation(name, index)
     if first_failure is not None:
-        raise first_failure  # `main` prints its one `invariant failure:` line
-    return EXIT_OK
+        raise first_failure  # `run` prints its one `invariant failure:` line
 
 
-def cmd_pell(args) -> int:
+def cmd_pell(args) -> None:
+    """Prints the solutions as decimal strings; a solution past the int/str
+    digit limit is refused before any is converted, and no later one is
+    computed.  The seed pair's second solution is the third, so at least
+    three are checked."""
     if args.count < 1:
-        print("error: --count must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--count must be at least 1")
     try:
         first, second = find_seed_pair(args.b)  # first is the fundamental solution
-        sols = list(accumulate(repeat(first, args.count - 1), next_solution, initial=first))
         expansion = cf_expansion(args.b, 12)
     except ValueError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return EXIT_MATH
+        raise Rejected(exc) from None
+    limit = sys.get_int_max_str_digits()  # 0 is no limit
+    too_long = 10**limit if limit else None
+    sols = []
+    # range, unlike repeat's count, takes a --count past 2^63
+    for k, s in zip(range(1, max(args.count, 3) + 1), accumulate(repeat(first), next_solution)):
+        if too_long is not None and s.m >= too_long:
+            raise Rejected(
+                f"--b {args.b}: solution {k} has more than {limit} decimal digits, "
+                "the int/str limit"
+            )
+        sols.append(s)
     print(
         _dump(
             {
@@ -470,11 +458,10 @@ def cmd_pell(args) -> int:
                     "first": {"m": str(first.m), "n": str(first.n)},
                     "second": {"m": str(second.m), "n": str(second.n)},
                 },
-                "solutions": [{"m": str(s.m), "n": str(s.n)} for s in sols],
+                "solutions": [{"m": str(s.m), "n": str(s.n)} for s in sols[: args.count]],
             }
         )
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +511,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _checked_cap(args) -> None:
+    """Refuse a malformed CONIC_APPROX_MAX_BITS as an input error, then run
+    the command of `args`."""
     try:
-        precision_cap()  # a malformed CONIC_APPROX_MAX_BITS is an input error
+        precision_cap()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        return args.func(args)
-    except InvariantViolation as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InputError(exc) from None
+    args.func(args)
+
+
+def main(argv=None) -> int:
+    return run(_checked_cap, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -235,7 +235,7 @@ def estimate_lambda(
     The summary is the minimum over the last ceil(k/3) estimates (the exponent
     is liminf-flavored and early records are pre-asymptotic).
     """
-    if len(records) < 2 and next_X is None:
+    if len(records) + (next_X is not None) < 2:
         raise ValueError("need at least two records")
     hats: list[tuple[int, float]] = []
     for i, rec in enumerate(records):

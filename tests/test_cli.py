@@ -1,15 +1,19 @@
 """Command-line behavior: exit codes, files, round trips, determinism."""
 import builtins
+import contextlib
 import hashlib
+import io
 import json
+import signal
 import sys
+import tempfile
 import time
 import tracemalloc
 from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conic_approx import arith, extremal, quadform, targets
@@ -22,6 +26,7 @@ from conic_approx.extremal import (
     limit_point,
     seed_triple,
 )
+from conic_approx.numerics import precision_cap
 
 ANISO_FORM = {
     "a00": "1", "a11": "-2", "a22": "-3", "a01": "0", "a02": "0", "a12": "0",
@@ -1098,6 +1103,23 @@ class TestEnumerate:
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv,prefix",
+    [
+        (["reduce", "--form"], "error: cannot read form: maximum recursion depth exceeded"),
+        (["verify", "--in"], "error: cannot parse sequence file: maximum recursion depth exceeded"),
+        (["enumerate", "--xmax", "10", "--xi"], "error: maximum recursion depth exceeded"),
+    ],
+    ids=["reduce", "verify", "enumerate"],
+)
+def test_json_nested_too_deep_is_input_error(tmp_path, capsys, argv, prefix):
+    # json.loads raises RecursionError, no ValueError, which ended in a traceback
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([*argv, str(f)]) == 2
+    assert_one_line(capsys, prefix)
+
+
 class TestPrecisionCapVerdict:
     """`--precision P` (for `enumerate --xi`, the file's `precision`) is
     accepted exactly when P is at most the cap, with one message past it."""
@@ -1203,9 +1225,197 @@ class TestPell:
     def test_perfect_square_rejected(self):
         assert main(["pell", "--b", "9"]) == 3
 
+    @pytest.mark.parametrize(
+        "b,count,position",
+        [("1000033", "4", 4), ("2", "5700", 5618), ("2", "100000", 5618), ("2", str(2**63 + 1), 5618)],
+    )
+    def test_solution_past_the_digit_limit_is_rejected(self, capsys, int_str_limit, b, count, position):
+        # str() of the first such solution ended in a traceback (exit 1),
+        # --count 100000 computed every solution first, and a count past
+        # 2^63 overflowed itertools.repeat (OverflowError, exit 1)
+        assert main(["pell", "--b", b, "--count", count]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"rejected: --b {b}: solution {position} has more than 4300 decimal digits, "
+            "the int/str limit\n"
+        )
+
+    def test_seed_pair_past_the_digit_limit_is_rejected(self, capsys, int_str_limit):
+        # the fundamental solution has 1719 digits, the second 3438; --count 2
+        # still prints the seed pair's second solution, the third
+        assert main(["pell", "--b", "1000081", "--count", "2"]) == 3
+        assert capsys.readouterr().err.startswith("rejected: --b 1000081: solution 3 has more than ")
+
+    def test_no_digit_limit_prints_every_solution(self, capsys, int_str_limit):
+        sys.set_int_max_str_digits(0)
+        assert main(["pell", "--b", "1000033", "--count", "4"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["solutions"]) == 4
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_count_below_one_is_input_error(self, capsys, count):
         assert main(["pell", "--b", "2", "--count", count]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --count must be at least 1\n"
+
+
+# ---------------------------------------------------------------------------
+# The CLI contract: every drawn command line ends in 0, 2, 3 or 4; a failure
+# prints exactly one stderr line with one of the four prefixes of
+# `cli.FAILURES` and leaves no file in --out.
+
+PREFIXES = ("error: ", "rejected: ", "precision cap: ", "invariant failure: ")
+
+
+def values(small: st.SearchStrategy, huge: bool = True, past_cap: bool = False) -> st.SearchStrategy:
+    """Integers of one of the kinds small, huge (at least 2^32), zero,
+    negative or past the precision cap, as argv strings; small ones, which
+    get past the checks, about four times in five."""
+    others = [st.just(0), st.integers(-(1 << 40), -1)]
+    if huge:
+        others.append(st.integers(1 << 32, 1 << 80))
+    if past_cap:
+        others.append(st.integers(1, 1 << 20).map(lambda k: precision_cap() + k))
+    return st.integers(0, 4).flatmap(lambda k: small if k else st.one_of(others)).map(str)
+
+
+B_OR_C = values(st.integers(1, 12))
+PRECISION = values(st.integers(1, 512), past_cap=True)
+
+
+@st.composite
+def mutated(draw, name: str, text: str) -> bytes:
+    """`text`, a JSON file or (for `.jsonl`) one JSON row a line, unchanged or
+    with a key dropped, a JSON number where a string goes, a value of another
+    shape, a tampered integer string, truncated bytes or bytes that are not
+    UTF-8."""
+    how = draw(st.sampled_from(["keep"] * 4 + ["drop", "number", "shape", "tamper", "truncate", "bytes"]))
+    data = text.encode()
+    if how == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if how == "bytes":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    jsonl = name.endswith(".jsonl")
+    docs = [json.loads(line) for line in text.splitlines()] if jsonl else [json.loads(text)]
+
+    def leaves(node, path=()):
+        yield path, node
+        children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in children:
+            yield from leaves(child, (*path, key))
+
+    spots = [(path, v) for path, v in leaves(docs) if len(path) >= 1]
+    if how == "drop":
+        spots = [(p, v) for p, v in spots if isinstance(p[-1], str)]
+    elif how in ("number", "tamper"):
+        spots = [(p, v) for p, v in spots if isinstance(v, str)]
+    if how != "keep" and spots:
+        path, v = draw(st.sampled_from(spots))
+        parent = docs
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "drop":
+            del parent[path[-1]]
+        elif how == "number":
+            parent[path[-1]] = read_int(v) if v.lstrip("-").startswith("0x") else 7
+        elif how == "shape":
+            parent[path[-1]] = draw(st.sampled_from([[], {}, None, "x", 1.5, True, [1, 2, 3]]))
+        elif v.lstrip("-").startswith("0x"):
+            parent[path[-1]] = hex(read_int(v) + draw(st.sampled_from([-2, -1, 1, 2])))
+    if jsonl:
+        return "".join(json.dumps(doc) + "\n" for doc in docs).encode()
+    return json.dumps(docs[0], indent=2).encode()
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory) -> dict[str, str]:
+    """The files of `construct --depth 4` and a form file, as text."""
+    d = tmp_path_factory.mktemp("contract")
+    assert main(["construct", "--b", "2", "--c", "3", "--depth", "4", "--out", str(d)]) == 0
+    texts = {name: (d / name).read_text() for name in ("sequence.jsonl", "xi.json")}
+    texts["form.json"] = json.dumps(ANISO_FORM, indent=2)
+    return texts
+
+
+@st.composite
+def command_lines(draw, files: dict[str, str], d: Path) -> list[str]:
+    """An argv for one of the five commands; its files are written into d,
+    and its --out is d/out, which does not exist yet, or now and then a path
+    below a regular file, which cannot be created."""
+    for name, text in files.items():
+        (d / name).write_bytes(draw(mutated(name, text)))
+    out = f"--out={draw(st.sampled_from([d / 'out'] * 5 + [d / 'form.json' / 'out']))}"
+    command = draw(st.sampled_from(["reduce", "construct", "verify", "enumerate", "pell"]))
+    if command == "reduce":
+        return ["reduce", f"--form={d / 'form.json'}"]
+    if command == "construct":
+        depth = draw(values(st.integers(1, 12), huge=False))
+        return ["construct", f"--b={draw(B_OR_C)}", f"--c={draw(B_OR_C)}", f"--depth={depth}",
+                f"--precision={draw(PRECISION)}", out]
+    if command == "verify":
+        pair = draw(st.sampled_from([[], ["b", "c"], ["b"], ["c"]]))
+        return ["verify", f"--in={d / 'sequence.jsonl'}", *(f"--{k}={draw(B_OR_C)}" for k in pair)]
+    if command == "pell":
+        # a huge count runs into the int/str digit limit
+        count = draw(st.one_of(values(st.integers(1, 8)), st.integers(1 << 32, 1 << 80).map(str)))
+        return ["pell", f"--b={draw(B_OR_C)}", f"--count={count}"]
+    # one target mostly; none or two are input errors
+    targets = draw(st.sampled_from([["bc"], ["xi"], ["sqrt"]] * 3 + [[], ["bc", "sqrt"], ["xi", "bc"]]))
+    argv = ["enumerate", f"--xmax={draw(values(st.integers(1, 2000), huge=False))}", out]
+    for target in targets:
+        if target == "bc":
+            argv += [f"--b={draw(B_OR_C)}", f"--c={draw(B_OR_C)}"]
+        elif target == "xi":
+            argv.append(f"--xi={d / 'xi.json'}")
+        else:
+            a, b = draw(values(st.integers(0, 30))), draw(values(st.integers(0, 30)))
+            argv.append(f"--sqrt={a},{b}")
+    if draw(st.booleans()):
+        argv.append(f"--precision={draw(PRECISION)}")
+    if draw(st.booleans()):
+        argv.append("--format=json")
+    return argv
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once `seconds` have passed, so an
+    unbounded input fails the test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_command_line_ends_in_a_documented_code(contract_files, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        argv = data.draw(command_lines(contract_files, d), label="argv")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        old = sys.get_int_max_str_digits()
+        # the lowest limit CPython takes, so a huge pell --count reaches it soon
+        sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
+        try:
+            with time_limit(10), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                rc = main(argv)
+        finally:
+            sys.set_int_max_str_digits(old)
+        err = stderr.getvalue()
+        event(f"{argv[0]} exit {rc}")
+        assert rc in (0, 2, 3, 4), (rc, err)
+        if rc == 0:
+            assert err == ""
+        else:
+            assert err.startswith(PREFIXES) and err.count("\n") == 1 and err.endswith("\n"), err
+            assert sorted(p.name for p in d.rglob("*") if p.is_file()) == sorted(contract_files)

@@ -3,7 +3,8 @@ re-exports, is exempt), no function, class or method of the package is
 defined without being named by the package, the scripts or the benchmark,
 importing the CLI loads none of `dataclasses`, `inspect`, `typing` and
 `pathlib`, and the big-integer kernel lives in `arith` alone and stays out of
-the recurrence."""
+the recurrence.  Only `cli.run` names `sys.stderr` among the CLI's functions
+and the scripts."""
 import ast
 import subprocess
 import sys
@@ -216,3 +217,53 @@ def test_the_recurrence_multiplies_with_the_operator():
     names = called_names((PACKAGE / "extremal.py").read_text(), "_append_member")
     assert "append" in names
     assert not names & {"square", "mul"}
+
+
+def stderr_users(source: str) -> list[str]:
+    """Functions of `source` (`<module>` for code outside any) that name
+    `sys.stderr` or a bare `stderr`, to print to it or to write to it."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == "stderr"
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "sys"
+                or isinstance(child, ast.Name) and child.id == "stderr"
+            ):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_the_check_finds_every_stderr_writer():
+    source = (
+        "import sys\n"
+        "from sys import stderr\n"
+        "def printer(exc):\n"
+        "    print(f'error: {exc}', file=sys.stderr)\n"
+        "def writer(exc):\n"
+        "    sys.stderr.write(str(exc))\n"
+        "def bare(exc):\n"
+        "    print(exc, file=stderr)\n"
+        "def quiet(exc):\n"
+        "    print(exc)\n"
+        "    sys.stdout.write('stderr')\n"
+        "sys.stderr.flush()\n"
+    )
+    assert stderr_users(source) == ["<module>", "bare", "printer", "writer"]
+
+
+@pytest.mark.parametrize(
+    "path", [PACKAGE / "cli.py", *sorted((REPO / "scripts").glob("*.py"))], ids=lambda p: p.name
+)
+def test_only_cli_run_prints_a_failure(path):
+    # `cli.run` holds the one table of failure lines and exit codes
+    assert stderr_users(path.read_text()) == (["run"] if path.name == "cli.py" else [])

@@ -497,6 +497,18 @@ class TestExponentReport:
         assert rep.alpha == pytest.approx((2 * rep.summary - 1) / (1 - rep.summary))
         assert rep.theta == pytest.approx((1 - rep.summary) / rep.summary)
 
+    @pytest.mark.parametrize(
+        "n_records,next_x",
+        [(0, None), (0, 1), (1, None)],
+        ids=["none", "next-x-only", "one-record"],
+    )
+    def test_fewer_than_two_heights_is_refused(self, n_records, next_x):
+        # records_from_sequence at a cap below 1 gives no record, and
+        # estimate_lambda([], next_X=...) reached min() of no estimate
+        recs = enumerate_minimal(SqrtPairTarget(2, 3), 100)[:n_records]
+        with pytest.raises(ValueError, match="^need at least two records$"):
+            estimate_lambda(recs, next_X=next_x)
+
     def test_records_from_sequence_heights(self):
         seq = seed_triple(2, 3)
         recs, next_x = records_from_sequence(seq, ExtremalTarget(2, 3), 10**20)

@@ -147,6 +147,13 @@ class TestSeedPair:
         assert first.m < mid < second.m
 
     @pytest.mark.parametrize("b", SQUAREFREE_SMALL)
+    def test_second_is_the_third_solution(self, b):
+        # the middle value is the second solution, so the first admissible
+        # candidate is the third; `pell` checks that many against the digit limit
+        first, second = find_seed_pair(b)
+        assert second == next_solution(next_solution(first, first), first)
+
+    @pytest.mark.parametrize("b", SQUAREFREE_SMALL)
     def test_second_is_smallest_admissible(self, b):
         first, second = find_seed_pair(b)
         s = first

@@ -32,6 +32,13 @@ def test_extremal_experiment_past_the_cap_exits_3():
     assert run.stderr == "precision cap: needs 4716 bits, cap is 4096\n"
 
 
+def test_extremal_experiment_height_cap_below_one_is_input_error():
+    # a cap of 0 gives no record, and the exponent estimate ended in a traceback
+    run = run_script("run_extremal_experiment.py", "--depth", "3", "--height-cap", "0")
+    assert run.returncode == 2
+    assert (run.stdout, run.stderr) == ("", "error: --height-cap must be at least 1\n")
+
+
 def test_extremal_experiment_rejects_a_square_b():
     run = run_script("run_extremal_experiment.py", "--b", "4")
     assert run.returncode == 3
