@@ -3,9 +3,10 @@
 
 Usage: python scripts/run_extremal_experiment.py --b 2 --c 3 --depth 18
 
-Like the CLI, whose `run` calls it, a `--height-cap` below 1 exits 2 with one
-`error:` line on stderr, and a pair it cannot build on and a height past the
-precision cap exit 3 with one `rejected:` or `precision cap:` line.
+Like the CLI, whose `run` calls it, a `--height-cap` below 1 or a malformed
+CONIC_APPROX_MAX_BITS exits 2 with one `error:` line on stderr, and a pair it
+cannot build on and a height past the precision cap exit 3 with one
+`rejected:` or `precision cap:` line.
 """
 import argparse
 import math

@@ -11,7 +11,7 @@ Karatsuba alone.  Each decides that itself, so callers never test sizes.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 
 def is_square(n: int) -> bool:
@@ -99,13 +99,6 @@ def is_qr_mod_squarefree(a: int, m: int) -> bool:
         if legendre_symbol(a, p) == -1:
             return False
     return True
-
-
-def vec_gcd(*xs: int) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g
 
 
 # Operand bits from which `square` and `mul` take a Toom-3 step.  Timed

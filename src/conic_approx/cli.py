@@ -71,8 +71,14 @@ _FAILING = tuple(chain.from_iterable(types for types, _, _ in FAILURES))
 def run(command, *args) -> int:
     """Call `command(*args)` and return 0, or for an exception of `FAILURES`
     print `<prefix>: <message>` once to stderr and return the row's code.
-    Any other exception propagates, so a bug still ends in a traceback."""
+    A malformed CONIC_APPROX_MAX_BITS is an input error before the command
+    starts.  Any other exception propagates, so a bug still ends in a
+    traceback."""
     try:
+        try:
+            precision_cap()
+        except ValueError as exc:
+            raise InputError(exc) from None
         command(*args)
     except _FAILING as exc:
         prefix, code = next((p, c) for types, p, c in FAILURES if isinstance(exc, types))
@@ -110,6 +116,32 @@ def read_int(s: str) -> int:
                 "the int/str limit (hex has none)"
             ) from None
     raise ValueError("must be an integer string")
+
+
+def read_form(text: str) -> TernaryQuadraticForm:
+    """The form of a JSON object with keys among a00, a11, a22, a01, a02,
+    a12 (a missing key is 0), each a JSON integer or an integer string of
+    `read_int`.  Anything else, another key, a bool or a float included, is
+    a ValueError; one about a coefficient names its key."""
+    keys = ("a00", "a11", "a22", "a01", "a02", "a12")
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("the form must be a JSON object")
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ValueError(
+            f"unknown key {', '.join(map(repr, unknown))}; a form has only {', '.join(keys)}"
+        )
+    coeffs = []
+    for key in keys:
+        v = obj.get(key, 0)
+        if type(v) is not int and not isinstance(v, str):
+            raise ValueError(f"{key} must be an integer, not {v!r}")
+        try:
+            coeffs.append(v if type(v) is int else read_int(v))
+        except ValueError as exc:
+            raise ValueError(f"{key} {exc}") from None
+    return TernaryQuadraticForm(*coeffs)
 
 
 def _dyadic_json(d: Dyadic) -> dict:
@@ -160,8 +192,8 @@ def _write(outdir: str, files: dict[str, str]) -> None:
 
 def cmd_reduce(args) -> None:
     try:
-        phi = TernaryQuadraticForm.from_json(_read(args.form))
-    except (OSError, ValueError, KeyError, RecursionError) as exc:  # json nested too deep
+        phi = read_form(_read(args.form))
+    except (OSError, ValueError, RecursionError) as exc:  # json nested too deep
         raise InputError(f"cannot read form: {exc}") from None
     red = reduce_form(phi)
     out = {
@@ -511,18 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _checked_cap(args) -> None:
-    """Refuse a malformed CONIC_APPROX_MAX_BITS as an input error, then run
-    the command of `args`."""
-    try:
-        precision_cap()
-    except ValueError as exc:
-        raise InputError(exc) from None
-    args.func(args)
-
-
 def main(argv=None) -> int:
-    return run(_checked_cap, build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

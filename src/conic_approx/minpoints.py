@@ -233,10 +233,13 @@ def estimate_lambda(
     """Exponent estimates lambda_hat_i = -log L_i / log X_{i+1} and summary.
 
     The summary is the minimum over the last ceil(k/3) estimates (the exponent
-    is liminf-flavored and early records are pre-asymptotic).
+    is liminf-flavored and early records are pre-asymptotic).  `next_X`, the
+    height after the last record, must exceed that record's X.
     """
     if len(records) + (next_X is not None) < 2:
         raise ValueError("need at least two records")
+    if next_X is not None and next_X <= records[-1].X:
+        raise ValueError(f"next_X {next_X} must exceed the last record's X {records[-1].X}")
     hats: list[tuple[int, float]] = []
     for i, rec in enumerate(records):
         if i + 1 < len(records):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import islice
 from math import isqrt
 
 from .arith import FACTOR_BITS, is_square, is_squarefree
@@ -49,12 +50,7 @@ def cf_expansion(b: int, terms: int) -> list[int]:
     _check_radicand(b)
     if terms <= 0:
         raise ValueError("terms must be positive")
-    out = []
-    for a in _cf_steps(b):
-        out.append(a)
-        if len(out) == terms:
-            return out
-    raise AssertionError  # pragma: no cover
+    return list(islice(_cf_steps(b), terms))
 
 
 def fundamental_solution(b: int) -> PellSolution:

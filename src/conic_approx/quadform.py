@@ -13,14 +13,13 @@ All arithmetic is exact (ints and Fractions).
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from . import arith
-from .arith import is_qr_mod_squarefree, squarefree_scale, vec_gcd
+from .arith import is_qr_mod_squarefree, squarefree_scale
 from .records import FrozenRecord, set_field
 
 Vec3 = tuple[int, int, int]
@@ -91,11 +90,9 @@ def primitive(v) -> Vec3:
     fracs = [Fraction(x) for x in v]
     if all(f == 0 for f in fracs):
         raise ValueError("zero vector has no primitive representative")
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
+    den = lcm(*(f.denominator for f in fracs))
     ints = [int(f * den) for f in fracs]
-    g = vec_gcd(*ints)
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     for x in ints:
         if x != 0:
@@ -191,30 +188,6 @@ class TernaryQuadraticForm(FrozenRecord):
             Fraction(q.bilinear(c[0], c[2])),
             Fraction(q.bilinear(c[1], c[2])),
         )
-
-    # -- serialization -----------------------------------------------------
-    @staticmethod
-    def from_json(text: str) -> "TernaryQuadraticForm":
-        """The form of a JSON object with keys among a00, a11, a22, a01, a02,
-        a12 (a missing key is 0), each a JSON integer or an integer string.
-        Anything else, another key, a bool or a float included, is a
-        ValueError."""
-        keys = ("a00", "a11", "a22", "a01", "a02", "a12")
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError("the form must be a JSON object")
-        unknown = [key for key in obj if key not in keys]
-        if unknown:
-            raise ValueError(
-                f"unknown key {', '.join(map(repr, unknown))}; a form has only {', '.join(keys)}"
-            )
-        coeffs = []
-        for key in keys:
-            v = obj.get(key, 0)
-            if type(v) is not int and not isinstance(v, str):
-                raise ValueError(f"{key} must be an integer, not {v!r}")
-            coeffs.append(int(v))
-        return TernaryQuadraticForm(*coeffs)
 
 
 def psi(phi: TernaryQuadraticForm, x, y):
@@ -320,7 +293,7 @@ def _legendre_normalize(d: list[int]) -> tuple[list[int], list[int]]:
     changed = True
     while changed:
         changed = False
-        g = vec_gcd(*coeffs)
+        g = gcd(*coeffs)
         if g > 1:
             coeffs = [x // g for x in coeffs]
             changed = True

@@ -177,6 +177,24 @@ class TestReduce:
             "a form has only a00, a11, a22, a01, a02, a12\n"
         )
 
+    @pytest.mark.parametrize(
+        "text", [" 1", "1_0", "+1", "\u0661"], ids=["space", "underscore", "plus", "arabic-indic"]
+    )
+    def test_coefficient_string_off_the_integer_rule_is_input_error(self, tmp_path, capsys, text):
+        # int() read each of these, so the form reduced with exit 0
+        coeffs = dict(ANISO_FORM, a00=text)
+        assert main(["reduce", "--form", write_form(tmp_path, coeffs)]) == 2
+        assert capsys.readouterr() == ("", "error: cannot read form: a00 must be an integer string\n")
+
+    @pytest.mark.parametrize("key,text,value", [("a00", "0x1f", 31), ("a11", "-0x2", -2)])
+    def test_hex_coefficient_reads_as_its_integer(self, tmp_path, capsys, key, text, value):
+        # int() refused hex with a message that named no key
+        outputs = []
+        for v in (value, text):
+            assert main(["reduce", "--form", write_form(tmp_path, dict(ANISO_FORM, **{key: v}))]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
     CASES = {
         "anisotropic": ANISO_FORM,
         "parabola": dict(ANISO_FORM, a00="0", a11="-1", a22="0", a02="1"),

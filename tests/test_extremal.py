@@ -7,6 +7,7 @@ import os
 import random
 import re
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -500,7 +501,12 @@ class TestSharedChecks:
         children, notices = stream_hooks(monkeypatch)
         notices.append(lambda n: n == 2 and os.kill(children[0], signal.SIGKILL))
         unpacked = []
-        monkeypatch.setattr(extremal, "_VERDICT", VerdictThen(unpacked=unpacked))
+        # a child that has packed its verdict waits there, so the kill always
+        # lands on a live child: with a tamper the child fails at the first
+        # new member and could otherwise exit 0 before notice 2
+        monkeypatch.setattr(
+            extremal, "_VERDICT", VerdictThen(lambda: time.sleep(30), unpacked=unpacked)
+        )
         assert outcome(seq, 10) == serial
         assert forks == [1]
         assert unpacked == []  # the mapping's verdict is never read

@@ -4,7 +4,7 @@ defined without being named by the package, the scripts or the benchmark,
 importing the CLI loads none of `dataclasses`, `inspect`, `typing` and
 `pathlib`, and the big-integer kernel lives in `arith` alone and stays out of
 the recurrence.  Only `cli.run` names `sys.stderr` among the CLI's functions
-and the scripts."""
+and the scripts, and only `cli` imports `json` or opens a file."""
 import ast
 import subprocess
 import sys
@@ -267,3 +267,35 @@ def test_the_check_finds_every_stderr_writer():
 def test_only_cli_run_prints_a_failure(path):
     # `cli.run` holds the one table of failure lines and exit codes
     assert stderr_users(path.read_text()) == (["run"] if path.name == "cli.py" else [])
+
+
+def file_readers(source: str) -> list[int]:
+    """Lines of `source` that import `json`, or a name from it, or call a
+    bare `open`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(alias.name == "json" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "json"
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"
+    )
+
+
+def test_the_check_finds_every_file_reader():
+    source = (
+        "import json\n"
+        "from json import loads\n"
+        "import os, json as j\n"
+        "with open(path) as fp:\n"
+        "    fp.read()\n"
+        "os.open(path, 0)\n"
+        "jsonl = 1\n"
+    )
+    assert file_readers(source) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_cli_reads_files(path):
+    # `cli` reads every input file, so every integer string goes through `read_int`
+    if path.name != "cli.py":
+        assert file_readers(path.read_text()) == []

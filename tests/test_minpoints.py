@@ -509,6 +509,14 @@ class TestExponentReport:
         with pytest.raises(ValueError, match="^need at least two records$"):
             estimate_lambda(recs, next_X=next_x)
 
+    @pytest.mark.parametrize("n_records,below", [(1, 0), (2, 0), (2, 1)])
+    def test_next_x_at_or_below_the_last_height_is_refused(self, n_records, below):
+        # next_X = 1 after the record X = 1 divided by log 1 = 0
+        recs = enumerate_minimal(SqrtPairTarget(2, 3), 100)[:n_records]
+        next_x = recs[-1].X - below
+        with pytest.raises(ValueError, match=f"^next_X {next_x} must exceed the last record's X "):
+            estimate_lambda(recs, next_X=next_x)
+
     def test_records_from_sequence_heights(self):
         seq = seed_triple(2, 3)
         recs, next_x = records_from_sequence(seq, ExtremalTarget(2, 3), 10**20)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import pytest
 
 from conic_approx import quadform
+from conic_approx.cli import read_form
 from conic_approx.quadform import (
     CASE_ANISOTROPIC,
     CASE_PARABOLA,
@@ -386,15 +387,17 @@ class TestCaseTagInvariance:
 
 
 class TestSerialization:
+    """A form file, as `cli.read_form` reads it."""
+
     def test_round_trip(self):
         text = '{"a00": "1", "a11": "-2", "a22": "-3", "a01": "4", "a02": "-5", "a12": "6"}'
-        assert TernaryQuadraticForm.from_json(text) == TernaryQuadraticForm(1, -2, -3, 4, -5, 6)
+        assert read_form(text) == TernaryQuadraticForm(1, -2, -3, 4, -5, 6)
 
     @pytest.mark.parametrize("key", ["a99", "a21", "A00", ""])
     def test_unknown_key_rejected(self, key):
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
-            TernaryQuadraticForm.from_json(f'{{"a00": 1, "a11": -2, "a22": -3, "{key}": 0}}')
+            read_form(f'{{"a00": 1, "a11": -2, "a22": -3, "{key}": 0}}')
 
     def test_decimal_strings(self):
         # decimal strings and JSON integers read alike; a missing key is 0
-        assert TernaryQuadraticForm.from_json('{"a00": "1", "a11": -2, "a22": "-3"}') == DIAG_23
+        assert read_form('{"a00": "1", "a11": -2, "a22": "-3"}') == DIAG_23

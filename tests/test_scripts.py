@@ -39,6 +39,16 @@ def test_extremal_experiment_height_cap_below_one_is_input_error():
     assert (run.stdout, run.stderr) == ("", "error: --height-cap must be at least 1\n")
 
 
+def test_extremal_experiment_malformed_precision_cap_is_input_error(monkeypatch):
+    # the script's first use of the cap raised a ValueError, a traceback with exit 1
+    monkeypatch.setenv("CONIC_APPROX_MAX_BITS", "abc")
+    run = run_script("run_extremal_experiment.py", "--depth", "3")
+    assert run.returncode == 2
+    assert (run.stdout, run.stderr) == (
+        "", "error: CONIC_APPROX_MAX_BITS must be a positive integer, not 'abc'\n"
+    )
+
+
 def test_extremal_experiment_rejects_a_square_b():
     run = run_script("run_extremal_experiment.py", "--b", "4")
     assert run.returncode == 3
