@@ -61,6 +61,7 @@ class FileMismatch(Exception):
 # holds the exception's class decides
 FAILURES = (
     ((InputError,), "error", EXIT_INPUT),
+    ((BrokenPipeError,), "error: cannot write to stdout", EXIT_INPUT),
     ((UnsupportedConstruction, FormRejected, DependentTargetError, Rejected), "rejected", EXIT_MATH),
     ((PrecisionCapError,), "precision cap", EXIT_MATH),
     ((InvariantViolation, ReductionIdentityError, FileMismatch), "invariant failure", EXIT_INVARIANT),
@@ -72,15 +73,20 @@ def run(command, *args) -> int:
     """Call `command(*args)` and return 0, or for an exception of `FAILURES`
     print `<prefix>: <message>` once to stderr and return the row's code.
     A malformed CONIC_APPROX_MAX_BITS is an input error before the command
-    starts.  Any other exception propagates, so a bug still ends in a
-    traceback."""
+    starts, and a stdout closed early (a broken pipe) is one after it.  Any
+    other exception propagates, so a bug still ends in a traceback."""
     try:
         try:
             precision_cap()
         except ValueError as exc:
             raise InputError(exc) from None
         command(*args)
+        if sys.stdout:  # None when the process started with stdout closed
+            sys.stdout.flush()
     except _FAILING as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the flush at exit then sends what is left to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         prefix, code = next((p, c) for types, p, c in FAILURES if isinstance(exc, types))
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
@@ -118,13 +124,45 @@ def read_int(s: str) -> int:
     raise ValueError("must be an integer string")
 
 
+class _LongDigits(str):
+    """A JSON integer past CPython's int/str digit limit, as its digits."""
+
+
+def _parse_int(digits: str):
+    try:
+        return int(digits)
+    except ValueError:  # the int/str digit limit, the only error left
+        return _LongDigits(digits)
+
+
+# the one decoder of every input file, built once (`json`'s one-call loader
+# builds one per call when given `parse_int`)
+_decode = json.JSONDecoder(parse_int=_parse_int).decode
+JSON_INTEGER, INTEGER_STRING = "a JSON integer", "an integer string"
+
+
+def read_field(name: str, v, kind: str | None = None) -> int:
+    """The integer of field `name` of an input file: `kind` JSON_INTEGER, or
+    INTEGER_STRING (of `read_int`), or by default either.  Anything else, a
+    bool, a float or a JSON integer past the int/str digit limit included,
+    is a ValueError whose message begins with `name`."""
+    if type(v) is int and kind != INTEGER_STRING:
+        return v
+    if type(v) is str and kind != JSON_INTEGER or type(v) is _LongDigits:
+        try:  # read_int refuses every _LongDigits
+            return read_int(v)
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
+    raise ValueError(f"{name} must be {kind or f'an integer, not {v!r}'}")
+
+
 def read_form(text: str) -> TernaryQuadraticForm:
     """The form of a JSON object with keys among a00, a11, a22, a01, a02,
-    a12 (a missing key is 0), each a JSON integer or an integer string of
-    `read_int`.  Anything else, another key, a bool or a float included, is
-    a ValueError; one about a coefficient names its key."""
+    a12 (a missing key is 0), each an integer of `read_field`.  Anything
+    else, another key included, is a ValueError; one about a coefficient
+    names its key."""
     keys = ("a00", "a11", "a22", "a01", "a02", "a12")
-    obj = json.loads(text)
+    obj = _decode(text)
     if not isinstance(obj, dict):
         raise ValueError("the form must be a JSON object")
     unknown = [key for key in obj if key not in keys]
@@ -132,16 +170,7 @@ def read_form(text: str) -> TernaryQuadraticForm:
         raise ValueError(
             f"unknown key {', '.join(map(repr, unknown))}; a form has only {', '.join(keys)}"
         )
-    coeffs = []
-    for key in keys:
-        v = obj.get(key, 0)
-        if type(v) is not int and not isinstance(v, str):
-            raise ValueError(f"{key} must be an integer, not {v!r}")
-        try:
-            coeffs.append(v if type(v) is int else read_int(v))
-        except ValueError as exc:
-            raise ValueError(f"{key} {exc}") from None
-    return TernaryQuadraticForm(*coeffs)
+    return TernaryQuadraticForm(*(read_field(key, obj.get(key, 0)) for key in keys))
 
 
 def _dyadic_json(d: Dyadic) -> dict:
@@ -161,10 +190,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _write(outdir: str, files: dict[str, str]) -> None:
-    """Write {name: text} into outdir, creating it.  Every file goes to a
-    temporary name first and is moved into place only once all are written;
-    on OSError no file of this call is left and an InputError is raised."""
+def _write(outdir: str, files: dict[str, str], line: str) -> None:
+    """Write {name: text} into outdir, creating it, and print `line`.  Every
+    file goes to a temporary name first; `line` is printed and flushed once
+    all are written, and only then are they moved into place.  On OSError no
+    file of this call is left, and any but a broken stdout is an InputError."""
     staged: list[tuple[str, str]] = []
     placed: list[str] = []
     try:
@@ -174,6 +204,7 @@ def _write(outdir: str, files: dict[str, str]) -> None:
             staged.append((tmp, os.path.join(outdir, name)))
             with open(tmp, "w", newline="") as fp:
                 fp.write(text)
+        print(line, flush=True)
         for tmp, final in staged:
             os.replace(tmp, final)
             placed.append(final)
@@ -183,6 +214,8 @@ def _write(outdir: str, files: dict[str, str]) -> None:
                 os.remove(path)
             except FileNotFoundError:
                 pass
+        if isinstance(exc, BrokenPipeError):
+            raise
         raise InputError(f"cannot write to --out {outdir}: {exc}") from None
 
 
@@ -239,15 +272,29 @@ def cmd_construct(args) -> None:
             "xi2": _real_json(enclosure.xi2),
         }
     ) + "\n"
-    _write(args.out, {"sequence.jsonl": sequence, "xi.json": xi})
     out = args.out
-    print(f"wrote {os.path.join(out, 'sequence.jsonl')} and {os.path.join(out, 'xi.json')}")
+    line = f"wrote {os.path.join(out, 'sequence.jsonl')} and {os.path.join(out, 'xi.json')}"
+    _write(out, {"sequence.jsonl": sequence, "xi.json": xi}, line)
 
 
-def _real_fields(x: dict) -> tuple:
-    """(lo man, lo exp, hi man, hi exp, precision) of a `_real_json` object."""
-    lo, hi = x["lo"], x["hi"]
-    return read_int(lo["man"]), lo["exp"], read_int(hi["man"]), hi["exp"], x["precision"]
+def _real_fields(x, key: str) -> tuple:
+    """(lo man, lo exp, hi man, hi exp, precision) of the `_real_json` object
+    `key`.  Anything else is a ValueError naming `key`, and the leaf at
+    fault, as in `xi1.lo.exp`, when the shape holds."""
+    shape = f"{key} must be an object with lo, hi and precision"
+    try:
+        lo, hi = x["lo"], x["hi"]
+        return (
+            read_field(f"{key}.lo.man", lo["man"], INTEGER_STRING),
+            read_field(f"{key}.lo.exp", lo["exp"], JSON_INTEGER),
+            read_field(f"{key}.hi.man", hi["man"], INTEGER_STRING),
+            read_field(f"{key}.hi.exp", hi["exp"], JSON_INTEGER),
+            read_field(f"{key}.precision", x["precision"], JSON_INTEGER),
+        )
+    except (KeyError, TypeError):
+        raise ValueError(f"{shape}, lo and hi each with an integer-string man and an exp") from None
+    except ValueError as exc:
+        raise ValueError(f"{shape}; {exc}") from None
 
 
 def _target_from_args(args):
@@ -266,29 +313,23 @@ def _target_from_args(args):
         raise InputError(f"name one target, not {' and '.join(named)}")
     if args.xi is not None:
         try:
-            obj = json.loads(_read(args.xi))
+            obj = _decode(_read(args.xi))
         except (OSError, ValueError, RecursionError) as exc:
             raise InputError(exc) from None
         if not isinstance(obj, dict):
             raise InputError(f"--xi {args.xi} must hold a JSON object")
-        precision = obj.get("precision")
-        if type(precision) is not int or precision < 1:
-            raise InputError(f"--xi {args.xi} needs a positive integer precision")
-        claimed = {}
-        for key in ("xi1", "xi2", "tail_bound"):
-            try:
-                claimed[key] = _real_fields(obj[key])
-            except (KeyError, TypeError, ValueError):
-                raise InputError(
-                    f"--xi {args.xi}: {key} must be an object with lo, hi and precision, "
-                    "lo and hi each with an integer-string man and an exp"
-                ) from None
-        bc = []
-        for key in ("b", "c"):
-            try:
-                bc.append(read_int(obj[key]))
-            except (KeyError, TypeError, ValueError):
-                raise InputError(f"--xi {args.xi}: {key} must be an integer string") from None
+        needs = InputError(f"--xi {args.xi} needs a positive integer precision")
+        try:
+            precision = read_field("precision", obj.get("precision"), JSON_INTEGER)
+        except ValueError:
+            raise needs from None
+        if precision < 1:
+            raise needs
+        try:
+            claimed = {key: _real_fields(obj.get(key), key) for key in ("xi1", "xi2", "tail_bound")}
+            bc = [read_field(key, obj.get(key), INTEGER_STRING) for key in ("b", "c")]
+        except ValueError as exc:
+            raise InputError(f"--xi {args.xi}: {exc}") from None
         return ExtremalTarget(*bc), (precision, claimed)
     if args.sqrt is not None:
         needs = InputError(f"--sqrt needs two non-negative integers A,B, not {args.sqrt!r}")
@@ -308,7 +349,7 @@ def _legacy_tail_bound(target: ExtremalTarget, precision: int) -> tuple:
     """The `tail_bound` fields of an `xi.json` written before the tail bound
     moved to the grid of xi1 and xi2: the bound eps itself, at precision 64."""
     eps = limit_index(target.sequence, precision)[1]
-    return _real_fields(_real_json(CertifiedReal(eps, eps, 64)))
+    return _real_fields(_real_json(CertifiedReal(eps, eps, 64)), "tail_bound")
 
 
 def cmd_enumerate(args) -> None:
@@ -322,7 +363,7 @@ def cmd_enumerate(args) -> None:
         precision, claimed = xi
         enc = target.limit(precision)
         for key, fields in claimed.items():
-            if fields != _real_fields(_real_json(getattr(enc, key))) and not (
+            if fields != _real_fields(_real_json(getattr(enc, key)), key) and not (
                 key == "tail_bound" and fields == _legacy_tail_bound(target, precision)
             ):
                 raise FileMismatch(
@@ -380,29 +421,21 @@ def cmd_enumerate(args) -> None:
             "theta": repr(report.theta),
         }
     ) + "\n"
-    _write(args.out, files)
-    print(f"{len(records)} records; lambda-hat summary {report.summary:.5f}")
+    _write(args.out, files, f"{len(records)} records; lambda-hat summary {report.summary:.5f}")
 
 
-def _infer_bc(rows) -> tuple[int, int]:
-    for row in rows:
-        y = row["y"]
-        if y[1] and not y[2]:
-            b_num, b_den = y[0] * y[0] - 1, y[1] * y[1]
-            if b_num % b_den:
-                raise ValueError("cannot infer b")
-            b = b_num // b_den
-            break
-    else:
+def _infer_bc(ys) -> tuple[int, int]:
+    """(b, c) read off q(y) = 1: b from the first member (m, n, 0) with
+    n != 0, then c from the first member with a third coordinate."""
+    m, n, _ = next((y for y in ys if y[1] and not y[2]), (0, 0, 0))
+    b, rest = divmod(m * m - 1, n * n) if n else (0, 1)
+    if rest:
         raise ValueError("cannot infer b")
-    for row in rows:
-        y = row["y"]
-        if y[2]:
-            c_num = y[0] * y[0] - b * y[1] * y[1] - 1
-            if c_num % (y[2] * y[2]):
-                raise ValueError("cannot infer c")
-            return b, c_num // (y[2] * y[2])
-    raise ValueError("cannot infer c")
+    x0, x1, x2 = next((y for y in ys if y[2]), (0, 0, 0))
+    c, rest = divmod(x0 * x0 - b * x1 * x1 - 1, x2 * x2) if x2 else (0, 1)
+    if rest:
+        raise ValueError("cannot infer c")
+    return b, c
 
 
 def cmd_verify(args) -> None:
@@ -418,36 +451,28 @@ def cmd_verify(args) -> None:
             raise ValueError("empty file")
         rows = []
         for n, line in enumerate(lines, 1):
-            obj = json.loads(line)
+            obj = _decode(line)
             if not isinstance(obj, dict):
                 raise ValueError(f"row {line[:40]!r} is not a JSON object")
             missing = [key for key in ("i", "y", "t", "norm_bits") if key not in obj]
             if missing:
                 raise ValueError(f"line {n} has no {' or '.join(missing)} field")
+            i = read_field(f"line {n}: i", obj["i"], JSON_INTEGER)
             if not isinstance(obj["y"], list) or len(obj["y"]) != 3:
-                raise ValueError(f"row i={obj['i']}: y must be a list of 3 integers")
-            ints = []
-            for field, v in zip(("y[0]", "y[1]", "y[2]", "t"), (*obj["y"], obj["t"])):
-                try:
-                    ints.append(read_int(v))
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"row i={obj['i']}: {field} {exc}") from None
-            for key in ("i", "norm_bits"):
-                if type(obj[key]) is not int:
-                    raise ValueError(f"row {key}={obj[key]!r} must be a JSON integer")
-            rows.append({"i": obj["i"], "y": tuple(ints[:3]), "t": ints[3], "norm_bits": obj["norm_bits"]})
-        rows.sort(key=lambda r: r["i"])
-        if len(rows) < 3 or [r["i"] for r in rows] != list(range(-1, len(rows) - 1)):
+                raise ValueError(f"row i={i}: y must be a list of 3 integers")
+            y = tuple(read_field(f"row i={i}: y[{k}]", v, INTEGER_STRING) for k, v in enumerate(obj["y"]))
+            t = read_field(f"row i={i}: t", obj["t"], INTEGER_STRING)
+            rows.append((i, y, t, read_field(f"row i={i}: norm_bits", obj["norm_bits"], JSON_INTEGER)))
+        indices, ys, ts, norm_bits = map(list, zip(*sorted(rows)))
+        if len(rows) < 3 or indices != list(range(-1, len(rows) - 1)):
             raise ValueError("rows must hold indices -1, 0, 1, ... without gaps")
-        b, c = (args.b, args.c) if args.b is not None else _infer_bc(rows)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        b, c = (args.b, args.c) if args.b is not None else _infer_bc(ys)
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot parse sequence file: {exc}") from None
     phi = TernaryQuadraticForm(1, -b, -c)
-    ys = [r["y"] for r in rows]
-    ts = [r["t"] for r in rows]
     det0 = det3(ys[2], ys[1], ys[0])
     seq = ExtremalSequence(b, c, (), phi, ys, ts, det0)  # type: ignore[arg-type]  # no Pell seed
-    checks = [("norm_bits", r["i"], max_norm(r["y"]).bit_length() == r["norm_bits"]) for r in rows]
+    checks = [("norm_bits", i, max_norm(y).bit_length() == k) for i, y, k in zip(indices, ys, norm_bits)]
     first_failure = None
     for name, index, ok in chain(checks, verdicts(seq)):
         print(f"{'PASS' if ok else 'FAIL'}  {name} @ i={index}")

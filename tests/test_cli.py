@@ -4,7 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import re
 import signal
+import subprocess
 import sys
 import tempfile
 import time
@@ -1284,6 +1287,18 @@ class TestPell:
 # `cli.FAILURES` and leaves no file in --out.
 
 PREFIXES = ("error: ", "rejected: ", "precision cap: ", "invariant failure: ")
+# the start of an input-error line about each contract file
+FILE_PREFIXES = {
+    "form.json": "error: cannot read form: ",
+    "sequence.jsonl": "error: cannot parse sequence file: ",
+    "xi.json": "error: --xi {d}/xi.json",
+}
+
+
+def names(line: str, field: str) -> bool:
+    """Whether `line` names `field` as a word of its own: `i` in `line 3: i
+    must be`, but not in `row i=1`; `y` in `y[1]`; `xi1.lo.exp` whole."""
+    return re.search(rf"(?<![\w.]){re.escape(field)}(?![\w.=])", line) is not None
 
 
 def values(small: st.SearchStrategy, huge: bool = True, past_cap: bool = False) -> st.SearchStrategy:
@@ -1303,18 +1318,19 @@ PRECISION = values(st.integers(1, 512), past_cap=True)
 
 
 @st.composite
-def mutated(draw, name: str, text: str) -> bytes:
+def mutated(draw, name: str, text: str) -> tuple[bytes, str, tuple | None]:
     """`text`, a JSON file or (for `.jsonl`) one JSON row a line, unchanged or
     with a key dropped, a JSON number where a string goes, a value of another
     shape, a tampered integer string, truncated bytes or bytes that are not
-    UTF-8."""
+    UTF-8; with the mutation's name and the path of the value it changed (the
+    document's index first, then its keys), or None."""
     how = draw(st.sampled_from(["keep"] * 4 + ["drop", "number", "shape", "tamper", "truncate", "bytes"]))
     data = text.encode()
     if how == "truncate":
-        return data[: draw(st.integers(0, len(data) - 1))]
+        return data[: draw(st.integers(0, len(data) - 1))], how, None
     if how == "bytes":
         at = draw(st.integers(0, len(data)))
-        return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+        return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:], how, None
     jsonl = name.endswith(".jsonl")
     docs = [json.loads(line) for line in text.splitlines()] if jsonl else [json.loads(text)]
 
@@ -1329,6 +1345,7 @@ def mutated(draw, name: str, text: str) -> bytes:
         spots = [(p, v) for p, v in spots if isinstance(p[-1], str)]
     elif how in ("number", "tamper"):
         spots = [(p, v) for p, v in spots if isinstance(v, str)]
+    path = None
     if how != "keep" and spots:
         path, v = draw(st.sampled_from(spots))
         parent = docs
@@ -1343,8 +1360,8 @@ def mutated(draw, name: str, text: str) -> bytes:
         elif v.lstrip("-").startswith("0x"):
             parent[path[-1]] = hex(read_int(v) + draw(st.sampled_from([-2, -1, 1, 2])))
     if jsonl:
-        return "".join(json.dumps(doc) + "\n" for doc in docs).encode()
-    return json.dumps(docs[0], indent=2).encode()
+        return "".join(json.dumps(doc) + "\n" for doc in docs).encode(), how, path
+    return json.dumps(docs[0], indent=2).encode(), how, path
 
 
 @pytest.fixture(scope="module")
@@ -1358,27 +1375,31 @@ def contract_files(tmp_path_factory) -> dict[str, str]:
 
 
 @st.composite
-def command_lines(draw, files: dict[str, str], d: Path) -> list[str]:
-    """An argv for one of the five commands; its files are written into d,
-    and its --out is d/out, which does not exist yet, or now and then a path
-    below a regular file, which cannot be created."""
+def command_lines(draw, files: dict[str, str], d: Path) -> tuple[list[str], dict]:
+    """An argv for one of the five commands, and {file name: (mutation, path)}
+    of `mutated`; its files are written into d, and its --out is d/out,
+    which does not exist yet, or now and then a path below a regular file,
+    which cannot be created."""
+    mutations = {}
     for name, text in files.items():
-        (d / name).write_bytes(draw(mutated(name, text)))
+        data, how, path = draw(mutated(name, text))
+        (d / name).write_bytes(data)
+        mutations[name] = how, path
     out = f"--out={draw(st.sampled_from([d / 'out'] * 5 + [d / 'form.json' / 'out']))}"
     command = draw(st.sampled_from(["reduce", "construct", "verify", "enumerate", "pell"]))
     if command == "reduce":
-        return ["reduce", f"--form={d / 'form.json'}"]
+        return ["reduce", f"--form={d / 'form.json'}"], mutations
     if command == "construct":
         depth = draw(values(st.integers(1, 12), huge=False))
         return ["construct", f"--b={draw(B_OR_C)}", f"--c={draw(B_OR_C)}", f"--depth={depth}",
-                f"--precision={draw(PRECISION)}", out]
+                f"--precision={draw(PRECISION)}", out], mutations
     if command == "verify":
         pair = draw(st.sampled_from([[], ["b", "c"], ["b"], ["c"]]))
-        return ["verify", f"--in={d / 'sequence.jsonl'}", *(f"--{k}={draw(B_OR_C)}" for k in pair)]
+        return ["verify", f"--in={d / 'sequence.jsonl'}", *(f"--{k}={draw(B_OR_C)}" for k in pair)], mutations
     if command == "pell":
         # a huge count runs into the int/str digit limit
         count = draw(st.one_of(values(st.integers(1, 8)), st.integers(1 << 32, 1 << 80).map(str)))
-        return ["pell", f"--b={draw(B_OR_C)}", f"--count={count}"]
+        return ["pell", f"--b={draw(B_OR_C)}", f"--count={count}"], mutations
     # one target mostly; none or two are input errors
     targets = draw(st.sampled_from([["bc"], ["xi"], ["sqrt"]] * 3 + [[], ["bc", "sqrt"], ["xi", "bc"]]))
     argv = ["enumerate", f"--xmax={draw(values(st.integers(1, 2000), huge=False))}", out]
@@ -1394,7 +1415,7 @@ def command_lines(draw, files: dict[str, str], d: Path) -> list[str]:
         argv.append(f"--precision={draw(PRECISION)}")
     if draw(st.booleans()):
         argv.append("--format=json")
-    return argv
+    return argv, mutations
 
 
 @contextlib.contextmanager
@@ -1419,7 +1440,7 @@ def time_limit(seconds: float):
 def test_every_command_line_ends_in_a_documented_code(contract_files, data):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        argv = data.draw(command_lines(contract_files, d), label="argv")
+        argv, mutations = data.draw(command_lines(contract_files, d), label="argv")
         stdout, stderr = io.StringIO(), io.StringIO()
         old = sys.get_int_max_str_digits()
         # the lowest limit CPython takes, so a huge pell --count reaches it soon
@@ -1437,3 +1458,106 @@ def test_every_command_line_ends_in_a_documented_code(contract_files, data):
         else:
             assert err.startswith(PREFIXES) and err.count("\n") == 1 and err.endswith("\n"), err
             assert sorted(p.name for p in d.rglob("*") if p.is_file()) == sorted(contract_files)
+        if rc == 2:
+            # a line about a file whose key was dropped, or whose value became
+            # a number or another shape, names that key (`path[0]` is the row)
+            for name, prefix in FILE_PREFIXES.items():
+                how, path = mutations[name]
+                if err.startswith(prefix.format(d=d)) and how in ("drop", "number", "shape") and len(path) > 1:
+                    event(f"{name}: the line names the {how} key")
+                    assert names(err.replace(str(d), "D"), str(path[1])), (how, path, err)
+
+
+# ---------------------------------------------------------------------------
+# One field rule for every input file: each integer leaf of the three formats,
+# given another JSON type, a malformed integer string or a JSON integer past
+# the int/str limit, exits 2 with one short line that names the leaf.
+
+ENCLOSURES = ("xi1", "xi2", "tail_bound")
+# (file, path of the leaf, kind): "json" takes only a JSON integer, "string"
+# only an integer string, "either" both; a row path starts with the row (i = 1)
+LEAVES = [
+    ("sequence.jsonl", (2, "i"), "json"),
+    *[("sequence.jsonl", (2, "y", k), "string") for k in range(3)],
+    ("sequence.jsonl", (2, "t"), "string"),
+    ("sequence.jsonl", (2, "norm_bits"), "json"),
+    ("xi.json", ("b",), "string"),
+    ("xi.json", ("c",), "string"),
+    ("xi.json", ("precision",), "json"),
+    *[
+        ("xi.json", (key, end, leaf), "string" if leaf == "man" else "json")
+        for key in ENCLOSURES
+        for end in ("lo", "hi")
+        for leaf in ("man", "exp")
+    ],
+    *[("xi.json", (key, "precision"), "json") for key in ENCLOSURES],
+    *[("form.json", (key,), "either") for key in ANISO_FORM],
+]
+OTHER_TYPE = {"json": "7", "string": 7, "either": 1.5}
+
+
+def leaf_name(name: str, path: tuple) -> str:
+    """The leaf as its line names it: `y[1]` in a row, `xi1.lo.exp` in xi.json."""
+    if name == "sequence.jsonl":
+        return path[1] if len(path) == 2 else f"{path[1]}[{path[2]}]"
+    return ".".join(path)
+
+
+@pytest.mark.parametrize("case", ["other-type", "malformed-string", "past-the-limit"])
+@pytest.mark.parametrize(
+    "name,path,kind", LEAVES, ids=[f"{n.split('.')[0]}:{leaf_name(n, p)}" for n, p, _ in LEAVES]
+)
+def test_every_integer_leaf_is_refused_by_name(
+    contract_files, tmp_path, capsys, int_str_limit, name, path, kind, case
+):
+    # a malformed enclosure exp or precision read as a mismatch (exit 4), and
+    # a JSON integer past the limit got `json`'s message, which names no key
+    jsonl = name.endswith(".jsonl")
+    text = contract_files[name]
+    docs = [json.loads(line) for line in text.splitlines()] if jsonl else json.loads(text)
+    node = docs
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = {"other-type": OTHER_TYPE[kind], "malformed-string": "1_0"}.get(case, "@BIG@")
+    dump = "".join(json.dumps(doc) + "\n" for doc in docs) if jsonl else json.dumps(docs)
+    f = tmp_path / name
+    f.write_text(dump.replace('"@BIG@"', "9" * 5001))
+    argv = {
+        "sequence.jsonl": ["verify", "--in", str(f)],
+        "xi.json": ["enumerate", "--xi", str(f), "--xmax", "100", "--out", str(tmp_path / "out")],
+        "form.json": ["reduce", "--form", str(f)],
+    }[name]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    line = err.replace(str(f), "FILE")
+    assert line.startswith("error: ") and line.count("\n") == 1 and len(line) < 200, line
+    assert names(line, leaf_name(name, path)), line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--form", "{d}/form.json"],
+        ["pell", "--b", "2", "--count", "3000"],
+        ["construct", "--b", "2", "--c", "3", "--depth", "4", "--out", "{d}/out"],
+        ["enumerate", "--sqrt", "2,3", "--xmax", "100", "--out", "{d}/out"],
+    ],
+    ids=["reduce", "pell", "construct", "enumerate"],
+)
+def test_closed_stdout_is_one_input_error_line(tmp_path, argv):
+    # each ended in a 14-line BrokenPipeError traceback with exit 1, and
+    # construct and enumerate left their files behind
+    (tmp_path / "form.json").write_text(json.dumps(ANISO_FORM))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "conic_approx.cli", *(a.format(d=tmp_path) for a in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (2, "error: cannot write to stdout: [Errno 32] Broken pipe\n")
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["form.json"]

@@ -4,7 +4,8 @@ defined without being named by the package, the scripts or the benchmark,
 importing the CLI loads none of `dataclasses`, `inspect`, `typing` and
 `pathlib`, and the big-integer kernel lives in `arith` alone and stays out of
 the recurrence.  Only `cli.run` names `sys.stderr` among the CLI's functions
-and the scripts, and only `cli` imports `json` or opens a file."""
+and the scripts, only `cli` imports `json` or opens a file, and no module
+or script decodes JSON but through `cli`'s one decoder."""
 import ast
 import subprocess
 import sys
@@ -299,3 +300,43 @@ def test_only_cli_reads_files(path):
     # `cli` reads every input file, so every integer string goes through `read_int`
     if path.name != "cli.py":
         assert file_readers(path.read_text()) == []
+
+
+def json_loaders(source: str) -> list[int]:
+    """Lines of `source` that name `json.load` or `json.loads`, or import
+    either from `json`."""
+    loaders = ("load", "loads")
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr in loaders
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "json"
+        and any(alias.name in loaders for alias in node.names)
+    )
+
+
+def test_the_check_finds_every_json_loader():
+    source = (
+        "import json\n"
+        "from json import loads\n"
+        "json.loads(text)\n"
+        "read = json.load\n"
+        "json.dumps(obj)\n"
+        "json.JSONDecoder().decode(text)\n"
+        "from json import load as L, dumps\n"
+    )
+    assert json_loaders(source) == [2, 3, 4, 7]
+
+
+@pytest.mark.parametrize(
+    "path", [*sorted(PACKAGE.glob("*.py")), *sorted((REPO / "scripts").glob("*.py"))], ids=lambda p: p.name
+)
+def test_only_the_cli_decoder_reads_json(path):
+    # `cli._decode` keeps a JSON integer past the int/str limit for
+    # `cli.read_field`, which names its field; `json.loads` fails on one with
+    # `json`'s own message, which names none
+    assert json_loaders(path.read_text()) == []
