@@ -10,7 +10,6 @@ from conic_approx.minpoints import (
     estimate_lambda,
     rigidity_check,
 )
-from conic_approx.quadform import TernaryQuadraticForm
 from conic_approx.targets import ExtremalTarget, SqrtPairTarget
 
 
@@ -21,12 +20,13 @@ def main() -> None:
     ap.add_argument("--c", type=int, default=3)
     args = ap.parse_args()
 
+    extremal = ExtremalTarget(args.b, args.c)
     targets = [
-        (f"extremal ({args.b},{args.c})", ExtremalTarget(args.b, args.c)),
+        (f"extremal ({args.b},{args.c})", extremal),
         ("(1, sqrt2, sqrt3)", SqrtPairTarget(2, 3)),
         ("(1, sqrt2, sqrt5)", SqrtPairTarget(2, 5)),
     ]
-    phi = TernaryQuadraticForm(1, -args.b, -args.c)
+    phi = extremal.sequence.form
     print(f"{'target':>20} {'records':>8} {'summary':>8} {'indep':>6} {'rigidity':>20}")
     for name, target in targets:
         recs = enumerate_minimal(target, args.xmax)

@@ -13,8 +13,8 @@ import math
 import sys
 from fractions import Fraction
 
-from conic_approx.cli import InputError, run
-from conic_approx.extremal import extend, growth_ratios, seed_triple
+from conic_approx.cli import InputError, echo, run
+from conic_approx.extremal import extend, growth_ratios, pell_seed, seed_triple
 from conic_approx.minpoints import estimate_lambda, records_from_sequence
 from conic_approx.quadform import max_norm
 from conic_approx.targets import ExtremalTarget
@@ -39,29 +39,29 @@ def report(args: argparse.Namespace) -> None:
     if args.height_cap < 1:
         raise InputError("--height-cap must be at least 1")
     seq = extend(seed_triple(args.b, args.c), args.depth)
-    print(f"seed (m, n, m', n', r, t) = {seq.seed}")
-    print(f"|det(y_1, y_0, y_-1)| = {abs(seq.det0)}")
-    print()
-    print(f"{'i':>3} {'t_i':>14} {'norm bits':>10} {'log-ratio':>10}")
+    echo(f"seed (m, n, m', n', r, t) = {pell_seed(seq)}")
+    echo(f"|det(y_1, y_0, y_-1)| = {abs(seq.det0)}")
+    echo()
+    echo(f"{'i':>3} {'t_i':>14} {'norm bits':>10} {'log-ratio':>10}")
     ratios = dict(growth_ratios(seq))
     for i in range(-1, args.depth + 1):
         t = seq.t(i)
         ts = str(t) if t < 10**12 else f"~2^{t.bit_length()}"
         r = f"{ratios[i]:.5f}" if i in ratios else ""
-        print(f"{i:>3} {ts:>14} {max_norm(seq.y(i)).bit_length():>10} {r:>10}")
+        echo(f"{i:>3} {ts:>14} {max_norm(seq.y(i)).bit_length():>10} {r:>10}")
 
-    print()
+    echo()
     records, next_x = records_from_sequence(
         seed_triple(args.b, args.c), ExtremalTarget(args.b, args.c), args.height_cap
     )
     report = estimate_lambda(records, next_X=next_x)
-    print(f"{'i':>3} {'X_i bits':>9} {'lambda_hat':>11}")
+    echo(f"{'i':>3} {'X_i bits':>9} {'lambda_hat':>11}")
     for i, h in report.lambda_hats:
-        print(f"{i:>3} {records[i].X.bit_length():>9} {h:>11.5f}")
+        echo(f"{i:>3} {records[i].X.bit_length():>9} {h:>11.5f}")
     golden = (1 + math.sqrt(5)) / 2
-    print()
-    print(f"summary (min over last third): {report.summary:.5f}")
-    print(f"1/golden ratio:                {1 / golden:.5f}")
+    echo()
+    echo(f"summary (min over last third): {report.summary:.5f}")
+    echo(f"1/golden ratio:                {1 / golden:.5f}")
 
 
 if __name__ == "__main__":

@@ -10,13 +10,8 @@ from .quadform import (
     reduce_form,
 )
 from .pell import PellSolution, cf_expansion, find_seed_pair, fundamental_solution, next_solution
-from .extremal import (
-    CertifiedVec3,
-    ExtremalSequence,
-    extend,
-    limit_point,
-    seed_triple,
-)
+from .extremal import ExtremalSequence, extend, seed_triple
+from .limit import CertifiedVec3, limit_point
 from .minpoints import (
     ExponentReport,
     MinimalPointRecord,

@@ -22,10 +22,11 @@ from .extremal import (
     InvariantViolation,
     UnsupportedConstruction,
     extend,
-    limit_index,
+    pell_seed,
     validate_bc,
     verdicts,
 )
+from .limit import limit_index
 from .minpoints import enumerate_minimal, estimate_lambda, rigidity_check
 from .numerics import CertifiedReal, Dyadic, PrecisionCapError, precision_cap
 from .pell import cf_expansion, find_seed_pair, next_solution
@@ -57,11 +58,15 @@ class FileMismatch(Exception):
     """An `--xi` enclosure that differs from the one recomputed (exit 4)."""
 
 
+class StdoutError(Exception):
+    """A write to stdout that failed, as on a broken pipe or a full disk (exit 2)."""
+
+
 # (exception types, prefix of the stderr line, exit code); the first row that
 # holds the exception's class decides
 FAILURES = (
     ((InputError,), "error", EXIT_INPUT),
-    ((BrokenPipeError,), "error: cannot write to stdout", EXIT_INPUT),
+    ((StdoutError,), "error: cannot write to stdout", EXIT_INPUT),
     ((UnsupportedConstruction, FormRejected, DependentTargetError, Rejected), "rejected", EXIT_MATH),
     ((PrecisionCapError,), "precision cap", EXIT_MATH),
     ((InvariantViolation, ReductionIdentityError, FileMismatch), "invariant failure", EXIT_INVARIANT),
@@ -73,18 +78,17 @@ def run(command, *args) -> int:
     """Call `command(*args)` and return 0, or for an exception of `FAILURES`
     print `<prefix>: <message>` once to stderr and return the row's code.
     A malformed CONIC_APPROX_MAX_BITS is an input error before the command
-    starts, and a stdout closed early (a broken pipe) is one after it.  Any
-    other exception propagates, so a bug still ends in a traceback."""
+    starts, and a write to stdout that fails (`echo`'s StdoutError) is one
+    while it runs.  Any other exception propagates, so a bug still ends in a
+    traceback."""
     try:
         try:
             precision_cap()
         except ValueError as exc:
             raise InputError(exc) from None
         command(*args)
-        if sys.stdout:  # None when the process started with stdout closed
-            sys.stdout.flush()
     except _FAILING as exc:
-        if isinstance(exc, BrokenPipeError):
+        if isinstance(exc, StdoutError):
             # the flush at exit then sends what is left to the null device
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         prefix, code = next((p, c) for types, p, c in FAILURES if isinstance(exc, types))
@@ -94,6 +98,10 @@ def run(command, *args) -> int:
 
 
 _DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _digit_limit() -> str:
+    return f"has more than {sys.get_int_max_str_digits()} decimal digits, the int/str limit"
 
 
 def read_int(s: str) -> int:
@@ -117,10 +125,7 @@ def read_int(s: str) -> int:
         try:
             return int(s)
         except ValueError:  # the int/str digit limit, the only error left
-            raise ValueError(
-                f"has more than {sys.get_int_max_str_digits()} decimal digits, "
-                "the int/str limit (hex has none)"
-            ) from None
+            raise ValueError(f"{_digit_limit()} (hex has none)") from None
     raise ValueError("must be an integer string")
 
 
@@ -148,6 +153,8 @@ def read_field(name: str, v, kind: str | None = None) -> int:
     is a ValueError whose message begins with `name`."""
     if type(v) is int and kind != INTEGER_STRING:
         return v
+    if type(v) is _LongDigits and kind == JSON_INTEGER:  # no hex hint: the field takes no string
+        raise ValueError(f"{name} {_digit_limit()}")
     if type(v) is str and kind != JSON_INTEGER or type(v) is _LongDigits:
         try:  # read_int refuses every _LongDigits
             return read_int(v)
@@ -190,33 +197,49 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+def echo(text: str = "") -> None:
+    """Print `text` and flush stdout, if the process has one; any OSError of
+    stdout, a broken pipe or a full disk, is a StdoutError.  Every command
+    that `run` calls prints through it."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        raise StdoutError(exc) from None
+
+
 def _write(outdir: str, files: dict[str, str], line: str) -> None:
     """Write {name: text} into outdir, creating it, and print `line`.  Every
     file goes to a temporary name first; `line` is printed and flushed once
-    all are written, and only then are they moved into place.  On OSError no
-    file of this call is left, and any but a broken stdout is an InputError."""
+    all are written, and only then are they moved into place.  If any step
+    fails, no file of this call is left; an OSError of outdir or of a file
+    is an InputError naming --out, one of stdout `echo`'s StdoutError."""
     staged: list[tuple[str, str]] = []
     placed: list[str] = []
+    fault = f"cannot write to --out {outdir}"
     try:
-        os.makedirs(outdir, exist_ok=True)
-        for name, text in files.items():
-            tmp = os.path.join(outdir, f".{name}.{os.getpid()}.tmp")
-            staged.append((tmp, os.path.join(outdir, name)))
-            with open(tmp, "w", newline="") as fp:
-                fp.write(text)
-        print(line, flush=True)
-        for tmp, final in staged:
-            os.replace(tmp, final)
-            placed.append(final)
-    except OSError as exc:
+        try:
+            os.makedirs(outdir, exist_ok=True)
+            for name, text in files.items():
+                tmp = os.path.join(outdir, f".{name}.{os.getpid()}.tmp")
+                staged.append((tmp, os.path.join(outdir, name)))
+                with open(tmp, "w", newline="") as fp:
+                    fp.write(text)
+        except OSError as exc:
+            raise InputError(f"{fault}: {exc}") from None
+        echo(line)
+        try:
+            for tmp, final in staged:
+                os.replace(tmp, final)
+                placed.append(final)
+        except OSError as exc:
+            raise InputError(f"{fault}: {exc}") from None
+    except (InputError, StdoutError):
         for path in [tmp for tmp, _ in staged] + placed:
             try:
                 os.remove(path)
             except FileNotFoundError:
                 pass
-        if isinstance(exc, BrokenPipeError):
-            raise
-        raise InputError(f"cannot write to --out {outdir}: {exc}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +259,7 @@ def cmd_reduce(args) -> None:
         "b": str(red.b),
         "c": str(red.c),
     }
-    print(_dump(out))
+    echo(_dump(out))
 
 
 def cmd_construct(args) -> None:
@@ -266,7 +289,7 @@ def cmd_construct(args) -> None:
             "c": str(args.c),
             "depth": args.depth,
             "precision": args.precision,
-            "seed": [hex(v) for v in seq.seed],
+            "seed": [hex(v) for v in pell_seed(seq)],
             "tail_bound": _real_json(enclosure.tail_bound),
             "xi1": _real_json(enclosure.xi1),
             "xi2": _real_json(enclosure.xi2),
@@ -403,8 +426,7 @@ def cmd_enumerate(args) -> None:
         files = {"records.json": _dump(rows) + "\n"}
     rigidity = None
     if isinstance(target, ExtremalTarget):
-        phi = TernaryQuadraticForm(1, -target.b, -target.c)
-        rig = rigidity_check(phi, records)
+        rig = rigidity_check(target.sequence.form, records)
         rigidity = {
             "checks": [{"k": k, "passed": ok} for k, ok in rig.checks],
             "first_holding": rig.first_holding,
@@ -469,13 +491,11 @@ def cmd_verify(args) -> None:
         b, c = (args.b, args.c) if args.b is not None else _infer_bc(ys)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot parse sequence file: {exc}") from None
-    phi = TernaryQuadraticForm(1, -b, -c)
-    det0 = det3(ys[2], ys[1], ys[0])
-    seq = ExtremalSequence(b, c, (), phi, ys, ts, det0)  # type: ignore[arg-type]  # no Pell seed
+    seq = ExtremalSequence(TernaryQuadraticForm(1, -b, -c), ys, ts, det3(ys[2], ys[1], ys[0]))
     checks = [("norm_bits", i, max_norm(y).bit_length() == k) for i, y, k in zip(indices, ys, norm_bits)]
     first_failure = None
     for name, index, ok in chain(checks, verdicts(seq)):
-        print(f"{'PASS' if ok else 'FAIL'}  {name} @ i={index}")
+        echo(f"{'PASS' if ok else 'FAIL'}  {name} @ i={index}")
         if not ok and first_failure is None:
             first_failure = InvariantViolation(name, index)
     if first_failure is not None:
@@ -500,12 +520,9 @@ def cmd_pell(args) -> None:
     # range, unlike repeat's count, takes a --count past 2^63
     for k, s in zip(range(1, max(args.count, 3) + 1), accumulate(repeat(first), next_solution)):
         if too_long is not None and s.m >= too_long:
-            raise Rejected(
-                f"--b {args.b}: solution {k} has more than {limit} decimal digits, "
-                "the int/str limit"
-            )
+            raise Rejected(f"--b {args.b}: solution {k} {_digit_limit()}")
         sols.append(s)
-    print(
+    echo(
         _dump(
             {
                 "b": str(args.b),

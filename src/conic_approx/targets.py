@@ -4,7 +4,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import is_square
-from .extremal import CertifiedVec3, ExtremalSequence, limit_point, seed_triple
+from .extremal import ExtremalSequence, seed_triple
+from .limit import CertifiedVec3, limit_point
 from .numerics import CertifiedReal, check_cap, sqrt_outward
 from .records import FrozenRecord, Record, set_field
 

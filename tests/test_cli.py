@@ -26,9 +26,9 @@ from conic_approx.extremal import (
     SEED_IDENTITIES,
     InvariantViolation,
     extend,
-    limit_point,
     seed_triple,
 )
+from conic_approx.limit import limit_point
 from conic_approx.numerics import precision_cap
 
 ANISO_FORM = {
@@ -1532,6 +1532,12 @@ def test_every_integer_leaf_is_refused_by_name(
     line = err.replace(str(f), "FILE")
     assert line.startswith("error: ") and line.count("\n") == 1 and len(line) < 200, line
     assert names(line, leaf_name(name, path)), line
+    if case == "past-the-limit":
+        # the hex hint only where the field takes an integer string; an
+        # xi.json `precision` has its own line
+        hint = " (hex has none)" if kind != "json" else ""
+        limit = f"{leaf_name(name, path)} has more than 4300 decimal digits, the int/str limit{hint}\n"
+        assert line.endswith(limit) or (path == ("precision",) and "hex" not in line), line
 
 
 @pytest.mark.parametrize(
@@ -1561,3 +1567,34 @@ def test_closed_stdout_is_one_input_error_line(tmp_path, argv):
         os.close(write_end)
     assert (run.returncode, run.stderr) == (2, "error: cannot write to stdout: [Errno 32] Broken pipe\n")
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["form.json"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--form", "{d}/form.json"],
+        ["pell", "--b", "2"],
+        ["construct", "--b", "2", "--c", "3", "--depth", "3", "--out", "{d}/out"],
+        ["enumerate", "--sqrt", "2,3", "--xmax", "100", "--out", "{d}/out"],
+        ["verify", "--in", "{d}/run/sequence.jsonl"],
+    ],
+    ids=["reduce", "pell", "construct", "enumerate", "verify"],
+)
+def test_full_stdout_is_one_input_error_line(tmp_path, argv):
+    # reduce ended in an OSError traceback with exit 1, and construct exited 2
+    # with `error: cannot write to --out`
+    (tmp_path / "form.json").write_text(json.dumps(ANISO_FORM))
+    assert main(["construct", "--b", "2", "--c", "3", "--depth", "3", "--out", str(tmp_path / "run")]) == 0
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with open("/dev/full", "w") as full:  # every write to it fails with ENOSPC
+        run = subprocess.run(
+            [sys.executable, "-m", "conic_approx.cli", *(a.format(d=tmp_path) for a in argv)],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert (run.returncode, run.stderr) == (
+        2, "error: cannot write to stdout: [Errno 28] No space left on device\n"
+    )
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()) == before

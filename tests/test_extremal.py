@@ -14,31 +14,31 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conic_approx import ExtremalTarget, enumerate_minimal, extremal
+from conic_approx import ExtremalTarget, enumerate_minimal, extremal, limit
 from conic_approx.cli import main
 from conic_approx.extremal import (
     CHILD_SHARE,
     IDENTITIES,
     SEED_IDENTITIES,
-    ConsecutiveDistances,
     ExtremalSequence,
     InvariantViolation,
     UnsupportedConstruction,
     Window,
     extend,
     growth_ratios,
-    limit_index,
-    limit_point,
+    pell_seed,
     seed_triple,
     verdicts,
-    verify_no_small_relation,
 )
+from conic_approx.limit import ConsecutiveDistances, limit_index, limit_point, verify_no_small_relation
 from conic_approx.numerics import Dyadic, PrecisionCapError, ratio_up
+from conic_approx.pell import find_seed_pair, fundamental_solution
 from conic_approx.quadform import cross, det3, max_norm
 
 # the pairs of the benchmark's `construct` and `pipeline` workloads
 CONSTRUCT_PAIRS = [(3, 2), (3, 6), (2, 3), (3, 7), (3, 5), (3, 11)]
 PIPELINE_PAIRS = [(2, 3), (3, 2), (3, 5), (3, 6), (3, 7), (3, 11)]
+SQUAREFREE_30 = [n for n in range(2, 31) if all(n % (k * k) for k in range(2, 6))]
 
 
 class TestSeed:
@@ -73,6 +73,22 @@ class TestSeed:
         assert 0 < seq.t(-1) < seq.t(0) < seq.t(1)
         assert max_norm(seq.y(-1)) < max_norm(seq.y(0)) < max_norm(seq.y(1))
         assert seq.det0 != 0
+
+    @pytest.mark.parametrize(
+        "b,c", [(b, c) for b in SQUAREFREE_30 for c in SQUAREFREE_30 if b != c]
+    )
+    def test_pell_seed_reads_off_the_pell_data(self, b, c):
+        s, sp = find_seed_pair(b)
+        rt = fundamental_solution(c)
+        assert pell_seed(seed_triple(b, c)) == (s.m, s.n, sp.m, sp.n, rt.m, rt.n)
+
+    def test_b_and_c_are_read_only_views_of_the_form(self):
+        seq = seed_triple(3, 7)
+        assert (seq.b, seq.c) == (-seq.form.a11, -seq.form.a22) == (3, 7)
+        for name in ("b", "c"):
+            with pytest.raises(AttributeError):
+                setattr(seq, name, 5)
+        assert (seq.b, seq.c) == (3, 7)
 
 
 @pytest.mark.usefixtures("extend_path")
@@ -773,7 +789,7 @@ class TestStreamedMembers:
             written.append(len(out.getvalue()))
         for first in range(2, 23):
             ys, ts = seq.ys[:first + 1], seq.ts[:first + 1]
-            start = ExtremalSequence(b, c, seq.seed, seq.form, ys, ts, seq.det0)
+            start = ExtremalSequence(seq.form, ys, ts, seq.det0)
             for upto in range(first, 23):
                 bits, size = extremal._stream_bound(start, first, upto)
                 assert bits >= max_norm(seq.y(upto)).bit_length()
@@ -962,7 +978,7 @@ class TestCertifiedLimit:
         true = extend(seed_triple(2, 3), 12)
         i = limit_index(true, 64)[0]
         ys = [move(y) for y in true.ys]
-        seq = ExtremalSequence(2, 3, true.seed, true.form, ys, true.ts, true.det0)
+        seq = ExtremalSequence(true.form, ys, true.ts, true.det0)
         with pytest.raises(InvariantViolation) as err:
             limit_point(seq, Fraction(1, 2**64))
         assert err.value.identity == "first coordinate is the norm at the limit index"
@@ -970,9 +986,9 @@ class TestCertifiedLimit:
         assert seq.depth == true.depth == 12
 
     def test_tampered_enclosure_is_off_the_conic(self, monkeypatch):
-        real = extremal._enclose
+        real = limit._enclose
         monkeypatch.setattr(
-            extremal, "_enclose", lambda num, den, e, p: real(num + 1, den, e, p)
+            limit, "_enclose", lambda num, den, e, p: real(num + 1, den, e, p)
         )
         with pytest.raises(InvariantViolation) as err:
             limit_point(seed_triple(2, 3), Fraction(1, 2**128))
@@ -981,7 +997,7 @@ class TestCertifiedLimit:
     def test_one_extend_call_and_det3_at_two_indices_per_call(self, monkeypatch):
         seq = seed_triple(2, 3)
         extends, det3_calls = [], []
-        real_extend = extremal.extend
+        real_extend = limit.extend
 
         def counting_extend(s, upto):
             extends.append(upto)
@@ -991,7 +1007,7 @@ class TestCertifiedLimit:
             det3_calls.append(1)
             return det3(u, v, w)
 
-        monkeypatch.setattr(extremal, "extend", counting_extend)
+        monkeypatch.setattr(limit, "extend", counting_extend)
         monkeypatch.setattr(extremal, "det3", counting_det3)
         limit_point(seq, Fraction(1, 2**4000))
         assert extends == [13] and seq.depth == 13
@@ -999,7 +1015,7 @@ class TestCertifiedLimit:
 
     def test_no_extend_call_when_the_members_suffice(self, monkeypatch):
         seq = extend(seed_triple(2, 3), 12)
-        monkeypatch.setattr(extremal, "extend", None)
+        monkeypatch.setattr(limit, "extend", None)
         limit_point(seq, Fraction(1, 2**128))
 
     def test_deterministic(self):

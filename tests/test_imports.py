@@ -4,8 +4,10 @@ defined without being named by the package, the scripts or the benchmark,
 importing the CLI loads none of `dataclasses`, `inspect`, `typing` and
 `pathlib`, and the big-integer kernel lives in `arith` alone and stays out of
 the recurrence.  Only `cli.run` names `sys.stderr` among the CLI's functions
-and the scripts, only `cli` imports `json` or opens a file, and no module
-or script decodes JSON but through `cli`'s one decoder."""
+and the scripts, only `cli` imports `json` or opens a file, no module
+or script decodes JSON but through `cli`'s one decoder, and only
+`extremal.seed_triple` and `cli.cmd_verify` build the diagonal form of a
+pair (b, c)."""
 import ast
 import subprocess
 import sys
@@ -340,3 +342,60 @@ def test_only_the_cli_decoder_reads_json(path):
     # `cli.read_field`, which names its field; `json.loads` fails on one with
     # `json`'s own message, which names none
     assert json_loaders(path.read_text()) == []
+
+
+def diagonal_forms(source: str) -> list[str]:
+    """Functions of `source` (`<module>` for code outside any) that call
+    `TernaryQuadraticForm(1, -x, -y)`, the diagonal form of a pair (b, c),
+    by a bare name or as an attribute."""
+    found = set()
+
+    def builds(node) -> bool:
+        if not isinstance(node, ast.Call) or len(node.args) != 3 or node.keywords:
+            return False
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        one, b, c = node.args
+        return (
+            name == "TernaryQuadraticForm"
+            and isinstance(one, ast.Constant) and one.value == 1
+            and all(isinstance(x, ast.UnaryOp) and isinstance(x.op, ast.USub) for x in (b, c))
+        )
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if builds(child):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_the_check_finds_every_diagonal_form():
+    source = (
+        "from conic_approx import quadform\n"
+        "def enumerate_(target):\n"
+        "    return TernaryQuadraticForm(1, -target.b, -target.c)\n"
+        "def table(args):\n"
+        "    return quadform.TernaryQuadraticForm(1, -args.b, -args.c)\n"
+        "def fixed():\n"
+        "    return TernaryQuadraticForm(1, -2, -3)\n"
+        "def other(b, c):\n"
+        "    return TernaryQuadraticForm(5, -b, -c), TernaryQuadraticForm(1, b, c)\n"
+        "phi = TernaryQuadraticForm(1, -b, -c)\n"
+    )
+    assert diagonal_forms(source) == ["<module>", "enumerate_", "fixed", "table"]
+
+
+def test_only_the_seed_and_verify_build_the_diagonal_form():
+    # everything else reads a sequence's form, so a sequence built on another
+    # form carries it to every reader
+    found = [
+        f"{path.stem}.{owner}"
+        for path in [*MODULES, *sorted((REPO / "scripts").glob("*.py"))]
+        for owner in diagonal_forms(path.read_text())
+    ]
+    assert sorted(found) == ["cli.cmd_verify", "extremal.seed_triple"]

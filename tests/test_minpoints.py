@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conic_approx import minpoints, targets
-from conic_approx.extremal import extend, limit_point, seed_triple
+from conic_approx.extremal import extend, seed_triple
+from conic_approx.limit import limit_point
 from conic_approx.minpoints import (
     _abs_interval,
     _scaled_enclosure,

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conic_approx.extremal import CertifiedVec3, ExtremalSequence, Window, seed_triple
+from conic_approx.extremal import ExtremalSequence, Window, seed_triple
+from conic_approx.limit import CertifiedVec3
 from conic_approx.minpoints import ExponentReport, MinimalPointRecord, RigidityReport
 from conic_approx.numerics import CertifiedReal, Dyadic
 from conic_approx.pell import PellSolution
@@ -53,8 +54,8 @@ FROZEN = {
 HOLDS_LISTS = {"ExponentReport", "RigidityReport"}
 MUTABLE = {
     "ExtremalSequence": (
-        lambda: ExtremalSequence(2, 3, (3, 2, 17, 12, 2, 1), FORM),
-        lambda: ExtremalSequence(2, 3, (3, 2, 17, 12, 2, 1), FORM, det0=1),
+        lambda: ExtremalSequence(FORM),
+        lambda: ExtremalSequence(FORM, det0=1),
     ),
     "Window": (
         lambda: Window(FORM, [(1, 0, 0)], [6], 1, 1),
@@ -147,8 +148,8 @@ class TestDefaults:
         assert (red.b, red.c) == (0, 0)
 
     def test_each_sequence_gets_its_own_lists(self):
-        a = ExtremalSequence(2, 3, (3, 2, 17, 12, 2, 1), FORM)
-        b = ExtremalSequence(2, 3, (3, 2, 17, 12, 2, 1), FORM)
+        a = ExtremalSequence(FORM)
+        b = ExtremalSequence(FORM)
         a.ys.append((1, 0, 0))
         assert (a.ys, a.ts, a.det0) == ([(1, 0, 0)], [], 0) and b.ys == []
 

@@ -4,17 +4,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import conic_approx
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(conic_approx.__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
     )
 
 
@@ -53,3 +55,13 @@ def test_extremal_experiment_rejects_a_square_b():
     run = run_script("run_extremal_experiment.py", "--b", "4")
     assert run.returncode == 3
     assert run.stderr == "rejected: b=4 must be a square-free integer > 1\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_extremal_experiment_full_stdout_is_one_input_error_line():
+    # its first print ended in an OSError traceback with exit 1
+    with open("/dev/full", "w") as full:  # every write to it fails with ENOSPC
+        run = run_script("run_extremal_experiment.py", "--depth", "6", stdout=full)
+    assert (run.returncode, run.stderr) == (
+        2, "error: cannot write to stdout: [Errno 28] No space left on device\n"
+    )
