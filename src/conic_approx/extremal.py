@@ -109,10 +109,10 @@ def seed_triple(b: int, c: int) -> ExtremalSequence:
 
 def pell_seed(seq: ExtremalSequence) -> tuple[int, int, int, int, int, int]:
     """(m, n, m', n', r, t), the Pell data `seed_triple` built seq from, read
-    off y_0 = (m, n, 0) and y_1 = (r m', r n', t): m' and n' are coprime, as
-    m'^2 - b n'^2 = 1, so r > 0 is the gcd of y_1's first two coordinates."""
+    off y_0 = (m, n, 0) and y_1 = (r m', r n', t): m'^2 - b n'^2 = 1, so
+    r > 0 is the exact square root of y_1[0]^2 - b y_1[1]^2 (an `isqrt`)."""
     (m, n, _), (x0, x1, t) = seq.y(0), seq.y(1)
-    r = math.gcd(x0, x1)
+    r = math.isqrt(x0 * x0 - seq.b * x1 * x1)
     return m, n, x0 // r, x1 // r, r, t
 
 

@@ -20,7 +20,8 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conic_approx import arith, extremal, quadform, targets
-from conic_approx.cli import build_parser, main, read_int
+from conic_approx.cli import build_parser, main
+from conic_approx.formats import read_int
 from conic_approx.extremal import (
     IDENTITIES,
     SEED_IDENTITIES,
@@ -310,7 +311,7 @@ class TestConstruct:
         argv = ["construct", "--b", "2", "--c", "3", "--depth", "4", "--out", str(out)]
         assert main(argv) == 2
         assert_one_line(capsys, "error: cannot write to --out ")
-        assert list(out.iterdir()) == []
+        assert not out.exists()  # nor the directory this call created
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -972,10 +973,18 @@ class TestEnumerate:
         out = f.parent / "records"
         return main(["enumerate", "--xi", str(f), "--xmax", "1000", "--out", str(out)])
 
-    @pytest.mark.parametrize("key", ["xi1", "xi2", "tail_bound"])
-    def test_tampered_enclosure_is_invariant_failure(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize(
+        "key,swap",
+        [("xi1", False), ("xi2", False), ("tail_bound", False), ("xi2", True)],
+        ids=["xi1", "xi2", "tail_bound", "xi2-lo-hi-swapped"],
+    )
+    def test_tampered_enclosure_is_invariant_failure(self, tmp_path, capsys, key, swap):
+        # an empty enclosure (lo above hi) differs, as any other tamper does
         f, obj = self._xi(tmp_path)
-        obj[key]["lo"]["man"] = hex(read_int(obj[key]["lo"]["man"]) - 1)
+        if swap:
+            obj[key]["lo"], obj[key]["hi"] = obj[key]["hi"], obj[key]["lo"]
+        else:
+            obj[key]["lo"]["man"] = hex(read_int(obj[key]["lo"]["man"]) - 1)
         f.write_text(json.dumps(obj))
         assert self._enumerate_xi(f, capsys) == 4
         assert_one_line(capsys, f"invariant failure: --xi {f}: {key} differs ")
@@ -1284,9 +1293,11 @@ class TestPell:
 # ---------------------------------------------------------------------------
 # The CLI contract: every drawn command line ends in 0, 2, 3 or 4; a failure
 # prints exactly one stderr line with one of the four prefixes of
-# `cli.FAILURES` and leaves no file in --out.
+# `cli.FAILURES` and leaves no file in --out, nor --out itself; an input
+# error on files kept as written names a flag of the command line.
 
 PREFIXES = ("error: ", "rejected: ", "precision cap: ", "invariant failure: ")
+TARGET_FLAGS = ("--b", "--c", "--xi", "--sqrt")
 # the start of an input-error line about each contract file
 FILE_PREFIXES = {
     "form.json": "error: cannot read form: ",
@@ -1457,7 +1468,17 @@ def test_every_command_line_ends_in_a_documented_code(contract_files, data):
             assert err == ""
         else:
             assert err.startswith(PREFIXES) and err.count("\n") == 1 and err.endswith("\n"), err
-            assert sorted(p.name for p in d.rglob("*") if p.is_file()) == sorted(contract_files)
+            # no file left, and no --out directory either
+            assert sorted(p.name for p in d.rglob("*")) == sorted(contract_files)
+        named = [name for name in contract_files if any(name in a for a in argv)]
+        if rc == 2 and all(mutations[name][0] == "keep" for name in named):
+            # with every file it names as written, the fault is in the flags;
+            # an enumerate without a target may get the line that asks for one
+            flags = {a.split("=")[0] for a in argv if a.startswith("--")}
+            if argv[0] == "enumerate" and not flags & set(TARGET_FLAGS):
+                flags |= set(TARGET_FLAGS)
+            event("exit 2 on kept files: the line names a flag")
+            assert any(names(err.replace(str(d), "D"), flag) for flag in flags), (argv, err)
         if rc == 2:
             # a line about a file whose key was dropped, or whose value became
             # a number or another shape, names that key (`path[0]` is the row)
@@ -1566,7 +1587,7 @@ def test_closed_stdout_is_one_input_error_line(tmp_path, argv):
     finally:
         os.close(write_end)
     assert (run.returncode, run.stderr) == (2, "error: cannot write to stdout: [Errno 32] Broken pipe\n")
-    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["form.json"]
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "form.json"]  # no --out directory either
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -1586,7 +1607,7 @@ def test_full_stdout_is_one_input_error_line(tmp_path, argv):
     # with `error: cannot write to --out`
     (tmp_path / "form.json").write_text(json.dumps(ANISO_FORM))
     assert main(["construct", "--b", "2", "--c", "3", "--depth", "3", "--out", str(tmp_path / "run")]) == 0
-    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    before = sorted(tmp_path.rglob("*"))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     with open("/dev/full", "w") as full:  # every write to it fails with ENOSPC
@@ -1597,4 +1618,4 @@ def test_full_stdout_is_one_input_error_line(tmp_path, argv):
     assert (run.returncode, run.stderr) == (
         2, "error: cannot write to stdout: [Errno 28] No space left on device\n"
     )
-    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()) == before
+    assert sorted(tmp_path.rglob("*")) == before  # no --out directory either

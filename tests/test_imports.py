@@ -4,11 +4,13 @@ defined without being named by the package, the scripts or the benchmark,
 importing the CLI loads none of `dataclasses`, `inspect`, `typing` and
 `pathlib`, and the big-integer kernel lives in `arith` alone and stays out of
 the recurrence.  Only `cli.run` names `sys.stderr` among the CLI's functions
-and the scripts, only `cli` imports `json` or opens a file, no module
-or script decodes JSON but through `cli`'s one decoder, and only
-`extremal.seed_triple` and `cli.cmd_verify` build the diagonal form of a
-pair (b, c)."""
+and the scripts.  `formats` owns every file format of the CLI: only it
+imports `json` or opens a file, no module or script decodes JSON
+but through its one decoder or writes JSON or CSV but through it, and `cli`
+names no key of a format.  Only `extremal.seed_triple` and `cli.cmd_verify`
+build the diagonal form of a pair (b, c)."""
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -298,9 +300,10 @@ def test_the_check_finds_every_file_reader():
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_only_cli_reads_files(path):
-    # `cli` reads every input file, so every integer string goes through `read_int`
-    if path.name != "cli.py":
+def test_only_formats_reads_files(path):
+    # `formats` reads every input file, so every integer string goes through
+    # `read_int`, and opens every file `cli._write` stages
+    if path.name != "formats.py":
         assert file_readers(path.read_text()) == []
 
 
@@ -334,14 +337,96 @@ def test_the_check_finds_every_json_loader():
     assert json_loaders(source) == [2, 3, 4, 7]
 
 
-@pytest.mark.parametrize(
-    "path", [*sorted(PACKAGE.glob("*.py")), *sorted((REPO / "scripts").glob("*.py"))], ids=lambda p: p.name
-)
-def test_only_the_cli_decoder_reads_json(path):
-    # `cli._decode` keeps a JSON integer past the int/str limit for
-    # `cli.read_field`, which names its field; `json.loads` fails on one with
-    # `json`'s own message, which names none
+SOURCES = [*sorted(PACKAGE.glob("*.py")), *sorted((REPO / "scripts").glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_formats_decoder_reads_json(path):
+    # `formats._decode` keeps a JSON integer past the int/str limit for
+    # `formats.read_field`, which names its field; `json.loads` fails on one
+    # with `json`'s own message, which names none
     assert json_loaders(path.read_text()) == []
+
+
+def format_writers(source: str) -> list[int]:
+    """Lines of `source` that name `json.dump`, `json.dumps`, `csv.writer` or
+    `csv.DictWriter`, or import one of them from its module."""
+    writers = {"json": ("dump", "dumps"), "csv": ("writer", "DictWriter")}
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.attr in writers.get(node.value.id, ())
+        or isinstance(node, ast.ImportFrom)
+        and any(alias.name in writers.get(node.module, ()) for alias in node.names)
+    )
+
+
+def test_the_check_finds_every_format_writer():
+    source = (
+        "import csv, json\n"
+        "json.dumps(obj)\n"
+        "write = json.dump\n"
+        "csv.writer(buf).writerow(row)\n"
+        "csv.DictWriter(buf, fieldnames=names)\n"
+        "from json import dumps as d, loads\n"
+        "from csv import DictWriter, reader\n"
+        "csv.reader(buf)\n"
+        "json.JSONEncoder().encode(obj)\n"
+        "text.dumps(obj)\n"
+    )
+    assert format_writers(source) == [2, 3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_formats_writes_json_or_csv(path):
+    # one writer per format: a command that wrote its own JSON would bypass
+    # the sorted keys and hex integers of `formats`
+    if path.name != "formats.py":
+        assert format_writers(path.read_text()) == []
+
+
+def test_cli_names_no_key_of_a_file_format(tmp_path, capsys):
+    # every key the formats write, from one run of each command, against
+    # every string constant of `cli.py`, f-string parts included
+    from conic_approx.cli import main
+
+    (tmp_path / "form.json").write_text('{"a00": 1, "a11": -2, "a22": -3}')
+    d = str(tmp_path)
+    argvs = [
+        ["reduce", "--form", f"{d}/form.json"],
+        ["pell", "--b", "2"],
+        ["construct", "--b", "2", "--c", "3", "--depth", "3", "--out", d],
+        ["enumerate", "--xi", f"{d}/xi.json", "--xmax", "100", "--out", d],
+        ["enumerate", "--xi", f"{d}/xi.json", "--xmax", "100", "--out", d, "--format", "json"],
+    ]
+    keys = set()
+
+    def collect(node):
+        if isinstance(node, dict):
+            keys.update(node)
+            node = list(node.values())
+        for child in node if isinstance(node, list) else ():
+            collect(child)
+
+    for argv in argvs:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if argv[0] in ("reduce", "pell"):
+            collect(json.loads(out))
+    for line in (tmp_path / "sequence.jsonl").read_text().splitlines():
+        collect(json.loads(line))
+    for name in ("xi.json", "records.json", "report.json"):
+        collect(json.loads((tmp_path / name).read_text()))
+    keys.update((tmp_path / "records.csv").read_text().splitlines()[0].split(","))
+    assert {"i", "y", "t", "norm_bits", "xi1", "man", "exp", "tail_bound", "X_i", "case", "m"} <= keys
+    constants = {
+        node.value
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert constants & keys == set()
 
 
 def diagonal_forms(source: str) -> list[str]:

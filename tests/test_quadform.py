@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import pytest
 
 from conic_approx import quadform
-from conic_approx.cli import read_form
+from conic_approx.formats import read_form
 from conic_approx.quadform import (
     CASE_ANISOTROPIC,
     CASE_PARABOLA,
@@ -387,7 +387,7 @@ class TestCaseTagInvariance:
 
 
 class TestSerialization:
-    """A form file, as `cli.read_form` reads it."""
+    """A form file, as `formats.read_form` reads it."""
 
     def test_round_trip(self):
         text = '{"a00": "1", "a11": "-2", "a22": "-3", "a01": "4", "a02": "-5", "a12": "6"}'
