@@ -270,7 +270,7 @@ def cmd_pell(args) -> None:
         first, second = find_seed_pair(args.b)  # first is the fundamental solution
         expansion = cf_expansion(args.b, 12)
     except ValueError as exc:
-        raise Rejected(exc) from None
+        raise Rejected(f"--b {args.b}: {exc}") from None
     limit = sys.get_int_max_str_digits()  # 0 is no limit
     too_long = 10**limit if limit else None
     sols = []

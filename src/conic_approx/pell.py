@@ -33,16 +33,18 @@ def _check_radicand(b: int) -> None:
         raise ValueError(f"{b} is a perfect square")
 
 
-def _cf_steps(b: int) -> Iterator[int]:
-    """Partial quotients of sqrt(b), starting with a0 = floor(sqrt(b))."""
+def _cf_steps(b: int) -> Iterator[tuple[int, int]]:
+    """Partial quotients a_i of sqrt(b), from a_0 = floor(sqrt(b)), each with
+    the state q_(i+1) after it: the convergent through a_i solves
+    x^2 - b*y^2 = (-1)^(i+1) * q_(i+1), and the period ends at the first q of 1."""
     a0 = isqrt(b)
-    yield a0
     p, q = a0, b - a0 * a0
+    yield a0, q
     while True:
         a = (a0 + p) // q
-        yield a
         p = a * q - p
         q = (b - p * p) // q
+        yield a, q
 
 
 def cf_expansion(b: int, terms: int) -> list[int]:
@@ -50,24 +52,26 @@ def cf_expansion(b: int, terms: int) -> list[int]:
     _check_radicand(b)
     if terms <= 0:
         raise ValueError("terms must be positive")
-    return list(islice(_cf_steps(b), terms))
+    return [a for a, _ in islice(_cf_steps(b), terms)]
 
 
 def fundamental_solution(b: int) -> PellSolution:
-    """Minimal positive solution of x^2 - b*y^2 = 1 via continued-fraction convergents."""
+    """Minimal positive solution of x^2 - b*y^2 = 1: the convergent that ends
+    the first period of sqrt(b), of length r, solves x^2 - b*y^2 = (-1)^r, so
+    for odd r its square in Z[sqrt(b)] is taken (Lagrange)."""
     _check_radicand(b)
     if not is_squarefree(b):
         raise ValueError(f"{b} is not square-free")
-    h_prev, h = 1, isqrt(b)
-    k_prev, k = 0, 1
-    steps = _cf_steps(b)
-    next(steps)  # a0 already folded into (h, k)
-    while True:
-        if h * h - b * k * k == 1:
-            return PellSolution(h, k, b)
-        a = next(steps)
+    h_prev, h = 0, 1
+    k_prev, k = 1, 0
+    for r, (a, q) in enumerate(_cf_steps(b), 1):
         h, h_prev = a * h + h_prev, h
         k, k_prev = a * k + k_prev, k
+        if q == 1:
+            break
+    if r % 2:
+        h, k = h * h + b * k * k, 2 * h * k
+    return PellSolution(h, k, b)
 
 
 def next_solution(s: PellSolution, f: PellSolution | None = None) -> PellSolution:
@@ -78,21 +82,9 @@ def next_solution(s: PellSolution, f: PellSolution | None = None) -> PellSolutio
     return PellSolution(s.m * f.m + s.b * s.n * f.n, s.m * f.n + s.n * f.m, s.b)
 
 
-def solutions(b: int) -> Iterator[PellSolution]:
-    """The positive solutions in increasing order, powers of one fundamental solution."""
-    f = s = fundamental_solution(b)
-    while True:
-        yield s
-        s = next_solution(s, f)
-
-
 def find_seed_pair(b: int) -> tuple[PellSolution, PellSolution]:
-    """Fundamental solution (m, n) and the smallest later (m', n') with
-    m < m*m' - b*n*n' < m' strictly."""
-    gen = solutions(b)
-    first = next(gen)
-    m, n = first.m, first.n
-    for cand in gen:
-        mid = m * cand.m - b * n * cand.n
-        if m < mid < cand.m:
-            return first, cand
+    """Fundamental solution f = (m, n) and f^3 = (m', n'), the first power
+    with m < m*m' - b*n*n' < m' strictly: for f^k the middle value is the m of
+    f^(k-1), which for f^2 is m itself."""
+    f = fundamental_solution(b)
+    return f, next_solution(next_solution(f, f), f)

@@ -400,17 +400,36 @@ class TestHugeCoefficients:
         out = json.loads(capsys.readouterr().out)
         assert (out["case"], out["b"], out["c"]) == ("anisotropic", "4611685975477714963", "4611685885283401789")
 
-    @pytest.mark.parametrize("b", [HUGE, 1000000000000000000000007, 1 << 32])
-    def test_pell_radicand_refused(self, capsys, b):
+    @pytest.mark.parametrize(
+        "b,why",
+        [
+            (HUGE, "radicand must be below 2^32"),
+            (1000000000000000000000007, "radicand must be below 2^32"),
+            (1 << 32, "radicand must be below 2^32"),
+            (4, "4 is a perfect square"),
+            (12, "12 is not square-free"),
+            (1, "radicand must be at least 2"),
+        ],
+    )
+    def test_pell_radicand_refused(self, capsys, b, why):
         assert main(["pell", "--b", str(b)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "rejected: radicand must be below 2^32\n"
+        assert captured.err == f"rejected: --b {b}: {why}\n"
 
-    def test_largest_accepted_b(self, tmp_path):
+    def test_largest_accepted_b(self, tmp_path, capsys, int_str_limit):
         # 2^32 - 1 = 3 * 5 * 17 * 257 * 65537 is square-free
         argv = ["construct", "--b", str((1 << 32) - 1), "--c", "3", "--depth", "3"]
         assert main([*argv, "--out", str(tmp_path)]) == 0
+        # a prime whose period of sqrt(b) is long: its 87522-bit fundamental
+        # solution is past the int/str digit limit, and one walk over the
+        # period finds it in well under a second
+        capsys.readouterr()
+        with time_limit(10):
+            assert main(["pell", "--b", "4294967197", "--count", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "rejected: --b 4294967197: solution 1 has more than 4300 decimal digits, the int/str limit\n"
+        )
 
 
 class TestVerify:
@@ -1408,9 +1427,11 @@ def command_lines(draw, files: dict[str, str], d: Path) -> tuple[list[str], dict
         pair = draw(st.sampled_from([[], ["b", "c"], ["b"], ["c"]]))
         return ["verify", f"--in={d / 'sequence.jsonl'}", *(f"--{k}={draw(B_OR_C)}" for k in pair)], mutations
     if command == "pell":
-        # a huge count runs into the int/str digit limit
+        # a huge count runs into the int/str digit limit; the two primes
+        # below 2^32 have long periods of sqrt(b)
         count = draw(st.one_of(values(st.integers(1, 8)), st.integers(1 << 32, 1 << 80).map(str)))
-        return ["pell", f"--b={draw(B_OR_C)}", f"--count={count}"], mutations
+        b = draw(st.one_of(B_OR_C, st.sampled_from(["4294967189", "4294967197"])))
+        return ["pell", f"--b={b}", f"--count={count}"], mutations
     # one target mostly; none or two are input errors
     targets = draw(st.sampled_from([["bc"], ["xi"], ["sqrt"]] * 3 + [[], ["bc", "sqrt"], ["xi", "bc"]]))
     argv = ["enumerate", f"--xmax={draw(values(st.integers(1, 2000), huge=False))}", out]

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conic_approx import pell
+from conic_approx.arith import is_squarefree
 from conic_approx.cli import main
 from conic_approx.pell import (
     PellSolution,
@@ -13,7 +14,6 @@ from conic_approx.pell import (
     find_seed_pair,
     fundamental_solution,
     next_solution,
-    solutions,
 )
 
 
@@ -33,6 +33,19 @@ def brute_force_fundamental(b: int, n_limit: int = 10**6):
         if m * m == m2:
             return m, n
     raise AssertionError(f"no solution below {n_limit}")
+
+
+def convergent_fundamental(b: int) -> tuple[int, int]:
+    """The first convergent (h, k) of sqrt(b) with h^2 - b*k^2 = 1, the norm
+    tested at every convergent: its cost grows about as the cube of the
+    period, so it serves only on short periods."""
+    h_prev, h = 0, 1
+    k_prev, k = 1, 0
+    for a, _ in pell._cf_steps(b):
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        if h * h - b * k * k == 1:
+            return h, k
 
 
 SQUAREFREE_SMALL = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 31]
@@ -90,6 +103,17 @@ class TestFundamentalSolution:
         s = fundamental_solution(b)
         assert (s.m, s.n) == brute_force_fundamental(b)
 
+    def test_matches_convergent_oracle_up_to_3000(self):
+        # periods of both parities: the odd ones are squared
+        for b in filter(is_squarefree, range(2, 3001)):
+            s = fundamental_solution(b)
+            assert (s.m, s.n) == convergent_fundamental(b), b
+
+    def test_matches_convergent_oracle_near_1e8(self):
+        # period 693, a 2483-bit solution
+        s = fundamental_solution(99999989)
+        assert (s.m, s.n) == convergent_fundamental(99999989)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             fundamental_solution(4)
@@ -120,10 +144,9 @@ class TestSuccessor:
 
     @pytest.mark.parametrize("b", SQUAREFREE_SMALL)
     def test_strictly_increasing_and_valid(self, b):
-        it = solutions(b)
-        prev = next(it)
+        prev = fundamental_solution(b)
         for _ in range(6):
-            cur = next(it)
+            cur = next_solution(prev)
             assert cur.m > prev.m and cur.n > prev.n
             assert cur.m**2 - b * cur.n**2 == 1
             prev = cur
@@ -165,9 +188,9 @@ class TestSeedPair:
 
 
 class TestFundamentalComputedOnce:
-    """`solutions` multiplies by one fundamental solution, whose cost grows
-    with the regulator (seconds for some b near 2^29), instead of computing
-    it again for each successor."""
+    """`find_seed_pair` and `pell` compute the fundamental solution once,
+    one walk over the period of sqrt(b) (seconds for some b near 2^32), and
+    multiply by it instead of computing it again for each power."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -179,16 +202,6 @@ class TestFundamentalComputedOnce:
 
         monkeypatch.setattr(pell, "fundamental_solution", counting)
         return calls
-
-    @pytest.mark.parametrize("b", SQUAREFREE_SMALL)
-    def test_solutions(self, b, calls):
-        it = solutions(b)
-        got = [next(it) for _ in range(8)]
-        assert calls == [b]
-        s = fundamental_solution(b)
-        for want in got:
-            assert want == s
-            s = next_solution(s, fundamental_solution(b))
 
     @pytest.mark.parametrize("b", SQUAREFREE_SMALL)
     def test_find_seed_pair(self, b, calls):
