@@ -410,6 +410,7 @@ class TestHugeCoefficients:
             (12, "12 is not square-free"),
             (1, "radicand must be at least 2"),
         ],
+        ids=[str(HUGE), "1000000000000000000000007", "4294967296", "4", "12", "1"],
     )
     def test_pell_radicand_refused(self, capsys, b, why):
         assert main(["pell", "--b", str(b)]) == 3

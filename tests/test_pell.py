@@ -1,4 +1,5 @@
 """Continued fractions of sqrt(b) and Pell solutions against brute-force oracles."""
+import json
 from math import isqrt
 
 import pytest
@@ -202,6 +203,18 @@ class TestFundamentalComputedOnce:
 
         monkeypatch.setattr(pell, "fundamental_solution", counting)
         return calls
+
+    @pytest.mark.parametrize("b", SQUAREFREE_SMALL)
+    def test_solutions(self, b, calls, capsys):
+        # the solutions `pell` lists are the powers of one fundamental solution
+        assert main(["pell", "--b", str(b), "--count", "8"]) == 0
+        assert calls == [b]
+        got = json.loads(capsys.readouterr().out)["solutions"]
+        f = s = fundamental_solution(b)
+        for want in got:
+            assert (want["m"], want["n"]) == (str(s.m), str(s.n))
+            s = next_solution(s, f)
+        assert len(got) == 8
 
     @pytest.mark.parametrize("b", SQUAREFREE_SMALL)
     def test_find_seed_pair(self, b, calls):
