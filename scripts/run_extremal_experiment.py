@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from conic_approx.cli import InputError, echo, run
-from conic_approx.extremal import extend, growth_ratios, pell_seed, seed_triple
+from conic_approx.extremal import extend, growth_ratios, pell_seed
 from conic_approx.minpoints import estimate_lambda, records_from_sequence
 from conic_approx.quadform import max_norm
 from conic_approx.targets import ExtremalTarget
@@ -38,7 +38,8 @@ def main() -> int:
 def report(args: argparse.Namespace) -> None:
     if args.height_cap < 1:
         raise InputError("--height-cap must be at least 1")
-    seq = extend(seed_triple(args.b, args.c), args.depth)
+    target = ExtremalTarget(args.b, args.c)
+    seq = extend(target.sequence, args.depth)
     echo(f"seed (m, n, m', n', r, t) = {pell_seed(seq)}")
     echo(f"|det(y_1, y_0, y_-1)| = {abs(seq.det0)}")
     echo()
@@ -51,9 +52,7 @@ def report(args: argparse.Namespace) -> None:
         echo(f"{i:>3} {ts:>14} {max_norm(seq.y(i)).bit_length():>10} {r:>10}")
 
     echo()
-    records, next_x = records_from_sequence(
-        seed_triple(args.b, args.c), ExtremalTarget(args.b, args.c), args.height_cap
-    )
+    records, next_x = records_from_sequence(target, args.height_cap)
     report = estimate_lambda(records, next_X=next_x)
     echo(f"{'i':>3} {'X_i bits':>9} {'lambda_hat':>11}")
     for i, h in report.lambda_hats:

@@ -242,13 +242,12 @@ def cmd_verify(args) -> None:
     verdict of `extremal.verdicts`; raises the first failure."""
     if (args.b is None) != (args.c is None):
         raise InputError("verify takes --b and --c together or neither")
-    if args.b is not None:
-        validate_bc(args.b, args.c)
     try:
         bc = None if args.b is None else (args.b, args.c)
         b, c, ys, ts, checks = formats.load_sequence(formats.read_text(args.infile), bc)
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot parse sequence file: {exc}") from None
+    validate_bc(b, c)  # given or inferred, the pair `construct` accepts
     seq = ExtremalSequence(TernaryQuadraticForm(1, -b, -c), ys, ts, det3(ys[2], ys[1], ys[0]))
     first_failure = None
     for name, index, ok in chain(checks, verdicts(seq)):

@@ -57,13 +57,13 @@ class ExtremalSequence(Record):
     def __init__(
         self,
         form: TernaryQuadraticForm,
-        ys: list[Vec3] | None = None,  # ys[k] holds y_{k-1}
-        ts: list[int] | None = None,
-        det0: int = 0,
+        ys: list[Vec3],  # ys[k] holds y_{k-1}
+        ts: list[int],
+        det0: int,
     ) -> None:
         self.form = form
-        self.ys = [] if ys is None else ys
-        self.ts = [] if ts is None else ts
+        self.ys = ys
+        self.ts = ts
         self.det0 = det0
 
     # read-only views of the form x0^2 - b x1^2 - c x2^2
@@ -137,8 +137,9 @@ class _cached:
         return value
 
 
-class Window(Record):
-    """The stored members that the identities at index i read.
+class Window:
+    """The view of a sequence that the identities at index i read: its
+    `form`, `y`, `t` and `det0`, bound when the window is made.
 
     `proved` counts the indices just before i at which this same run (one
     `extend` call, or one `verdicts` walk) already proved every identity; for
@@ -150,29 +151,10 @@ class Window(Record):
     the first failure, and `verdicts` walks on past it with `proved` at 0.
     """
 
-    __slots__ = ("form", "ys", "ts", "det0", "i", "proved", "__dict__")  # __dict__ for the caches
-
-    def __init__(
-        self,
-        form: TernaryQuadraticForm,
-        ys: list[Vec3],  # ys[k] holds y_{k-1}
-        ts: list[int],
-        det0: int,
-        i: int,
-        proved: int = 0,
-    ) -> None:
-        self.form = form
-        self.ys = ys
-        self.ts = ts
-        self.det0 = det0
+    def __init__(self, seq: ExtremalSequence, i: int, proved: int = 0) -> None:
+        self.form, self.y, self.t, self.det0 = seq.form, seq.y, seq.t, seq.det0
         self.i = i
         self.proved = proved
-
-    def y(self, j: int) -> Vec3:
-        return self.ys[j + 1]
-
-    def t(self, j: int) -> int:
-        return self.ts[j + 1]
 
     @_cached
     def t_product(self) -> int:
@@ -391,7 +373,7 @@ def verdicts(seq: ExtremalSequence) -> Iterator[tuple[str, int, bool]]:
     seed's three indices exactly when every seed identity held; its first
     failure is `_checked_first_failure`'s, forked where it pays, and each
     later one `_first_failure`'s from None, past the one before."""
-    seed = Window(seq.form, seq.ys, seq.ts, seq.det0, 1)
+    seed = Window(seq, 1)
     proved: int | None = 3
     for name, holds in SEED_IDENTITIES:
         ok = holds(seed)
@@ -437,7 +419,7 @@ def _first_failure(
     table, and the one place that sets `Window.proved`, to `_reused`.  So a
     verdict at (i, k) stands only if every entry before (i, k) held."""
     for i in range(first, upto + 1):
-        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i, _reused(i, first, proved))
+        window = Window(seq, i, _reused(i, first, proved))
         for k in positions:
             if not IDENTITIES[k][1](window):
                 return i, k

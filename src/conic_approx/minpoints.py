@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate, repeat
 
+from .extremal import extend
 from .numerics import (
     CertifiedReal,
     PrecisionCapError,
@@ -49,7 +50,7 @@ from .numerics import (
 )
 from .quadform import TernaryQuadraticForm, Vec3, cross, det3, max_norm, psi
 from .records import FrozenRecord, set_field
-from .targets import Target
+from .targets import ExtremalTarget, Target
 
 
 class MinimalPointRecord(FrozenRecord):
@@ -130,8 +131,8 @@ def _record(x, d1, d2, p: int) -> MinimalPointRecord:
     )
 
 
-def _scan(target: Target, xmax: int, p: int):
-    """One pass at fixed precision; returns records or None when undecided."""
+def _scan(target: Target, xmax: int, p: int) -> list[MinimalPointRecord] | None:
+    """One pass at fixed precision; returns the records, or None when undecided."""
     (a1lo, a1hi), (a2lo, a2hi) = _scaled_enclosure(target, p)
     mask = (1 << p) - 1
     step = (a1lo & mask) + (1 << p)  # a1lo's residues mod 2**p, and positive
@@ -158,7 +159,7 @@ def _scan(target: Target, xmax: int, p: int):
             li = (max(e1i[0], e2i[0]), max(e1i[1], e2i[1]))
             if best is None or li[1] < best[0]:
                 best = li
-                records.append((x0, n1, n2, li, d1, d2))
+                records.append(_record((x0, n1, n2), d1, d2, p))
                 base = best[1] + slack
                 span = mask - 2 * base
                 break  # restart the sums from x0 + 1 on the new window
@@ -167,7 +168,7 @@ def _scan(target: Target, xmax: int, p: int):
         else:
             break
         x0 += 1
-    return records, p
+    return records
 
 
 def enumerate_minimal(
@@ -182,10 +183,9 @@ def enumerate_minimal(
     check_cap(p)
     cap = precision_cap()
     while True:
-        out = _scan(target, xmax, p)
-        if out is not None:
-            raw, p = out
-            return [_record((x0, n1, n2), d1, d2, p) for x0, n1, n2, _, d1, d2 in raw]
+        records = _scan(target, xmax, p)
+        if records is not None:
+            return records
         if p >= cap:
             raise PrecisionCapError(f"minimal-point scan undecided at {p} bits")
         p = min(2 * p, cap)
@@ -196,21 +196,20 @@ def enumerate_minimal(
 # ---------------------------------------------------------------------------
 
 def _log_interval(x: CertifiedReal) -> float:
-    lo, hi = x.log_bounds()
-    return (lo + hi) / 2
+    return (x.lo.log() + x.hi.log()) / 2
 
 
-def records_from_sequence(seq, target: Target, max_norm_cap: int):
-    """Exact sequence members restated as minimal-point records, up to a norm cap.
+def records_from_sequence(target: ExtremalTarget, max_norm_cap: int):
+    """The target's sequence members restated as minimal-point records, up to
+    a norm cap.
 
     L comes from the scan's arithmetic on the grid 2**-bits, where the
     precision grows with the cap (`height_precision`, at least 512 bits), so a
     member that the scan also finds gets the same record.
     """
-    from .extremal import extend
-
     bits = height_precision(max_norm_cap, 512)
     (a1lo, a1hi), (a2lo, a2hi) = _scaled_enclosure(target, bits)
+    seq = target.sequence
     out = []
     i = -1
     while True:
@@ -272,24 +271,12 @@ def independence_indices(records: list[MinimalPointRecord]) -> list[int]:
     return out
 
 
-def integer_multiple_of(w, y) -> int | None:
-    """k with w == k * y, or None."""
-    if any(cross(w, y)):
-        return None
-    for a, b in zip(w, y):
-        if b != 0:
-            if a % b:
-                return None
-            k = a // b
-            return k if all(x == k * z for x, z in zip(w, y)) else None
-    return None
-
-
 def rigidity_check(
     phi: TernaryQuadraticForm, records: list[MinimalPointRecord]
 ) -> RigidityReport:
     """Check that records at consecutive independence indices obey the reflection
-    rigidity: psi(y_k, y_{k-2}) is an exact integer multiple of y_{k+1}."""
+    rigidity: psi(y_k, y_{k-2}) is an exact integer multiple of y_{k+1}, that
+    is, parallel to it, as records are primitive."""
     indep = independence_indices(records)
     ys = [records[i].x for i in indep]
     if len(indep) < 4:
@@ -297,8 +284,7 @@ def rigidity_check(
     checks = []
     first_holding = None
     for k in range(2, len(ys) - 1):
-        w = psi(phi, ys[k], ys[k - 2])
-        ok = integer_multiple_of(w, ys[k + 1]) is not None
+        ok = not any(cross(psi(phi, ys[k], ys[k - 2]), ys[k + 1]))
         checks.append((k, ok))
         if ok and first_holding is None:
             first_holding = k

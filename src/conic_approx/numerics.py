@@ -79,9 +79,6 @@ class Dyadic(FrozenRecord):
         e = min(self.exp, other.exp)
         return Dyadic.make((self.man << (self.exp - e)) + (other.man << (other.exp - e)), e)
 
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
-        return self + (-other)
-
     def __neg__(self) -> "Dyadic":
         return Dyadic(-self.man, self.exp) if self.man else self
 
@@ -209,16 +206,5 @@ class CertifiedReal(FrozenRecord):
         """[lo, hi] * 2**-p at precision p."""
         return CertifiedReal(Dyadic.make(lo, -p), Dyadic.make(hi, -p), p)
 
-    # -- queries -----------------------------------------------------------
-    def midpoint(self) -> Fraction:
-        return (self.lo.as_fraction() + self.hi.as_fraction()) / 2
-
-    def __float__(self) -> float:
-        return float(self.midpoint())
-
     def __neg__(self) -> "CertifiedReal":
         return CertifiedReal(-self.hi, -self.lo, self.precision)
-
-    def log_bounds(self) -> tuple[float, float]:
-        return self.lo.log(), self.hi.log()
-

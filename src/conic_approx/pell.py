@@ -5,6 +5,7 @@ from collections.abc import Iterator
 from itertools import islice
 from math import isqrt
 
+from . import arith
 from .arith import FACTOR_BITS, is_square, is_squarefree
 from .records import FrozenRecord, set_field
 
@@ -17,7 +18,7 @@ class PellSolution(FrozenRecord):
     def __init__(self, m: int, n: int, b: int) -> None:
         if m <= 0 or n <= 0:
             raise ValueError("positive solution required")
-        if m * m - b * n * n != 1:
+        if arith.square(m) - b * arith.square(n) != 1:
             raise ValueError(f"({m}, {n}) does not solve x^2 - {b} y^2 = 1")
         set_field(self, "m", m)
         set_field(self, "n", n)
@@ -70,7 +71,7 @@ def fundamental_solution(b: int) -> PellSolution:
         if q == 1:
             break
     if r % 2:
-        h, k = h * h + b * k * k, 2 * h * k
+        h, k = arith.square(h) + b * arith.square(k), 2 * h * k
     return PellSolution(h, k, b)
 
 

@@ -123,9 +123,6 @@ class TernaryQuadraticForm(FrozenRecord):
         set_field(self, "a02", a02)
         set_field(self, "a12", a12)
 
-    def coeffs(self) -> tuple[int, int, int, int, int, int]:
-        return (self.a00, self.a11, self.a22, self.a01, self.a02, self.a12)
-
     def __call__(self, x):
         """q(x), on int or Fraction coordinates.  Each diagonal term squares
         its coordinate before scaling it, with `arith.square`, which takes
@@ -198,27 +195,9 @@ def psi(phi: TernaryQuadraticForm, x, y):
 
 
 def kernel(phi: TernaryQuadraticForm) -> list[Vec3]:
-    """Basis of the radical {v : B(v, w) = 0 for all w}, as primitive integer vectors.
-
-    From the Gram rows g_i: none at rank 3, the cross product of two
-    independent rows at rank 2, and at rank 1, with g a non-zero row and p its
-    first non-zero column, e_f - (g_f / g_p) e_p for each other column f.
-    """
-    if phi.gram_det:
-        return []
-    g = phi.gram()
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        w = cross(g[i], g[j])
-        if any(w):
-            return [primitive(w)]
-    row = next(r for r in g if any(r))
-    p = next(k for k in range(3) if row[k])
-    # g_p e_f - g_f e_p, a multiple of e_f - (g_f / g_p) e_p
-    return [
-        primitive([row[p] * (k == f) - row[f] * (k == p) for k in range(3)])
-        for f in range(3)
-        if f != p
-    ]
+    """Basis of the radical {v : B(v, w) = 0 for all w}, as primitive integer
+    vectors: the zero-valued vectors of `diagonalize`."""
+    return [primitive(v) for v, val in zip(*diagonalize(phi)) if val == 0]
 
 
 # ---------------------------------------------------------------------------

@@ -60,23 +60,16 @@ class ExtremalTarget(Record):
     """Limit point of the seeded sequence on x0^2 - b*x1^2 - c*x2^2 = 1.
 
     `_seq` and `_limit` cache the sequence and the tightest enclosure so far;
-    the repr leaves them out.  Instances keep a `__dict__`, so a method can
-    be replaced on one target."""
+    the repr leaves them out."""
 
-    __slots__ = ("b", "c", "_seq", "_limit", "__dict__")
+    __slots__ = ("b", "c", "_seq", "_limit")
     _repr_fields = ("b", "c")
 
-    def __init__(
-        self,
-        b: int,
-        c: int,
-        _seq: ExtremalSequence | None = None,
-        _limit: tuple[int, CertifiedVec3] | None = None,
-    ) -> None:
+    def __init__(self, b: int, c: int) -> None:
         self.b = b
         self.c = c
-        self._seq = _seq
-        self._limit = _limit
+        self._seq: ExtremalSequence | None = None
+        self._limit: tuple[int, CertifiedVec3] | None = None
 
     @property
     def sequence(self) -> ExtremalSequence:

@@ -17,7 +17,6 @@ from conic_approx.minpoints import (
     enumerate_minimal,
     estimate_lambda,
     independence_indices,
-    integer_multiple_of,
     records_from_sequence,
     rigidity_check,
 )
@@ -135,8 +134,7 @@ def test_criterion_03_growth_to_golden_ratio():
 # 4 ------------------------------------------------------------------------------
 
 def test_criterion_04_exponent_at_extremal_point():
-    seq = seed_triple(2, 3)
-    records, next_x = records_from_sequence(seq, ExtremalTarget(2, 3), 10**50)
+    records, next_x = records_from_sequence(ExtremalTarget(2, 3), 10**50)
     report = estimate_lambda(records, next_X=next_x)
     dev = abs(report.summary - 1 / GOLDEN)
     ok = dev <= 0.005

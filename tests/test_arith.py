@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conic_approx import arith, extremal, quadform
+from conic_approx import arith, extremal, pell, quadform
 from conic_approx.arith import mul, square
 from conic_approx.cli import main
 from conic_approx.extremal import InvariantViolation, extend, seed_triple
@@ -213,14 +213,16 @@ class TestIdentitiesThroughTheKernelForked(TestIdentitiesThroughTheKernel):
         (lambda w: w.t_product, ["mul"]),
         (lambda w: w.t_y, ["mul"] * 3),
         (extremal._constant_determinant, ["mul", "square", "square"]),
+        # b = 2 has period 1: the convergent (1, 1) squared, then the check
+        (lambda w: pell.fundamental_solution(2), ["square"] * 4),
     ],
-    ids=["q", "t_product", "t_y", "determinant"],
+    ids=["q", "t_product", "t_y", "determinant", "pell"],
 )
 def test_each_caller_leaves_the_size_test_to_the_kernel(monkeypatch, product, kernel_calls):
     # at index 14 every member is far below `arith.TOOM_MIN_BITS`, yet each
     # caller goes through the kernel, the one place that reads the constant
     seq = extend(seed_triple(2, 3), 14)
-    w = extremal.Window(seq.form, seq.ys, seq.ts, seq.det0, 14, 12)
+    w = extremal.Window(seq, 14, 12)
     calls = []
     monkeypatch.setattr(arith, "square", lambda x: calls.append("square") or x * x)
     monkeypatch.setattr(arith, "mul", lambda a, b: calls.append("mul") or a * b)

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 
 from conic_approx import arith, extremal, quadform, targets
 from conic_approx.cli import build_parser, main
-from conic_approx.formats import read_int
+from conic_approx.formats import dump_sequence, read_int
 from conic_approx.extremal import (
     IDENTITIES,
     SEED_IDENTITIES,
+    ExtremalSequence,
     InvariantViolation,
     extend,
     seed_triple,
@@ -527,6 +528,20 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--in", str(f), "--b", b, "--c", c]) == 3
         assert_one_line(capsys, "rejected: ")
+
+    @pytest.mark.parametrize("pair", [[], ["--b", "8", "--c", "3"]], ids=["inferred", "given"])
+    def test_pair_that_construct_rejects_is_rejected_when_inferred(self, tmp_path, capsys, pair):
+        # every seed identity holds on x0^2 - 8 x1^2 - 3 x2^2 = 1, and so
+        # does every identity to depth 8, but construct refuses b = 8
+        form = quadform.TernaryQuadraticForm(1, -8, -3)
+        ys = [(1, 0, 0), (3, 1, 0), (198, 70, 1)]
+        ts = [form.bilinear(ys[1], ys[0]), form.bilinear(ys[2], ys[1]), form.bilinear(ys[2], ys[0])]
+        seq = extend(ExtremalSequence(form, ys, ts, quadform.det3(ys[2], ys[1], ys[0])), 8)
+        f = tmp_path / "sequence.jsonl"
+        f.write_text(dump_sequence(seq))
+        capsys.readouterr()
+        assert main(["verify", "--in", str(f), *pair]) == 3
+        assert capsys.readouterr() == ("", "rejected: b=8 must be a square-free integer > 1\n")
 
     def test_given_pair_replaces_the_inferred_one(self, tmp_path, capsys):
         f = self._construct(tmp_path)
@@ -1314,7 +1329,8 @@ class TestPell:
 # The CLI contract: every drawn command line ends in 0, 2, 3 or 4; a failure
 # prints exactly one stderr line with one of the four prefixes of
 # `cli.FAILURES` and leaves no file in --out, nor --out itself; an input
-# error on files kept as written names a flag of the command line.
+# error on files kept as written names a flag of the command line, and a
+# refusal on them names a flag or its value.
 
 PREFIXES = ("error: ", "rejected: ", "precision cap: ", "invariant failure: ")
 TARGET_FLAGS = ("--b", "--c", "--xi", "--sqrt")
@@ -1501,6 +1517,18 @@ def test_every_command_line_ends_in_a_documented_code(contract_files, data):
                 flags |= set(TARGET_FLAGS)
             event("exit 2 on kept files: the line names a flag")
             assert any(names(err.replace(str(d), "D"), flag) for flag in flags), (argv, err)
+        if rc == 3 and all(mutations[name][0] == "keep" for name in named):
+            # with every file it names as written, a refusal is of a flag's
+            # value: the line names the flag (`--b 12`, `b must be below`) or
+            # the value (`b=0`, `needs P bits`, `sqrt(4)`); `names` does not
+            # take `b` in `b=4`, so the value is what matches there
+            words = set()
+            for a in argv:
+                flag, _, value = a.partition("=")
+                if flag.startswith("--") and flag not in ("--out", "--in", "--xi", "--form"):
+                    words |= {flag, flag[2:], *value.split(",")}
+            event("exit 3 on kept files: the line names a flag or its value")
+            assert any(names(err, word) for word in words), (argv, err)
         if rc == 2:
             # a line about a file whose key was dropped, or whose value became
             # a number or another shape, names that key (`path[0]` is the row)

@@ -135,7 +135,7 @@ class TestExtend:
 
 def _first_failure(table, seq, i, proved):
     """Walk `table` at index i as `extend` does; name of the first failing entry."""
-    w = Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=proved)
+    w = Window(seq, i, proved=proved)
     return next((name for name, holds in table if not holds(w)), None)
 
 
@@ -156,7 +156,7 @@ class TestConstantDeterminant:
         seq = extend(seed_triple(b, c), 12)
         for i in range(2, 13):
             for proved in (0, 1, 2, i + 1):
-                assert det(Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=proved))
+                assert det(Window(seq, i, proved=proved))
 
     @pytest.mark.parametrize("b,c", PAIRS)
     @pytest.mark.parametrize("how", [lambda d: d + 1, lambda d: -d, lambda d: 2 * d, lambda d: 0])
@@ -165,8 +165,8 @@ class TestConstantDeterminant:
         seq = extend(seed_triple(b, c), 12)
         seq.det0 = how(seq.det0)
         for i in range(2, 13):
-            gram = det(Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=2))
-            full = det(Window(seq.form, seq.ys, seq.ts, seq.det0, i, proved=0))
+            gram = det(Window(seq, i, proved=2))
+            full = det(Window(seq, i, proved=0))
             assert gram == full == (abs(seq.det0) == abs(det3(seq.y(2), seq.y(1), seq.y(0))))
 
     @pytest.mark.parametrize("b,c", PAIRS)
@@ -270,7 +270,8 @@ class TestPolarizationAndSharedProducts:
         x = list(x)
         x[k] = -(max_norm(x) + e)
         y = ((t + s) * max_norm(x) + d, *rest)
-        w = Window(seed_triple(2, 3).form, [(1, 0, 0), (1, 0, 0), tuple(x), y], [0, 0, t, 0], 0, 2)
+        seq = ExtremalSequence(seed_triple(2, 3).form, [(1, 0, 0), (1, 0, 0), tuple(x), y], [0, 0, t, 0], 0)
+        w = Window(seq, 2)
         if shared:
             assert w.t_y == tuple(t * a for a in x)
         holds = dict(IDENTITIES)["double inequality on norms"]
@@ -655,11 +656,11 @@ def reference_verdicts(seq):
     seed identities at index 1, then index i >= 2 reusing the i + 1 indices
     before it (the seed's three among them) until an entry failed, and
     nothing from then on, or at all when a seed identity failed."""
-    seed = Window(seq.form, seq.ys, seq.ts, seq.det0, 1)
+    seed = Window(seq, 1)
     out = [(name, 1, holds(seed)) for name, holds in SEED_IDENTITIES]
     failed = not all(ok for _, _, ok in out)
     for i in range(2, seq.depth + 1):
-        window = Window(seq.form, seq.ys, seq.ts, seq.det0, i)
+        window = Window(seq, i)
         for name, holds in IDENTITIES:
             window.proved = 0 if failed else i + 1
             ok = holds(window)
@@ -825,11 +826,16 @@ class TestGrowth:
         assert max(ratios) / min(ratios) < 1.0001
 
 
+def midpoint(x) -> Fraction:
+    """The centre of a certified real's interval, exactly."""
+    return (x.lo.as_fraction() + x.hi.as_fraction()) / 2
+
+
 class TestLimitPoint:
     def test_b2_c3_enclosure(self):
         seq = seed_triple(2, 3)
         enc = limit_point(seq, Fraction(1, 2**80))
-        mid1, mid2 = enc.xi1.midpoint(), enc.xi2.midpoint()
+        mid1, mid2 = midpoint(enc.xi1), midpoint(enc.xi2)
         assert abs(mid1 - Fraction(55440, 78407)) < Fraction(1, 10**3)
         assert abs(mid2 - Fraction(396, 78407)) < Fraction(1, 10**3)
         # the limit lies on the conic: 2 xi1^2 + 3 xi2^2 = 1 somewhere in the
@@ -863,7 +869,7 @@ class TestLimitPoint:
     def test_distance_decreases(self):
         seq = extend(seed_triple(2, 3), 11)
         enc = limit_point(seq, Fraction(1, 2**200))
-        xi = (Fraction(1), enc.xi1.midpoint(), enc.xi2.midpoint())
+        xi = (Fraction(1), midpoint(enc.xi1), midpoint(enc.xi2))
 
         def dist_to_limit(i):
             y = seq.y(i)
@@ -878,7 +884,7 @@ class TestLimitPoint:
         # largest index used (y_8 has ~420 bits, so 2^-1800 leaves slack)
         seq = extend(seed_triple(2, 3), 9)
         enc = limit_point(seq, Fraction(1, 2**1800))
-        xi = (Fraction(1), enc.xi1.midpoint(), enc.xi2.midpoint())
+        xi = (Fraction(1), midpoint(enc.xi1), midpoint(enc.xi2))
         vals = []
         for i in range(4, 9):
             y = seq.y(i)

@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses (`__init__`, which
-re-exports, is exempt), no function, class or method of the package is
+re-exports, is exempt), no function of the package imports a module of the
+package, no function, class or method of the package is
 defined without being named by the package, the scripts or the benchmark,
 importing the CLI loads none of `dataclasses`, `inspect`, `typing` and
 `pathlib`, and the big-integer kernel lives in `arith` alone and stays out of
@@ -31,6 +32,7 @@ UNNAMED_ALLOWED = {
     "verify_no_small_relation": "the paper's independence hypothesis; ROADMAP direction 6 wires it in",
     "kernel": "public API of conic_approx; reduce_form reads the radical off its one diagonalization",
     "rational_zero": "public API of conic_approx; reduce_form passes its diagonalization to _rational_zero",
+    "as_fraction": "exact value of a dyadic, the tests' oracle",
 }
 
 
@@ -93,6 +95,48 @@ def test_every_definition_is_named_outside_the_tests():
     assert unnamed_definitions(sources, [p.read_text() for p in CALLERS]) == sorted(UNNAMED_ALLOWED)
 
 
+def function_imports(source: str) -> list[str]:
+    """Functions of `source` that import a module of the package, by a
+    relative import or by the name `conic_approx`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.ImportFrom) and (
+                inner.level or (inner.module or "").split(".")[0] == "conic_approx"
+            ) or isinstance(inner, ast.Import) and any(
+                alias.name.split(".")[0] == "conic_approx" for alias in inner.names
+            ):
+                found.add(node.name)
+    return sorted(found)
+
+
+def test_the_check_finds_every_function_import():
+    source = (
+        "from . import arith\n"
+        "def relative(seq):\n"
+        "    from .extremal import extend\n"
+        "def parent():\n"
+        "    from .. import other\n"
+        "def absolute():\n"
+        "    import conic_approx.cli\n"
+        "def named():\n"
+        "    from conic_approx import formats\n"
+        "def stdlib():\n"
+        "    import json\n"
+        "    from os import path\n"
+    )
+    assert function_imports(source) == ["absolute", "named", "parent", "relative"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_imports_a_module_of_the_package(path):
+    # every import of the package sits at the top of its module, so the
+    # module graph is the one its first lines state
+    assert function_imports(path.read_text()) == []
+
+
 def proved_uses(source: str) -> list[int]:
     """Lines of `source` that read or assign an attribute `proved` or pass a
     keyword argument `proved=`."""
@@ -105,7 +149,7 @@ def proved_uses(source: str) -> list[int]:
 
 
 def test_the_check_finds_every_use_of_proved():
-    source = "w.proved = 1\nx = w.proved\nWindow(f, ys, ts, d, 2, proved=3)\nproved = 4\n"
+    source = "w.proved = 1\nx = w.proved\nWindow(seq, 2, proved=3)\nproved = 4\n"
     assert proved_uses(source) == [1, 2, 3]
 
 

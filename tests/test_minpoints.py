@@ -13,12 +13,12 @@ from conic_approx.extremal import extend, seed_triple
 from conic_approx.limit import limit_point
 from conic_approx.minpoints import (
     _abs_interval,
+    _record,
     _scaled_enclosure,
     _scan,
     enumerate_minimal,
     estimate_lambda,
     independence_indices,
-    integer_multiple_of,
     records_from_sequence,
     rigidity_check,
 )
@@ -29,7 +29,7 @@ from conic_approx.numerics import (
     height_precision,
     nearest_integer,
 )
-from conic_approx.quadform import TernaryQuadraticForm, det3, max_norm
+from conic_approx.quadform import TernaryQuadraticForm, cross, det3, max_norm, psi
 from conic_approx.targets import (
     DependentTargetError,
     ExtremalTarget,
@@ -101,7 +101,7 @@ def reference_scan(target, xmax, p, *, skip):
 
     Without `skip` every x0 is rounded and compared.  With it, x0 is skipped
     when x0*a1lo mod 2**p lies in [best_hi + slack, 2**p - 1 - best_hi - slack],
-    tested directly on that residue.  Returns ((records, p) or None, the x0
+    tested directly on that residue.  Returns (records or None, the x0
     rounded in order, up to the end of the pass or the undecided x0).
     """
     (a1lo, a1hi), (a2lo, a2hi) = _scaled_enclosure(target, p)
@@ -127,10 +127,10 @@ def reference_scan(target, xmax, p, *, skip):
         li = (max(e1i[0], e2i[0]), max(e1i[1], e2i[1]))
         if best is None or li[1] < best[0]:
             best = li
-            records.append((x0, n1, n2, li, d1, d2))
+            records.append(_record((x0, n1, n2), d1, d2, p))
         elif li[0] < best[1]:
             return None, visited
-    return (records, p), visited
+    return records, visited
 
 
 def unfiltered_scan(target, xmax, p):
@@ -187,7 +187,7 @@ class TestPrefilter:
                 else:
                     undecided += 1
                     if got is not None:
-                        assert [r[:3] for r in got[0]] == exact
+                        assert [r.x for r in got] == exact
             assert [r.x for r in enumerate_minimal(target, xmax, bits=24)] == exact
         assert undecided >= len(PREFILTER_TARGETS)
 
@@ -272,7 +272,7 @@ def exact_records(target, xmax):
     p = height_precision(xmax, 96)
     while (out := unfiltered_scan(target, xmax, p)) is None:
         p *= 2
-    return [r[:3] for r in out[0]]
+    return [r.x for r in out]
 
 
 def rounded_x0(monkeypatch, target, xmax, p):
@@ -309,8 +309,8 @@ class TestRebasedSkip:
         if want is not None:
             assert got == want
         elif got is not None:
-            assert got[1] == p
-            assert [r[:3] for r in got[0]] == exact_records(target, xmax)
+            assert all(r.L.precision == p for r in got)
+            assert [r.x for r in got] == exact_records(target, xmax)
 
     @pytest.mark.parametrize("target", FAKE_TARGETS, ids=repr)
     def test_fake_targets_get_their_exact_records(self, target):
@@ -332,7 +332,7 @@ class TestRebasedSkip:
             p = height_precision(xmax, 96)
             got = _scan(target, xmax, p)
             assert got == unfiltered_scan(target, xmax, p)
-            assert got[0][0][0] == 1 and got[0][-1][0] == xmax
+            assert got[0].X == 1 and got[-1].X == xmax
 
     def test_empty_window_skips_nothing(self, monkeypatch):
         # at 12 bits slack = xmax + 1 > 2**11, so span < 0 after every record
@@ -453,30 +453,31 @@ class TestHeightPrecision:
 
         def first_pass(target, xmax, p):
             passes.append(p)
-            return [], p
+            return []
 
         monkeypatch.setattr(minpoints, "_scan", first_pass)
         assert enumerate_minimal(SqrtPairTarget(2, 3), xmax) == []
         assert passes == [bits]
 
     def test_records_from_sequence_at_criterion_4_height(self, monkeypatch):
-        target = ExtremalTarget(2, 3)
         requests = []
+        original = ExtremalTarget.enclosure
 
-        def enclosure(bits):
+        def enclosure(target, bits):
             requests.append(bits)
-            return ExtremalTarget.enclosure(target, bits)
+            return original(target, bits)
 
-        monkeypatch.setattr(target, "enclosure", enclosure)
-        records_from_sequence(seed_triple(2, 3), target, 10**50)
+        monkeypatch.setattr(ExtremalTarget, "enclosure", enclosure)
+        records_from_sequence(ExtremalTarget(2, 3), 10**50)
         assert requests == [512]
 
     @pytest.mark.parametrize("b,c", [(2, 3), (3, 11)])
     def test_last_member_at_the_cap_keeps_a_tight_l(self, b, c):
         # members have L about X**-1, so the rule needs its full 2 bits(X):
         # 1.6 bits(X) + 64 would leave this L's enclosure containing 0
-        seq = extend(seed_triple(b, c), 10)
-        records, _ = records_from_sequence(seq, ExtremalTarget(b, c), max_norm(seq.y(10)))
+        target = ExtremalTarget(b, c)
+        seq = extend(target.sequence, 10)
+        records, _ = records_from_sequence(target, max_norm(seq.y(10)))
         assert records[-1].x == seq.y(10)
         lo, hi = (e.as_fraction() for e in (records[-1].L.lo, records[-1].L.hi))
         assert lo > 0 and (hi - lo) / lo < Fraction(1, 2**32)
@@ -519,15 +520,14 @@ class TestExponentReport:
             estimate_lambda(recs, next_X=next_x)
 
     def test_records_from_sequence_heights(self):
-        seq = seed_triple(2, 3)
-        recs, next_x = records_from_sequence(seq, ExtremalTarget(2, 3), 10**20)
+        recs, next_x = records_from_sequence(ExtremalTarget(2, 3), 10**20)
         assert [r.x for r in recs[:3]] == [(1, 0, 0), (3, 2, 0), (198, 140, 1)]
         assert next_x > recs[-1].X
         rep = estimate_lambda(recs, next_X=next_x)
         assert len(rep.lambda_hats) == len(recs)
 
     def test_records_from_sequence_equal_the_scan_records(self):
-        recs, _ = records_from_sequence(seed_triple(2, 3), ExtremalTarget(2, 3), 10**5)
+        recs, _ = records_from_sequence(ExtremalTarget(2, 3), 10**5)
         scanned = {r.x: r for r in enumerate_minimal(ExtremalTarget(2, 3), 10**5, bits=512)}
         shared = [r for r in recs if r.x in scanned]
         assert len(shared) == 3
@@ -535,8 +535,7 @@ class TestExponentReport:
             assert r == scanned[r.x]
 
     def test_records_from_sequence_at_height_1e200(self):
-        seq = seed_triple(2, 3)
-        recs, next_x = records_from_sequence(seq, ExtremalTarget(2, 3), 10**200)
+        recs, next_x = records_from_sequence(ExtremalTarget(2, 3), 10**200)
         assert all(r.L.lo.man > 0 for r in recs)
         rep = estimate_lambda(recs, next_X=next_x)
         assert 0 < rep.summary < 1
@@ -561,6 +560,19 @@ class TestIndependence:
             assert d <= bound
 
 
+def integer_multiple_of(w, y) -> int | None:
+    """k with w == k * y, or None: the oracle of `rigidity_check`'s test."""
+    if any(cross(w, y)):
+        return None
+    for a, b in zip(w, y):
+        if b != 0:
+            if a % b:
+                return None
+            k = a // b
+            return k if all(x == k * z for x, z in zip(w, y)) else None
+    return None
+
+
 class TestRigidity:
     def test_insufficient_data(self):
         recs = enumerate_minimal(SqrtPairTarget(2, 3), 50)
@@ -572,6 +584,31 @@ class TestRigidity:
         assert integer_multiple_of((6, 9, 12), (2, 3, 4)) == 3
         assert integer_multiple_of((6, 9, 13), (2, 3, 4)) is None
         assert integer_multiple_of((3, 3, 4), (2, 3, 4)) is None
+
+    def test_verdicts_equal_the_integer_multiple_oracle(self):
+        # records are primitive, so psi(y_k, y_{k-2}) parallel to y_{k+1} is
+        # an integer multiple of it; the scan records at 1e6 give failures,
+        # the members restated as records pass every check
+        cases = [
+            (target.sequence.form, enumerate_minimal(target, 10**6)) for target in EXTREMAL_POOL
+        ] + [
+            (target.sequence.form, records_from_sequence(target, 10**100)[0])
+            for target in EXTREMAL_POOL
+        ] + [
+            (TernaryQuadraticForm(1, -a, -b), enumerate_minimal(SqrtPairTarget(a, b), 10**5))
+            for a, b in ((2, 3), (5, 7), (11, 13))
+        ]
+        seen = set()
+        for phi, recs in cases:
+            rep = rigidity_check(phi, recs)
+            ys = [recs[i].x for i in rep.independence_set]
+            want = [
+                (k, integer_multiple_of(psi(phi, ys[k], ys[k - 2]), ys[k + 1]) is not None)
+                for k in range(2, len(ys) - 1)
+            ]
+            assert rep.checks == want
+            seen |= {ok for _, ok in want}
+        assert seen == {True, False}
 
     def test_control_target_shows_failures(self):
         recs = enumerate_minimal(SqrtPairTarget(2, 3), 10**5)

@@ -23,6 +23,7 @@ from conic_approx.quadform import (
     diagonalize,
     kernel,
     mat_det,
+    primitive,
     psi,
     rational_zero,
     reduce_form,
@@ -185,6 +186,32 @@ class TestKernel:
             assert all(f.bilinear(v, e) == 0 for e in STD)
         if len(ker) == 2:
             assert any(cross(*ker))
+
+    @given(any_rank_form)
+    @settings(max_examples=300)
+    def test_equals_the_gram_row_kernel(self, f):
+        assert kernel(f) == gram_row_kernel(f)
+
+
+def gram_row_kernel(phi: TernaryQuadraticForm) -> list:
+    """The radical from the Gram rows g_i, the oracle for `kernel`: none at
+    rank 3, the cross product of two independent rows at rank 2, and at rank
+    1, with g a non-zero row and p its first non-zero column,
+    g_p e_f - g_f e_p for each other column f."""
+    if phi.gram_det:
+        return []
+    g = phi.gram()
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        w = cross(g[i], g[j])
+        if any(w):
+            return [primitive(w)]
+    row = next(r for r in g if any(r))
+    p = next(k for k in range(3) if row[k])
+    return [
+        primitive([row[p] * (k == f) - row[f] * (k == p) for k in range(3)])
+        for f in range(3)
+        if f != p
+    ]
 
 
 class TestOrthogonalLine:

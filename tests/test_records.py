@@ -1,6 +1,6 @@
 """The package's records are plain classes with value semantics: equality and
-repr over their fields, frozen records hashable and read-only, and the three
-mutable records (`ExtremalSequence`, `Window`, `ExtremalTarget`) unhashable."""
+repr over their fields, frozen records hashable and read-only, and the two
+mutable records (`ExtremalSequence`, `ExtremalTarget`) unhashable."""
 import copy
 import pickle
 from fractions import Fraction
@@ -54,12 +54,8 @@ FROZEN = {
 HOLDS_LISTS = {"ExponentReport", "RigidityReport"}
 MUTABLE = {
     "ExtremalSequence": (
-        lambda: ExtremalSequence(FORM),
-        lambda: ExtremalSequence(FORM, det0=1),
-    ),
-    "Window": (
-        lambda: Window(FORM, [(1, 0, 0)], [6], 1, 1),
-        lambda: Window(FORM, [(1, 0, 0)], [6], 1, 1, proved=1),
+        lambda: ExtremalSequence(FORM, [], [], 0),
+        lambda: ExtremalSequence(FORM, [], [], 1),
     ),
     "ExtremalTarget": (lambda: ExtremalTarget(2, 3), lambda: ExtremalTarget(2, 5)),
 }
@@ -141,39 +137,34 @@ class TestReprs:
 class TestDefaults:
     def test_form_coefficients_default_to_zero(self):
         assert FORM == TernaryQuadraticForm(1, -2, -3, 0, 0, 0)
-        assert TernaryQuadraticForm(a00=1, a11=-2, a22=-3, a12=4).coeffs() == (1, -2, -3, 0, 0, 4)
+        form = TernaryQuadraticForm(a00=1, a11=-2, a22=-3, a12=4)
+        assert (form.a01, form.a02, form.a12) == (0, 0, 4)
 
     def test_reduction_b_and_c_default_to_zero(self):
         red = CanonicalReduction("parabola", IDENTITY, Fraction(-1))
         assert (red.b, red.c) == (0, 0)
 
-    def test_each_sequence_gets_its_own_lists(self):
-        a = ExtremalSequence(FORM)
-        b = ExtremalSequence(FORM)
-        a.ys.append((1, 0, 0))
-        assert (a.ys, a.ts, a.det0) == ([(1, 0, 0)], [], 0) and b.ys == []
-
     def test_window_starts_unproved(self):
-        assert Window(FORM, [], [], 1, 1).proved == 0
+        assert Window(ExtremalSequence(FORM, [], [], 1), 1).proved == 0
 
 
 class TestInstanceDict:
-    """Records with a cached property, or a method a test may replace on one
-    instance, keep a `__dict__`; the others have only their slots."""
+    """Records with a cached property, and the plain `Window`, keep a
+    `__dict__`; the others have only their slots."""
 
     def test_cached_properties_are_computed_once(self):
         form = TernaryQuadraticForm(1, -2, -3)
         assert "gram_det" not in form.__dict__
         assert form.gram_det == 48 == form.__dict__["gram_det"]
         seq = seed_triple(2, 3)
-        window = Window(seq.form, seq.ys, seq.ts, seq.det0, 2)
+        window = Window(seq, 2)
         assert window.t_product == seq.t(1) * seq.t(0) == window.__dict__["t_product"]
 
-    def test_a_method_can_be_replaced_on_one_target(self):
+    def test_a_target_has_only_its_slots(self):
         target = ExtremalTarget(2, 3)
-        target.enclosure = lambda bits: (HALF, HALF)
-        assert target.enclosure(8) == (HALF, HALF)
-        assert ExtremalTarget(2, 3).enclosure(8) != (HALF, HALF)
+        assert not hasattr(target, "__dict__")
+        with pytest.raises(AttributeError):
+            target.enclosure = lambda bits: (HALF, HALF)
 
     @pytest.mark.parametrize("name", ["Dyadic", "CertifiedReal", "MinimalPointRecord"])
     def test_records_built_most_often_have_no_dict(self, name):
