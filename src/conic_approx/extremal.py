@@ -21,6 +21,7 @@ import signal
 import struct
 import threading
 from collections.abc import Callable, Iterator, Sequence
+from functools import cached_property
 
 from .pell import fundamental_solution, find_seed_pair
 from .quadform import (
@@ -120,23 +121,6 @@ def pell_seed(seq: ExtremalSequence) -> tuple[int, int, int, int, int, int]:
 # the identity tables, walked by `seed_triple`, `extend` and `cli verify`
 # ---------------------------------------------------------------------------
 
-class _cached:
-    """`functools.cached_property` without the lock that CPython 3.11 takes
-    on each first read, about 0.6 us, paid twice per index: the first read
-    stores the value in the instance `__dict__`, where later reads find it
-    first.  A `Window` is read by one thread."""
-
-    def __init__(self, func: Callable) -> None:
-        self.func, self.name = func, func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class Window:
     """The view of a sequence that the identities at index i read: its
     `form`, `y`, `t` and `det0`, bound when the window is made.
@@ -149,6 +133,8 @@ class Window:
     every entry before it held.  `_first_failure`, the one loop over
     `IDENTITIES`, is the only place that sets `proved`; `extend` reports only
     the first failure, and `verdicts` walks on past it with `proved` at 0.
+    `t_product` and `t_y` are each computed at their first read and kept in
+    the window's `__dict__`, by `functools.cached_property`.
     """
 
     def __init__(self, seq: ExtremalSequence, i: int, proved: int = 0) -> None:
@@ -156,13 +142,13 @@ class Window:
         self.i = i
         self.proved = proved
 
-    @_cached
+    @cached_property
     def t_product(self) -> int:
         """P = t_{i-1} * t_{i-2}, shared by the t recurrence and the double
         inequality on t."""
         return arith.mul(self.t(self.i - 1), self.t(self.i - 2))
 
-    @_cached
+    @cached_property
     def t_y(self) -> Vec3:
         """t_{i-1} * y_{i-1}, coordinate by coordinate, shared by the reflection
         entry and the double inequality on norms.  These are the products the

@@ -79,9 +79,6 @@ class Dyadic(FrozenRecord):
         e = min(self.exp, other.exp)
         return Dyadic.make((self.man << (self.exp - e)) + (other.man << (other.exp - e)), e)
 
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.man, self.exp) if self.man else self
-
     def mul_int(self, k: int) -> "Dyadic":
         return Dyadic.make(self.man * k, self.exp)
 
@@ -205,6 +202,3 @@ class CertifiedReal(FrozenRecord):
     def from_scaled(lo: int, hi: int, p: int) -> "CertifiedReal":
         """[lo, hi] * 2**-p at precision p."""
         return CertifiedReal(Dyadic.make(lo, -p), Dyadic.make(hi, -p), p)
-
-    def __neg__(self) -> "CertifiedReal":
-        return CertifiedReal(-self.hi, -self.lo, self.precision)

@@ -5,7 +5,9 @@ generate them at import: generating them, and importing the modules that do
 it (`inspect` among them), cost about a third of the package's import.  A record
 lists its fields in `__slots__`, plus `"__dict__"` where
 `functools.cached_property` or a per-instance attribute needs one, and writes
-its own `__init__`.
+its own `__init__`.  Equality, hash, repr and `FrozenRecord.__reduce__` read
+the one field list `_fields`: the slots without `__dict__`, unless the class
+names fewer.
 """
 from __future__ import annotations
 
@@ -16,9 +18,8 @@ set_field = object.__setattr__  # how a FrozenRecord's __init__ sets its fields
 
 
 class Record:
-    """Equality over the fields, in `__slots__` order, between records of the
-    same class, and a repr naming them (only those in `_repr_fields`, where a
-    class sets it).  A `Record` is mutable and so unhashable; see
+    """Equality over `_fields`, in order, between records of the same class,
+    and a repr naming them.  A `Record` is mutable and so unhashable; see
     `FrozenRecord`.  Every record has at least two fields, so `_values`
     returns a tuple."""
 
@@ -26,10 +27,11 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        fields = tuple(name for name in cls.__dict__.get("__slots__", ()) if name != "__dict__")
+        fields = cls.__dict__.get("_fields") or tuple(
+            name for name in cls.__dict__.get("__slots__", ()) if name != "__dict__"
+        )
         if fields:  # FrozenRecord itself has none
-            cls._values = attrgetter(*fields)
-            cls._repr_fields = cls.__dict__.get("_repr_fields", fields)
+            cls._fields, cls._values = fields, attrgetter(*fields)
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
@@ -39,7 +41,7 @@ class Record:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
 

@@ -60,10 +60,10 @@ class ExtremalTarget(Record):
     """Limit point of the seeded sequence on x0^2 - b*x1^2 - c*x2^2 = 1.
 
     `_seq` and `_limit` cache the sequence and the tightest enclosure so far;
-    the repr leaves them out."""
+    equality and the repr leave them out."""
 
     __slots__ = ("b", "c", "_seq", "_limit")
-    _repr_fields = ("b", "c")
+    _fields = ("b", "c")
 
     def __init__(self, b: int, c: int) -> None:
         self.b = b

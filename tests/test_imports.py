@@ -9,7 +9,8 @@ and the scripts.  `formats` owns every file format of the CLI: only it
 imports `json` or opens a file, no module or script decodes JSON
 but through its one decoder or writes JSON or CSV but through it, and `cli`
 names no key of a format.  Only `extremal.seed_triple` and `cli.cmd_verify`
-build the diagonal form of a pair (b, c)."""
+build the diagonal form of a pair (b, c).  No class of the package defines
+`__get__`: per-instance caches are `functools.cached_property`."""
 import ast
 import json
 import subprocess
@@ -528,3 +529,37 @@ def test_only_the_seed_and_verify_build_the_diagonal_form():
         for owner in diagonal_forms(path.read_text())
     ]
     assert sorted(found) == ["cli.cmd_verify", "extremal.seed_triple"]
+
+
+def descriptor_classes(source: str) -> list[str]:
+    """Classes of `source` that define `__get__`, and so make a descriptor."""
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == "__get__"
+            for item in node.body
+        )
+    )
+
+
+def test_the_check_finds_every_descriptor():
+    source = (
+        "class cached:\n"
+        "    def __init__(self, func): ...\n"
+        "    def __get__(self, obj, cls=None): ...\n"
+        "class Outer:\n"
+        "    class inner:\n"
+        "        def __get__(self, obj, cls=None): ...\n"
+        "    def get(self): ...\n"
+        "def __get__(obj): ...\n"
+    )
+    assert descriptor_classes(source) == ["cached", "inner"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_class_of_the_package_is_a_descriptor(path):
+    # one per-instance cache: `functools.cached_property`, as on
+    # `TernaryQuadraticForm.gram_det` and `Window.t_product`
+    assert descriptor_classes(path.read_text()) == []

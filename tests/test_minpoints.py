@@ -206,7 +206,8 @@ class ShiftedTarget:
     def enclosure(self, bits):
         e1, e2 = self.inner.enclosure(bits)
         if self.sign < 0:
-            e1 = -e1
+            lo, hi = e1.lo, e1.hi
+            e1 = CertifiedReal(Dyadic(-hi.man, hi.exp), Dyadic(-lo.man, lo.exp), e1.precision)
         m = Dyadic.make(self.shift)
         return CertifiedReal(e1.lo + m, e1.hi + m, e1.precision), e2
 

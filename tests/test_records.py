@@ -17,6 +17,7 @@ from conic_approx.targets import ExtremalTarget, SqrtPairTarget
 
 FORM = TernaryQuadraticForm(1, -2, -3)
 HALF = CertifiedReal(Dyadic(1, -1), Dyadic(1, -1), 1)
+MINUS_HALF = CertifiedReal(Dyadic(-1, -1), Dyadic(-1, -1), 1)
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 # each frozen record twice from equal fields, and once with one field changed
@@ -34,11 +35,11 @@ FROZEN = {
     ),
     "CertifiedVec3": (
         lambda: CertifiedVec3(HALF, HALF, HALF),
-        lambda: CertifiedVec3(HALF, HALF, -HALF),
+        lambda: CertifiedVec3(HALF, HALF, MINUS_HALF),
     ),
     "MinimalPointRecord": (
         lambda: MinimalPointRecord((1, 1, 2), 1, HALF),
-        lambda: MinimalPointRecord((1, 1, 2), 1, -HALF),
+        lambda: MinimalPointRecord((1, 1, 2), 1, MINUS_HALF),
     ),
     "SqrtPairTarget": (lambda: SqrtPairTarget(2, 3), lambda: SqrtPairTarget(2, 5)),
     "ExponentReport": (
@@ -165,6 +166,13 @@ class TestInstanceDict:
         assert not hasattr(target, "__dict__")
         with pytest.raises(AttributeError):
             target.enclosure = lambda bits: (HALF, HALF)
+
+    def test_a_target_equals_a_fresh_one_whatever_it_cached(self):
+        # equality and the repr read `_fields`, not the caches `_seq` and `_limit`
+        target = ExtremalTarget(2, 3)
+        target.limit(64)
+        assert target == ExtremalTarget(2, 3) and not target != ExtremalTarget(2, 3)
+        assert repr(target) == "ExtremalTarget(b=2, c=3)"
 
     @pytest.mark.parametrize("name", ["Dyadic", "CertifiedReal", "MinimalPointRecord"])
     def test_records_built_most_often_have_no_dict(self, name):
