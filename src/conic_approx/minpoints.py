@@ -20,23 +20,28 @@ without the skip, except that an x0 whose rounding is ambiguous at the current
 precision, but which is certifiably far from the record, no longer forces a
 precision doubling.
 
-The skip test is re-based so that it is one mask and one comparison.  With
-base = best_hi + slack and span = 2**p - 1 - 2*base, r lies in the window
-exactly when (r - base) mod 2**p <= span; a negative span (before the first
-record, or when the window is empty) skips nothing.  The scan runs through the
-sums u = x0*step - base, made by `itertools.accumulate` in C, where
-step = (a1lo mod 2**p) + 2**p has the residues of a1lo mod 2**p, so
-u & mask = (r - base) mod 2**p, and is positive whatever the target's
-enclosure, so x0 = (u + base) // step is exact.  x0 is not carried beside the
-sums, which would cost a Python-level step per x0 again: that division
-recovers it only for the few x0 that pass the test (0.1-0.4 % at Xmax 2.6e5).
-The sums restart from the next x0 at each new record, when base and span
-change.
+The skip test is re-based, then run on a block of K = BLOCK_LANES
+consecutive x0 at once.  With base = best_hi + slack and
+span = 2**p - 1 - 2*base, r lies in the window exactly when
+(r - base) mod 2**p <= span; a negative span (before the first record, or
+when the window is empty) skips nothing.  One int U (`packed` in `_scan`)
+holds the re-based residues of a block, one per lane of p + 1 bits whose top
+bit, the guard, is clear.  As span >= 0 means 2*base < 2**p, a residue plus
+2*base carries into the guard of its lane, and never past it, exactly when
+the residue exceeds span, so the whole block is skipped exactly when
+(U + 2*base*ones) & guards == 0, where ones has a 1 at the foot of each lane.
+The next block is U = (U + kstep) & lanes, with
+kstep = ((K*a1lo) mod 2**p)*ones and lanes the mask of every lane's residue
+bits: one add and one guard-bit test, then one add and one mask, per K x0.
+At a new record U is re-based on the next x0 with a fixed number of big-int
+operations, from the residues j*a1lo mod 2**p of the lanes, packed once per
+pass.  The per-x0 test and body run, in order, on a block with a kept lane,
+on the tail of fewer than K x0 and while span < 0, so the x0 rounded, the
+records and the precision passes are those of the per-x0 test alone.
 """
 from __future__ import annotations
 
 import math
-from itertools import accumulate, repeat
 
 from .extremal import extend
 from .numerics import (
@@ -102,6 +107,16 @@ class RigidityReport(FrozenRecord):
 # enumeration
 # ---------------------------------------------------------------------------
 
+# x0 per block of the scan's skip test.  A wider block skips faster, but the
+# benchmark's harness keeps about 0.44 KiB per `scan` operation, so its
+# peak_rss_mib grows with throughput; this kernel's budget there is +7 % over
+# the per-x0 test's.  On 35 s `scan` runs (2-core x86_64, Python 3.11.7),
+# 4 lanes read 1.62x its ops_per_s and +6.1 % its peak_rss_mib (medians of
+# 10 pairs); 5 lanes read 1.8-1.9x and +4.0 to +9.1 % (median +7.2 %, 6
+# pairs); 6 and 8 lanes +6.8 to +7.5 % and +8.9 to +9.6 % (one seed).
+BLOCK_LANES = 4
+
+
 def _abs_interval(lo: int, hi: int) -> tuple[int, int]:
     if lo >= 0:
         return lo, hi
@@ -135,19 +150,33 @@ def _scan(target: Target, xmax: int, p: int) -> list[MinimalPointRecord] | None:
     """One pass at fixed precision; returns the records, or None when undecided."""
     (a1lo, a1hi), (a2lo, a2hi) = _scaled_enclosure(target, p)
     mask = (1 << p) - 1
-    step = (a1lo & mask) + (1 << p)  # a1lo's residues mod 2**p, and positive
+    width = p + 1  # a lane: a residue below 2**p and its guard bit
+    ones = ((1 << BLOCK_LANES * width) - 1) // ((1 << width) - 1)  # a 1 at the foot of each lane
+    lanes, guards = mask * ones, ones << p
+    offsets = sum((j * a1lo & mask) << j * width for j in range(BLOCK_LANES))
+    kstep = (BLOCK_LANES * a1lo & mask) * ones
     slack = xmax * (a1hi - a1lo) + 1
     records = []
     best: tuple[int, int] | None = None  # scaled (lo, hi) of the current record L
     base, span = 0, -1  # the skip window, re-based to [0, span]; empty until the first record
     x0 = 1
     while x0 <= xmax:
-        for u in accumulate(repeat(step, xmax - x0), initial=x0 * step - base):
-            if u & mask <= span:
-                continue  # |x0*xi1 - x1| > L_best for every x1
-            x0 = (u + base) // step
-            v1lo, v1hi = x0 * a1lo, x0 * a1hi
-            v2lo, v2hi = x0 * a2lo, x0 * a2hi
+        stop = xmax + 1  # the per-x0 body runs on x0 .. stop - 1
+        if span >= 0:
+            tail = stop - (stop - x0) % BLOCK_LANES  # the first x0 past the whole blocks
+            for x0 in range(x0, tail, BLOCK_LANES):
+                if (packed + lift) & guards:
+                    stop = x0 + BLOCK_LANES  # a kept lane
+                    break
+                packed = (packed + kstep) & lanes  # |x*xi1 - x1| > L_best on the whole block
+            else:
+                x0 = tail
+        for x in range(x0, stop):
+            v1lo = x * a1lo
+            if (v1lo - base) & mask <= span:
+                continue  # |x*xi1 - x1| > L_best for every x1
+            v1hi = x * a1hi
+            v2lo, v2hi = x * a2lo, x * a2hi
             n1 = nearest_integer(v1lo, v1hi, p)
             n2 = nearest_integer(v2lo, v2hi, p)
             if n1 is None or n2 is None:
@@ -159,15 +188,19 @@ def _scan(target: Target, xmax: int, p: int) -> list[MinimalPointRecord] | None:
             li = (max(e1i[0], e2i[0]), max(e1i[1], e2i[1]))
             if best is None or li[1] < best[0]:
                 best = li
-                records.append(_record((x0, n1, n2), d1, d2, p))
+                records.append(_record((x, n1, n2), d1, d2, p))
                 base = best[1] + slack
                 span = mask - 2 * base
-                break  # restart the sums from x0 + 1 on the new window
+                break
             elif li[0] < best[1]:
                 return None  # overlap with the current record: undecided
         else:
-            break
-        x0 += 1
+            packed = (packed + kstep) & lanes  # no record: on to the next block
+            x0 = stop
+            continue
+        x0 = x + 1  # re-base the block on the new window
+        packed = (offsets + ((x0 * a1lo - base) & mask) * ones) & lanes
+        lift = 2 * base * ones  # carries a residue into its guard exactly when it exceeds span
     return records
 
 

@@ -1129,6 +1129,15 @@ class TestEnumerate:
         assert capsys.readouterr().err.startswith("precision cap: ")
         assert not (tmp_path / "records.csv").exists()
 
+    def test_xmax_past_a_c_ssize_t_reaches_the_cap(self, tmp_path, capsys, monkeypatch):
+        # 1e20 > 2**63: the scan hands no count of that size to a C routine,
+        # so the passes at 8 and 16 bits run until they are undecided
+        monkeypatch.setenv("CONIC_APPROX_MAX_BITS", "16")
+        argv = ["enumerate", "--sqrt", "2,3", "--xmax", str(10**20), "--precision", "8"]
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err == "precision cap: minimal-point scan undecided at 16 bits\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("precision", ["0", "-3"])
     def test_precision_below_one_is_input_error(self, tmp_path, capsys, precision):
         argv = ["enumerate", "--sqrt", "2,3", "--xmax", "10", "--precision", precision]

@@ -10,7 +10,9 @@ imports `json` or opens a file, no module or script decodes JSON
 but through its one decoder or writes JSON or CSV but through it, and `cli`
 names no key of a format.  Only `extremal.seed_triple` and `cli.cmd_verify`
 build the diagonal form of a pair (b, c).  No class of the package defines
-`__get__`: per-instance caches are `functools.cached_property`."""
+`__get__`: per-instance caches are `functools.cached_property`.  The search
+path, from `enumerate_minimal` down to `nearest_integer`, calls no `float`,
+`math.log` or `math.exp` and divides with no `/`."""
 import ast
 import json
 import subprocess
@@ -563,3 +565,60 @@ def test_no_class_of_the_package_is_a_descriptor(path):
     # one per-instance cache: `functools.cached_property`, as on
     # `TernaryQuadraticForm.gram_det` and `Window.t_product`
     assert descriptor_classes(path.read_text()) == []
+
+
+# the minimal-point search: every skip, rounding and record comparison is
+# decided on integers
+FLOAT_FREE = {
+    "minpoints.py": ["_scan", "_record", "_scaled_enclosure", "enumerate_minimal"],
+    "numerics.py": ["nearest_integer"],
+}
+
+
+def float_uses(source: str, functions: list[str]) -> dict[str, list[int]]:
+    """For each of `functions` defined at the top level of `source`, the lines
+    of its body that call `float`, name `math.log` or `math.exp`, or divide
+    with `/` or `/=`."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in functions:
+            found[node.name] = sorted(
+                inner.lineno
+                for inner in ast.walk(node)
+                if isinstance(inner, ast.Call)
+                and isinstance(inner.func, ast.Name)
+                and inner.func.id == "float"
+                or isinstance(inner, ast.Attribute)
+                and inner.attr in ("log", "exp")
+                and isinstance(inner.value, ast.Name)
+                and inner.value.id == "math"
+                or isinstance(inner, (ast.BinOp, ast.AugAssign))
+                and isinstance(inner.op, ast.Div)
+            )
+    return found
+
+
+def test_the_check_finds_every_float():
+    source = (
+        "import math\n"
+        "def cast(x):\n"
+        "    return float(x)\n"
+        "def logs(x):\n"
+        "    y = math.log(x)\n"
+        "    y += math.exp(x)\n"
+        "    y /= 2\n"
+        "    return y, x / 2\n"
+        "def exact(x):\n"
+        "    return x // 2, x.log(), x >> 1, divmod(x, 3)\n"
+        "def unnamed(x):\n"
+        "    return x / 2\n"
+    )
+    assert float_uses(source, ["cast", "logs", "exact"]) == {
+        "cast": [3], "logs": [5, 6, 7, 8], "exact": []
+    }
+
+
+@pytest.mark.parametrize("module", sorted(FLOAT_FREE))
+def test_the_search_path_is_float_free(module):
+    functions = FLOAT_FREE[module]
+    assert float_uses((PACKAGE / module).read_text(), functions) == {f: [] for f in functions}

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conic_approx import minpoints, targets
@@ -290,11 +290,26 @@ def rounded_x0(monkeypatch, target, xmax, p):
     return [v // a1lo for v in calls[::2]], out  # each x0 rounds x0*a1lo, then x0*a2lo
 
 
-class TestRebasedSkip:
-    """`_scan` runs its skip test on the re-based sums u = x0*step - base; these
-    compare it with the scans written from their definitions."""
+@pytest.fixture(params=sorted({1, 2, 3, minpoints.BLOCK_LANES}), ids=lambda k: f"lanes{k}")
+def block_lanes(monkeypatch, request):
+    """`minpoints.BLOCK_LANES`, which `_scan` reads, at 1, 2 and 3 lanes and
+    at the module's own width, so that blocks end on short scans, records
+    and the tail."""
+    monkeypatch.setattr(minpoints, "BLOCK_LANES", request.param)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+
+@pytest.mark.usefixtures("block_lanes")
+class TestRebasedSkip:
+    """`_scan` skips x0 a block at a time, on residues re-based at each record
+    and packed one lane per x0; these compare it with the scans written from
+    their definitions."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(
         target=SCAN_TARGETS,
         xmax=st.integers(1, 3000),
@@ -303,6 +318,11 @@ class TestRebasedSkip:
     @example(target=SqrtPairTarget(2, 3), xmax=1, p=None)
     @example(target=IntegerXi1Target(0, SqrtPairTarget(2, 3)), xmax=3000, p=None)
     @example(target=ShiftedTarget(SqrtPairTarget(2, 3), -1, 0), xmax=3000, p=20)
+    @example(target=SqrtPairTarget(2, 3), xmax=2, p=None)  # fewer x0 than lanes
+    @example(target=SqrtPairTarget(5, 7), xmax=2941, p=None)  # 1 mod 2, 3, 4, 5 and 6
+    # the record at 34 follows the one at 22: on the last lane of a block at
+    # 1, 2 and 3 lanes, and the block ends at xmax
+    @example(target=SqrtPairTarget(2, 3), xmax=34, p=None)
     def test_equals_unfiltered_scan_where_it_decides(self, target, xmax, p):
         p = p or height_precision(xmax, 96)
         want = unfiltered_scan(target, xmax, p)
@@ -348,6 +368,7 @@ class TestRebasedSkip:
         assert visited == want_visited == list(range(1, len(visited) + 1))
 
 
+@pytest.mark.usefixtures("block_lanes")
 class TestSameCandidates:
     """`_scan` rounds exactly the x0 that the skip test on x0*a1lo mod 2**p keeps."""
 
