@@ -190,7 +190,7 @@ def _target_from_args(args):
     if args.xi is not None:
         try:
             b, c, precision, claimed = formats.load_xi(formats.read_text(args.xi), f"--xi {args.xi}")
-        except (OSError, ValueError, RecursionError) as exc:
+        except (OSError, ValueError) as exc:
             raise InputError(exc) from None
         return ExtremalTarget(b, c), (precision, claimed)
     if args.sqrt is not None:

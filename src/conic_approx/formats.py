@@ -2,7 +2,8 @@
 it, one reader; README's "File formats" table lists their keys.  Every input
 is decoded by `_decode` and read field by field by `read_field`, and every
 JSON text is written by `_dump`, with sorted keys.  A reader raises
-ValueError, or RecursionError on JSON nested too deep."""
+ValueError, or RecursionError on JSON nested too deep (`load_xi` raises a
+ValueError for that too)."""
 from __future__ import annotations
 
 import csv
@@ -229,8 +230,12 @@ def _claimed(x, key: str) -> CertifiedReal:
 
 def load_xi(text: str, source: str) -> tuple[int, int, int, CertifiedVec3]:
     """(b, c, precision, enclosure) of an `xi.json`, the enclosure as the
-    file claims it; a ValueError about its content begins with `source`."""
-    obj = _decode(text)
+    file claims it; a ValueError about its content begins with `source`, and
+    JSON nested too deep is one."""
+    try:
+        obj = _decode(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{source}: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{source} must hold a JSON object")
     needs = ValueError(f"{source} needs a positive integer precision")

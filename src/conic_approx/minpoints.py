@@ -20,24 +20,26 @@ without the skip, except that an x0 whose rounding is ambiguous at the current
 precision, but which is certifiably far from the record, no longer forces a
 precision doubling.
 
-The skip test is re-based, then run on a block of K = BLOCK_LANES
-consecutive x0 at once.  With base = best_hi + slack and
-span = 2**p - 1 - 2*base, r lies in the window exactly when
-(r - base) mod 2**p <= span; a negative span (before the first record, or
-when the window is empty) skips nothing.  One int U (`packed` in `_scan`)
-holds the re-based residues of a block, one per lane of p + 1 bits whose top
-bit, the guard, is clear.  As span >= 0 means 2*base < 2**p, a residue plus
-2*base carries into the guard of its lane, and never past it, exactly when
-the residue exceeds span, so the whole block is skipped exactly when
-(U + 2*base*ones) & guards == 0, where ones has a 1 at the foot of each lane.
-The next block is U = (U + kstep) & lanes, with
-kstep = ((K*a1lo) mod 2**p)*ones and lanes the mask of every lane's residue
-bits: one add and one guard-bit test, then one add and one mask, per K x0.
-At a new record U is re-based on the next x0 with a fixed number of big-int
-operations, from the residues j*a1lo mod 2**p of the lanes, packed once per
-pass.  The per-x0 test and body run, in order, on a block with a kept lane,
-on the tail of fewer than K x0 and while span < 0, so the x0 rounded, the
-records and the precision passes are those of the per-x0 test alone.
+The skip test runs on a block of K = BLOCK_LANES consecutive x0 at once.
+With base = best_hi + slack and span = 2**p - 1 - 2*base, r lies in the window
+exactly when (r - base) mod 2**p <= span.  One int U (`packed` in `_scan`)
+holds the re-based residues (x0*a1lo - base) mod 2**p of a block, one per lane
+of p + 1 bits whose top bit, the guard, is clear, and a lane is kept when
+U + lift sets its guard.  With span >= 0, lift = 2*base*ones, where ones has a
+1 at the foot of each lane: as 2*base < 2**p, a residue plus 2*base carries
+into the guard of its lane, and never past it, exactly when the residue
+exceeds span.  Before the first record, and whenever span < 0 (an empty
+window), lift = 2**p*ones: as r < 2**p, r + 2**p sets the guard of its lane
+and carries no further, so every lane is kept and nothing is skipped.  The
+next block is U = (U + kstep) & lanes, with kstep = ((K*a1lo) mod 2**p)*ones
+and lanes the mask of every lane's residue bits: one add and one guard-bit
+test, then one add and one mask, per K x0.  The kept x0 of a block are read
+off its guard bits, lowest first, after one mask clears the lanes past Xmax
+in the last block, and each gets both certified roundings and the record and
+overlap tests.  A record re-bases U on the next x0 by the expression that
+bases it at x0 = 1, from the residues j*a1lo mod 2**p of the lanes, packed
+once per pass.  So the x0 rounded, the records and the precision passes are
+those of the per-x0 test alone.
 """
 from __future__ import annotations
 
@@ -110,11 +112,12 @@ class RigidityReport(FrozenRecord):
 # x0 per block of the scan's skip test.  A wider block skips faster, but the
 # benchmark's harness keeps about 0.44 KiB per `scan` operation, so its
 # peak_rss_mib grows with throughput; this kernel's budget there is +7 % over
-# the per-x0 test's.  On 35 s `scan` runs (2-core x86_64, Python 3.11.7),
-# 4 lanes read 1.62x its ops_per_s and +6.1 % its peak_rss_mib (medians of
-# 10 pairs); 5 lanes read 1.8-1.9x and +4.0 to +9.1 % (median +7.2 %, 6
-# pairs); 6 and 8 lanes +6.8 to +7.5 % and +8.9 to +9.6 % (one seed).
-BLOCK_LANES = 4
+# the 4-lane block's.  6 is the widest block that kept it in every trial: on
+# 35 s `scan` runs (2-core x86_64, Python 3.11.7), 6 lanes read 1.29x the
+# 4-lane ops_per_s and +3.0 % its peak_rss_mib (medians of 10 pairs; +1.8 to
+# +7.0 % per pair), 7 lanes 1.41-1.45x and +1.9 to +6.1 % (3 pairs) but up
+# to +8.0 % in an earlier trial, 8 lanes 1.50-1.52x and +5.9 to +9.3 %.
+BLOCK_LANES = 6
 
 
 def _abs_interval(lo: int, hi: int) -> tuple[int, int]:
@@ -156,52 +159,50 @@ def _scan(target: Target, xmax: int, p: int) -> list[MinimalPointRecord] | None:
     offsets = sum((j * a1lo & mask) << j * width for j in range(BLOCK_LANES))
     kstep = (BLOCK_LANES * a1lo & mask) * ones
     slack = xmax * (a1hi - a1lo) + 1
+    past = xmax + 1 - BLOCK_LANES  # a block that starts past this x0 has lanes past xmax
     records = []
     best: tuple[int, int] | None = None  # scaled (lo, hi) of the current record L
-    base, span = 0, -1  # the skip window, re-based to [0, span]; empty until the first record
-    x0 = 1
-    while x0 <= xmax:
-        stop = xmax + 1  # the per-x0 body runs on x0 .. stop - 1
-        if span >= 0:
-            tail = stop - (stop - x0) % BLOCK_LANES  # the first x0 past the whole blocks
-            for x0 in range(x0, tail, BLOCK_LANES):
-                if (packed + lift) & guards:
-                    stop = x0 + BLOCK_LANES  # a kept lane
+    base, lift = 0, guards  # no record yet: r + 2**p keeps every lane
+    x = 0  # the block starts at x + 1
+    while True:
+        packed = (offsets + (((x + 1) * a1lo - base) & mask) * ones) & lanes
+        for x0 in range(x + 1, xmax + 1, BLOCK_LANES):
+            kept = (packed + lift) & guards
+            packed = (packed + kstep) & lanes
+            if not kept:
+                continue  # |x*xi1 - x1| > L_best on the whole block
+            if x0 > past:
+                kept &= guards >> (x0 - past) * width  # the lanes up to xmax
+            while kept:
+                low = kept & -kept  # the lowest kept lane
+                kept ^= low
+                x = x0 + low.bit_length() // width - 1
+                v1lo, v1hi = x * a1lo, x * a1hi
+                v2lo, v2hi = x * a2lo, x * a2hi
+                n1 = nearest_integer(v1lo, v1hi, p)
+                n2 = nearest_integer(v2lo, v2hi, p)
+                if n1 is None or n2 is None:
+                    return None
+                d1 = (v1lo - (n1 << p), v1hi - (n1 << p))
+                d2 = (v2lo - (n2 << p), v2hi - (n2 << p))
+                e1i = _abs_interval(*d1)
+                e2i = _abs_interval(*d2)
+                li = (max(e1i[0], e2i[0]), max(e1i[1], e2i[1]))
+                if best is None or li[1] < best[0]:
+                    best = li
+                    records.append(_record((x, n1, n2), d1, d2, p))
                     break
-                packed = (packed + kstep) & lanes  # |x*xi1 - x1| > L_best on the whole block
+                elif li[0] < best[1]:
+                    return None  # overlap with the current record: undecided
             else:
-                x0 = tail
-        for x in range(x0, stop):
-            v1lo = x * a1lo
-            if (v1lo - base) & mask <= span:
-                continue  # |x*xi1 - x1| > L_best for every x1
-            v1hi = x * a1hi
-            v2lo, v2hi = x * a2lo, x * a2hi
-            n1 = nearest_integer(v1lo, v1hi, p)
-            n2 = nearest_integer(v2lo, v2hi, p)
-            if n1 is None or n2 is None:
-                return None
-            d1 = (v1lo - (n1 << p), v1hi - (n1 << p))
-            d2 = (v2lo - (n2 << p), v2hi - (n2 << p))
-            e1i = _abs_interval(*d1)
-            e2i = _abs_interval(*d2)
-            li = (max(e1i[0], e2i[0]), max(e1i[1], e2i[1]))
-            if best is None or li[1] < best[0]:
-                best = li
-                records.append(_record((x, n1, n2), d1, d2, p))
-                base = best[1] + slack
-                span = mask - 2 * base
-                break
-            elif li[0] < best[1]:
-                return None  # overlap with the current record: undecided
+                continue
+            break  # a record at x: re-base the block on x + 1
         else:
-            packed = (packed + kstep) & lanes  # no record: on to the next block
-            x0 = stop
-            continue
-        x0 = x + 1  # re-base the block on the new window
-        packed = (offsets + ((x0 * a1lo - base) & mask) * ones) & lanes
-        lift = 2 * base * ones  # carries a residue into its guard exactly when it exceeds span
-    return records
+            return records
+        base = best[1] + slack
+        # carries a residue into its guard exactly when it exceeds the span
+        # 2**p - 1 - 2*base of the skip window, or every residue when it is empty
+        lift = 2 * base * ones if 2 * base <= mask else guards
 
 
 def enumerate_minimal(

@@ -960,6 +960,23 @@ class TestEnumerate:
         assert main(["enumerate", "--xi", str(f), "--xmax", "100", "--out", str(tmp_path)]) == 2
         assert_one_line(capsys, "error: ")
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"precision": 128,', "Expecting property name enclosed in double quotes"),
+            (None, "Expecting value: line 1 column 1 (char 0)"),
+        ],
+        ids=["truncated", "dev-null"],
+    )
+    def test_xi_file_that_is_not_json_names_the_flag(self, tmp_path, capsys, text, message):
+        # json's message alone named neither --xi nor the file
+        f = os.devnull
+        if text is not None:
+            f = tmp_path / "xi.json"
+            f.write_text(text)
+        assert main(["enumerate", "--xi", str(f), "--xmax", "100", "--out", str(tmp_path / "o")]) == 2
+        assert_one_line(capsys, f"error: --xi {f}: {message}")
+
     @pytest.mark.parametrize("key", ["xi1", "tail_bound"])
     def test_xi_field_that_is_a_list_names_the_field(self, tmp_path, capsys, key):
         f, obj = self._xi(tmp_path)
@@ -1182,7 +1199,7 @@ class TestEnumerate:
     [
         (["reduce", "--form"], "error: cannot read form: maximum recursion depth exceeded"),
         (["verify", "--in"], "error: cannot parse sequence file: maximum recursion depth exceeded"),
-        (["enumerate", "--xmax", "10", "--xi"], "error: maximum recursion depth exceeded"),
+        (["enumerate", "--xmax", "10", "--xi"], "error: --xi {f}: maximum recursion depth exceeded"),
     ],
     ids=["reduce", "verify", "enumerate"],
 )
@@ -1191,7 +1208,7 @@ def test_json_nested_too_deep_is_input_error(tmp_path, capsys, argv, prefix):
     f = tmp_path / "deep.json"
     f.write_text("[" * 100_000 + "]" * 100_000)
     assert main([*argv, str(f)]) == 2
-    assert_one_line(capsys, prefix)
+    assert_one_line(capsys, prefix.format(f=f))
 
 
 class TestPrecisionCapVerdict:

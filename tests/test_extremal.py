@@ -991,6 +991,20 @@ class TestCertifiedLimit:
         assert err.value.index == i
         assert seq.depth == true.depth == 12
 
+    @pytest.mark.parametrize("P,index", [(16, 2), (32, 3), (64, 4), (128, 5)])
+    def test_limit_index_where_the_slack_decides_it(self, P, index):
+        # with the slack at 2**-(P+1) in place of 2**-(P+2), P = 32 gives 2
+        assert limit_index(seed_triple(2, 3), P)[0] == index
+
+    def test_conic_check_on_boxes_that_hold_zero(self):
+        # at p = 4 the box (-1, 1) x (-1, 1) meets 1 - 2 x^2 - 3 z^2 = 0; the
+        # upper end 1 of that range is where x^2 and z^2 reach 0 in the box
+        seq = seed_triple(2, 3)
+        limit._check_on_conic(seq, (-16, 16), (-16, 16), 4)
+        with pytest.raises(InvariantViolation) as err:
+            limit._check_on_conic(seq, (0, 1), (0, 1), 4)
+        assert err.value.identity == "limit point lies on the conic"
+
     def test_tampered_enclosure_is_off_the_conic(self, monkeypatch):
         real = limit._enclose
         monkeypatch.setattr(

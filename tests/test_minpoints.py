@@ -290,11 +290,11 @@ def rounded_x0(monkeypatch, target, xmax, p):
     return [v // a1lo for v in calls[::2]], out  # each x0 rounds x0*a1lo, then x0*a2lo
 
 
-@pytest.fixture(params=sorted({1, 2, 3, minpoints.BLOCK_LANES}), ids=lambda k: f"lanes{k}")
+@pytest.fixture(params=sorted({1, 2, 3, 4, minpoints.BLOCK_LANES, 64}), ids=lambda k: f"lanes{k}")
 def block_lanes(monkeypatch, request):
-    """`minpoints.BLOCK_LANES`, which `_scan` reads, at 1, 2 and 3 lanes and
-    at the module's own width, so that blocks end on short scans, records
-    and the tail."""
+    """`minpoints.BLOCK_LANES`, which `_scan` reads, at 1 to 4 lanes, at the
+    module's own width and at 64, so that blocks end on short scans, records
+    and xmax, and hold several kept lanes and records."""
     monkeypatch.setattr(minpoints, "BLOCK_LANES", request.param)
 
 
@@ -323,6 +323,13 @@ class TestRebasedSkip:
     # the record at 34 follows the one at 22: on the last lane of a block at
     # 1, 2 and 3 lanes, and the block ends at xmax
     @example(target=SqrtPairTarget(2, 3), xmax=34, p=None)
+    # at 6 and at 64 lanes the block that keeps 987 keeps 991: 987 sets no
+    # record, 991 does
+    @example(target=SqrtPairTarget(14, 37), xmax=1000, p=None)
+    # the records at 89 and 93 lie in one block at 6 and at 64 lanes
+    @example(target=SqrtPairTarget(14, 53), xmax=100, p=None)
+    # the record at 991 is a kept lane past xmax in the last block at 6 and 64 lanes
+    @example(target=SqrtPairTarget(14, 37), xmax=990, p=None)
     def test_equals_unfiltered_scan_where_it_decides(self, target, xmax, p):
         p = p or height_precision(xmax, 96)
         want = unfiltered_scan(target, xmax, p)
