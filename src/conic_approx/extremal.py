@@ -51,21 +51,9 @@ class UnsupportedConstruction(ValueError):
 
 class ExtremalSequence(Record):
     """Members y_i of the form and their inner products t_i, from index -1 on,
-    and det0 = det(y_1, y_0, y_{-1})."""
+    and det0 = det(y_1, y_0, y_{-1}); `ys[k]` holds y_{k-1}."""
 
     __slots__ = ("form", "ys", "ts", "det0")
-
-    def __init__(
-        self,
-        form: TernaryQuadraticForm,
-        ys: list[Vec3],  # ys[k] holds y_{k-1}
-        ts: list[int],
-        det0: int,
-    ) -> None:
-        self.form = form
-        self.ys = ys
-        self.ts = ts
-        self.det0 = det0
 
     # read-only views of the form x0^2 - b x1^2 - c x2^2
     b = property(lambda self: -self.form.a11)

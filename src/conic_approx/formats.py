@@ -16,7 +16,7 @@ from .extremal import pell_seed
 from .limit import CertifiedVec3, limit_index
 from .numerics import CertifiedReal, Dyadic
 from .quadform import TernaryQuadraticForm, max_norm
-from .records import set_field
+from .records import FrozenRecord
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 
@@ -223,8 +223,7 @@ def _claimed(x, key: str) -> CertifiedReal:
     except ValueError as exc:
         raise ValueError(f"{shape}; {exc}") from None
     claimed = object.__new__(CertifiedReal)  # past `__init__`'s check for an empty interval
-    for name, v in zip(CertifiedReal.__slots__, fields):
-        set_field(claimed, name, v)
+    FrozenRecord.__init__(claimed, *fields)
     return claimed
 
 

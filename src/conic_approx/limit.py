@@ -14,7 +14,7 @@ from fractions import Fraction
 from .extremal import ExtremalSequence, InvariantViolation, extend
 from .numerics import ZERO, CertifiedReal, Dyadic, check_cap, ratio_up, scale_outward
 from .quadform import cross, max_norm
-from .records import FrozenRecord, set_field
+from .records import FrozenRecord
 
 
 class CertifiedVec3(FrozenRecord):
@@ -23,11 +23,6 @@ class CertifiedVec3(FrozenRecord):
     all three on one grid."""
 
     __slots__ = ("xi1", "xi2", "tail_bound")
-
-    def __init__(self, xi1: CertifiedReal, xi2: CertifiedReal, tail_bound: CertifiedReal) -> None:
-        set_field(self, "xi1", xi1)
-        set_field(self, "xi2", xi2)
-        set_field(self, "tail_bound", tail_bound)
 
 
 class ConsecutiveDistances:

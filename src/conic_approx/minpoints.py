@@ -55,54 +55,23 @@ from .numerics import (
     precision_cap,
     scale_outward,
 )
-from .quadform import TernaryQuadraticForm, Vec3, cross, det3, max_norm, psi
-from .records import FrozenRecord, set_field
+from .quadform import TernaryQuadraticForm, cross, det3, max_norm, psi
+from .records import FrozenRecord
 from .targets import ExtremalTarget, Target
 
 
 class MinimalPointRecord(FrozenRecord):
     __slots__ = ("x", "X", "L")
 
-    def __init__(self, x: Vec3, X: int, L: CertifiedReal) -> None:
-        set_field(self, "x", x)
-        set_field(self, "X", X)
-        set_field(self, "L", L)
-
 
 class ExponentReport(FrozenRecord):
     __slots__ = ("lambda_hats", "summary", "alpha", "theta", "independence_set", "c_lower")
 
-    def __init__(
-        self,
-        lambda_hats: list[tuple[int, float]],
-        summary: float,
-        alpha: float,
-        theta: float,
-        independence_set: list[int],
-        c_lower: float,
-    ) -> None:
-        set_field(self, "lambda_hats", lambda_hats)
-        set_field(self, "summary", summary)
-        set_field(self, "alpha", alpha)
-        set_field(self, "theta", theta)
-        set_field(self, "independence_set", independence_set)
-        set_field(self, "c_lower", c_lower)
-
 
 class RigidityReport(FrozenRecord):
-    __slots__ = ("independence_set", "insufficient", "checks", "first_holding")
+    """`checks` holds (k, passed) pairs, k a position in the independence subsequence."""
 
-    def __init__(
-        self,
-        independence_set: list[int],
-        insufficient: bool,
-        checks: list[tuple[int, bool]],  # (position k in the independence subsequence, passed)
-        first_holding: int | None,
-    ) -> None:
-        set_field(self, "independence_set", independence_set)
-        set_field(self, "insufficient", insufficient)
-        set_field(self, "checks", checks)
-        set_field(self, "first_holding", first_holding)
+    __slots__ = ("independence_set", "insufficient", "checks", "first_holding")
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +112,7 @@ def _record(x, d1, d2, p: int) -> MinimalPointRecord:
     assert math.gcd(*x) == 1, "minimal points are primitive"
     e1i, e2i = _abs_interval(*d1), _abs_interval(*d2)
     return MinimalPointRecord(
-        x=x,
-        X=x[0],
-        L=CertifiedReal.from_scaled(max(e1i[0], e2i[0]), max(e1i[1], e2i[1]), p),
+        x, x[0], CertifiedReal.from_scaled(max(e1i[0], e2i[0]), max(e1i[1], e2i[1]), p)
     )
 
 

@@ -18,7 +18,7 @@ import os
 from fractions import Fraction
 from math import isqrt
 
-from .records import FrozenRecord, set_field
+from .records import FrozenRecord
 
 DEFAULT_PRECISION_CAP = 4096
 _CAP_ENV = "CONIC_APPROX_MAX_BITS"
@@ -58,10 +58,6 @@ class Dyadic(FrozenRecord):
     """man * 2**exp, with man odd or zero (canonical representation)."""
 
     __slots__ = ("man", "exp")
-
-    def __init__(self, man: int, exp: int) -> None:
-        set_field(self, "man", man)
-        set_field(self, "exp", exp)
 
     @staticmethod
     def make(man: int, exp: int = 0) -> "Dyadic":
@@ -193,9 +189,7 @@ class CertifiedReal(FrozenRecord):
     def __init__(self, lo: Dyadic, hi: Dyadic, precision: int) -> None:
         if hi < lo:
             raise ValueError("empty interval")
-        set_field(self, "lo", lo)
-        set_field(self, "hi", hi)
-        set_field(self, "precision", precision)
+        super().__init__(lo, hi, precision)
 
     # -- constructors ------------------------------------------------------
     @staticmethod

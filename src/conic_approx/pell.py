@@ -7,7 +7,7 @@ from math import isqrt
 
 from . import arith
 from .arith import FACTOR_BITS, is_square, is_squarefree
-from .records import FrozenRecord, set_field
+from .records import FrozenRecord
 
 
 class PellSolution(FrozenRecord):
@@ -20,9 +20,7 @@ class PellSolution(FrozenRecord):
             raise ValueError("positive solution required")
         if arith.square(m) - b * arith.square(n) != 1:
             raise ValueError(f"({m}, {n}) does not solve x^2 - {b} y^2 = 1")
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "b", b)
+        super().__init__(m, n, b)
 
 
 def _check_radicand(b: int) -> None:

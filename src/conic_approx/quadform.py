@@ -20,7 +20,7 @@ from math import gcd, isqrt, lcm
 
 from . import arith
 from .arith import is_qr_mod_squarefree, squarefree_scale
-from .records import FrozenRecord, set_field
+from .records import FrozenRecord
 
 Vec3 = tuple[int, int, int]
 RatVec3 = tuple[Fraction, Fraction, Fraction]
@@ -116,12 +116,7 @@ class TernaryQuadraticForm(FrozenRecord):
     ) -> None:
         if not (a00 or a11 or a22 or a01 or a02 or a12):
             raise ValueError("identically zero form")
-        set_field(self, "a00", a00)
-        set_field(self, "a11", a11)
-        set_field(self, "a22", a22)
-        set_field(self, "a01", a01)
-        set_field(self, "a02", a02)
-        set_field(self, "a12", a12)
+        super().__init__(a00, a11, a22, a01, a02, a12)
 
     def __call__(self, x):
         """q(x), on int or Fraction coordinates.  Each diagonal term squares
@@ -204,33 +199,18 @@ def kernel(phi: TernaryQuadraticForm) -> list[Vec3]:
 # diagonalization
 # ---------------------------------------------------------------------------
 
-def _project_complement(phi: TernaryQuadraticForm, v, space: list) -> list:
-    """Orthogonal complement of v (with q(v) != 0) inside span(space)."""
-    qv2 = Fraction(phi.bilinear(v, v))  # = 2 q(v)
-    projected = []
-    for w in space:
-        coef = Fraction(phi.bilinear(v, w)) / qv2
-        projected.append(tuple(Fraction(a) - coef * Fraction(b) for a, b in zip(w, v)))
-    # drop dependent vectors
-    out: list = []
-    for w in projected:
-        if any(x != 0 for x in w):
-            if not out:
-                out.append(w)
-            elif len(out) == 1 and any(x != 0 for x in cross(out[0], w)):
-                out.append(w)
-    return out
-
-
 def _pick_anisotropic(phi: TernaryQuadraticForm, space: list):
-    for v in space:
+    """(v, k) with q(v) != 0: v is space[k], or space[j] + space[k] with j < k,
+    so v in place of space[k] spans what space spans.  None when q vanishes
+    on all of it."""
+    for k, v in enumerate(space):
         if phi(v) != 0:
-            return v
-    for i in range(len(space)):
-        for j in range(i + 1, len(space)):
-            s = tuple(Fraction(a) + Fraction(b) for a, b in zip(space[i], space[j]))
+            return v, k
+    for j in range(len(space)):
+        for k in range(j + 1, len(space)):
+            s = tuple(a + b for a, b in zip(space[j], space[k]))
             if phi(s) != 0:
-                return s
+                return s, k
     return None
 
 
@@ -244,16 +224,23 @@ def diagonalize(phi: TernaryQuadraticForm) -> tuple[list[RatVec3], list[Fraction
     basis: list[RatVec3] = []
     values: list[Fraction] = []
     while space:
-        v = _pick_anisotropic(phi, space)
-        if v is None:
+        pick = _pick_anisotropic(phi, space)
+        if pick is None:
             # bilinear form vanishes identically on the remaining space
             for w in space:
                 basis.append(w)
                 values.append(Fraction(0))
             break
+        v, k = pick
         basis.append(v)
         values.append(Fraction(phi(v)))
-        space = _project_complement(phi, v, space)
+        # the other vectors, projected onto the orthogonal complement of v,
+        # span it, and stay independent
+        qv2 = Fraction(phi.bilinear(v, v))  # = 2 q(v)
+        space = [
+            tuple(a - Fraction(phi.bilinear(v, w)) / qv2 * b for a, b in zip(w, v))
+            for w in space[:k] + space[k + 1:]
+        ]
     return basis, values
 
 
@@ -404,11 +391,7 @@ class CanonicalReduction(FrozenRecord):
     __slots__ = ("case", "T", "mu", "b", "c")
 
     def __init__(self, case: str, T: Mat3, mu: Fraction, b: int = 0, c: int = 0) -> None:
-        set_field(self, "case", case)
-        set_field(self, "T", T)
-        set_field(self, "mu", mu)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
+        super().__init__(case, T, mu, b, c)
 
     def canonical_coeffs(self) -> tuple[int, ...]:
         return _CANONICAL[self.case](self.b, self.c)

@@ -1,27 +1,29 @@
-"""Plain record classes: fields in `__slots__`, value equality and a repr.
+"""Plain record classes: fields in `__slots__`, one constructor, value
+equality and a repr.
 
-Each class writes its own methods instead of having the standard library
+These methods are written here instead of having the standard library
 generate them at import: generating them, and importing the modules that do
 it (`inspect` among them), cost about a third of the package's import.  A record
 lists its fields in `__slots__`, plus `"__dict__"` where
-`functools.cached_property` or a per-instance attribute needs one, and writes
-its own `__init__`.  Equality, hash, repr and `FrozenRecord.__reduce__` read
-the one field list `_fields`: the slots without `__dict__`, unless the class
-names fewer.
+`functools.cached_property` or a per-instance attribute needs one.
+`Record.__init__`, equality, hash, repr and `FrozenRecord.__reduce__` read the
+one field list `_fields`: the slots without `__dict__`, unless the class names
+fewer.  A record that checks its values or gives them defaults keeps its own
+`__init__`, which ends in `super().__init__(...)`.
 """
 from __future__ import annotations
 
 from operator import attrgetter
 
 
-set_field = object.__setattr__  # how a FrozenRecord's __init__ sets its fields
+set_field = object.__setattr__  # how `Record.__init__` gets past `FrozenRecord.__setattr__`
 
 
 class Record:
-    """Equality over `_fields`, in order, between records of the same class,
-    and a repr naming them.  A `Record` is mutable and so unhashable; see
-    `FrozenRecord`.  Every record has at least two fields, so `_values`
-    returns a tuple."""
+    """`__init__` sets the fields of `_fields` from its values, in order;
+    equality over them between records of the same class, and a repr naming
+    them.  A `Record` is mutable and so unhashable; see `FrozenRecord`.
+    Every record has at least two fields, so `_values` returns a tuple."""
 
     __slots__ = ()
 
@@ -32,6 +34,13 @@ class Record:
         )
         if fields:  # FrozenRecord itself has none
             cls._fields, cls._values = fields, attrgetter(*fields)
+
+    def __init__(self, *values) -> None:
+        fields = self._fields
+        if len(values) != len(fields):  # zip alone would drop values or leave fields unset
+            raise TypeError(f"{type(self).__qualname__} takes {len(fields)} values, not {len(values)}")
+        for name, value in zip(fields, values):
+            set_field(self, name, value)
 
     def __eq__(self, other: object):
         if other.__class__ is not self.__class__:
@@ -46,9 +55,9 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A record whose fields are set once, by `__init__` through
-    `set_field`; assigning or deleting one later raises
-    `AttributeError`.  Hashable when its fields are."""
+    """A record whose fields are set once, by `Record.__init__` through
+    `set_field`; assigning or deleting one later raises `AttributeError`.
+    Hashable when its fields are."""
 
     __slots__ = ()
 

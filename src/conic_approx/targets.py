@@ -7,7 +7,7 @@ from .arith import is_square
 from .extremal import ExtremalSequence, seed_triple
 from .limit import CertifiedVec3, limit_point
 from .numerics import CertifiedReal, check_cap, sqrt_outward
-from .records import FrozenRecord, Record, set_field
+from .records import FrozenRecord, Record
 
 
 class Target:
@@ -46,8 +46,7 @@ class SqrtPairTarget(FrozenRecord):
                 f"1, sqrt({a}) and sqrt({b}) are linearly dependent over Q "
                 f"({square} is a square)"
             )
-        set_field(self, "a", a)
-        set_field(self, "b", b)
+        super().__init__(a, b)
 
     def enclosure(self, bits: int) -> tuple[CertifiedReal, CertifiedReal]:
         return (

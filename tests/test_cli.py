@@ -553,6 +553,21 @@ class TestVerify:
         f.write_text("")
         assert main(["verify", "--in", str(f)]) == 2
 
+    @pytest.mark.parametrize(
+        "ys,which",
+        [
+            ([(1, 0, 0)] * 4, "b"),  # no member (m, n, 0) with n != 0
+            ([(1, 0, 0), (3, 2, 0), (3, 2, 0)], "c"),  # b = 2, but no third coordinate
+        ],
+        ids=["b", "c"],
+    )
+    def test_pair_that_cannot_be_inferred_is_input_error(self, tmp_path, capsys, ys, which):
+        f = tmp_path / "sequence.jsonl"
+        form = quadform.TernaryQuadraticForm(1, -2, -3)
+        f.write_text(dump_sequence(ExtremalSequence(form, ys, [0] * len(ys), 0)))
+        assert main(["verify", "--in", str(f)]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot parse sequence file: cannot infer {which}\n")
+
     def test_row_with_two_coordinates_is_input_error(self, tmp_path, capsys):
         f = self._construct(tmp_path)
         rows = [json.loads(line) for line in f.read_text().splitlines()]

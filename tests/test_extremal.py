@@ -852,6 +852,11 @@ class TestLimitPoint:
             limit_point(seed_triple(2, 3), Fraction(1, 2**2000))
         assert str(err.value) == "needs 2000 bits, cap is 100"
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_width_that_is_not_positive_is_refused(self, width):
+        with pytest.raises(ValueError, match="^target_width must be positive$"):
+            limit_point(seed_triple(2, 3), width)
+
     def test_width_that_is_not_a_power_of_two_rounds_down_to_one(self):
         seq = seed_triple(2, 3)
         assert limit_point(seq, Fraction(3, 2**130)) == limit_point(seq, Fraction(1, 2**129))
@@ -920,6 +925,33 @@ def reference_tail_bound(seq: ExtremalSequence, start: int, slack: Fraction) -> 
             return total + term
         k += 1
 
+
+
+# (P, index) at every P <= 4096 where a slack of 2**-(P+1) in `limit_index`,
+# in place of 2**-(P+2), would give another limit index, and so other bytes
+# of `xi.json`
+SLACK_DECIDES = {
+    (2, 3): [
+        (32, 3), (61, 4), (108, 5), (184, 6), (307, 7),
+        (506, 8), (827, 9), (1348, 10), (2190, 11), (3554, 12),
+    ],
+    (3, 5): [
+        (33, 3), (64, 4), (114, 5), (195, 6), (326, 7),
+        (537, 8), (880, 9), (1434, 10), (2330, 11), (3780, 12),
+    ],
+    (5, 7): [
+        (60, 3), (113, 4), (198, 5), (336, 6), (559, 7),
+        (920, 8), (1505, 9), (2450, 10), (3980, 11),
+    ],
+    (3, 11): [
+        (33, 3), (66, 4), (116, 5), (199, 6), (332, 7),
+        (547, 8), (896, 9), (1460, 10), (2373, 11), (3850, 12),
+    ],
+    (3, 2): [
+        (26, 3), (52, 4), (92, 5), (157, 6), (262, 7),
+        (433, 8), (708, 9), (1155, 10), (1876, 11), (3044, 12),
+    ],
+}
 
 
 class TestCertifiedLimit:
@@ -991,10 +1023,14 @@ class TestCertifiedLimit:
         assert err.value.index == i
         assert seq.depth == true.depth == 12
 
-    @pytest.mark.parametrize("P,index", [(16, 2), (32, 3), (64, 4), (128, 5)])
-    def test_limit_index_where_the_slack_decides_it(self, P, index):
-        # with the slack at 2**-(P+1) in place of 2**-(P+2), P = 32 gives 2
-        assert limit_index(seed_triple(2, 3), P)[0] == index
+    @pytest.mark.parametrize(
+        "b,c,P,index",
+        [(2, 3, 16, 2), (2, 3, 64, 4), (2, 3, 128, 5)]
+        + [(b, c, P, index) for (b, c), cases in SLACK_DECIDES.items() for P, index in cases],
+    )
+    def test_limit_index_where_the_slack_decides_it(self, b, c, P, index):
+        # with the slack at 2**-(P+1) in place of 2**-(P+2), (2, 3) at P = 32 gives 2
+        assert limit_index(seed_triple(b, c), P)[0] == index
 
     def test_conic_check_on_boxes_that_hold_zero(self):
         # at p = 4 the box (-1, 1) x (-1, 1) meets 1 - 2 x^2 - 3 z^2 = 0; the

@@ -10,7 +10,8 @@ imports `json` or opens a file, no module or script decodes JSON
 but through its one decoder or writes JSON or CSV but through it, and `cli`
 names no key of a format.  Only `extremal.seed_triple` and `cli.cmd_verify`
 build the diagonal form of a pair (b, c).  No class of the package defines
-`__get__`: per-instance caches are `functools.cached_property`.  The search
+`__get__`: per-instance caches are `functools.cached_property`.  Only `records`
+names `set_field`: every record's fields are set by `Record.__init__`.  The search
 path, from `enumerate_minimal` down to `nearest_integer`, calls no `float`,
 `math.log` or `math.exp` and divides with no `/`."""
 import ast
@@ -32,7 +33,7 @@ CALLERS = MODULES + sorted((REPO / "scripts").glob("*.py")) + sorted(
 )
 # definitions kept although nothing above names them, each with its reason
 UNNAMED_ALLOWED = {
-    "verify_no_small_relation": "the paper's independence hypothesis; ROADMAP direction 6 wires it in",
+    "verify_no_small_relation": "the paper's independence hypothesis; ROADMAP direction 7 wires it in",
     "kernel": "public API of conic_approx; reduce_form reads the radical off its one diagonalization",
     "rational_zero": "public API of conic_approx; reduce_form passes its diagonalization to _rational_zero",
     "as_fraction": "exact value of a dyadic, the tests' oracle",
@@ -565,6 +566,38 @@ def test_no_class_of_the_package_is_a_descriptor(path):
     # one per-instance cache: `functools.cached_property`, as on
     # `TernaryQuadraticForm.gram_det` and `Window.t_product`
     assert descriptor_classes(path.read_text()) == []
+
+
+def set_field_uses(source: str) -> list[int]:
+    """Lines of `source` that name `set_field`: read it as a variable or an
+    attribute, or import it."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id == "set_field"
+        or isinstance(node, ast.Attribute) and node.attr == "set_field"
+        or isinstance(node, ast.ImportFrom) and any(alias.name == "set_field" for alias in node.names)
+    )
+
+
+def test_the_check_finds_every_use_of_set_field():
+    source = (
+        "from .records import FrozenRecord, set_field\n"
+        "set_field(self, 'man', man)\n"
+        "records.set_field(claimed, name, v)\n"
+        "setter = set_field\n"
+        "object.__setattr__(self, 'exp', exp)\n"
+        "fields = 'set_field'\n"
+    )
+    assert set_field_uses(source) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_records_sets_a_field(path):
+    # one constructor: `Record.__init__` sets the fields of `_fields`, and a
+    # record that checks its values ends its own `__init__` in it
+    if path.name != "records.py":
+        assert set_field_uses(path.read_text()) == []
 
 
 # the minimal-point search: every skip, rounding and record comparison is

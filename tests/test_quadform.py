@@ -248,6 +248,10 @@ class TestRationalZero:
     def test_anisotropic_23(self):
         assert rational_zero(DIAG_23) is None
 
+    def test_definite(self):
+        # no real zero, so no rational one
+        assert rational_zero(TernaryQuadraticForm(1, 1, 1)) is None
+
     def test_isotropic_22(self):
         f = TernaryQuadraticForm(1, -2, -2)
         v = rational_zero(f)

@@ -13,6 +13,7 @@ from conic_approx.minpoints import ExponentReport, MinimalPointRecord, RigidityR
 from conic_approx.numerics import CertifiedReal, Dyadic
 from conic_approx.pell import PellSolution
 from conic_approx.quadform import CanonicalReduction, TernaryQuadraticForm
+from conic_approx.records import FrozenRecord
 from conic_approx.targets import ExtremalTarget, SqrtPairTarget
 
 FORM = TernaryQuadraticForm(1, -2, -3)
@@ -177,6 +178,28 @@ class TestInstanceDict:
     @pytest.mark.parametrize("name", ["Dyadic", "CertifiedReal", "MinimalPointRecord"])
     def test_records_built_most_often_have_no_dict(self, name):
         assert not hasattr(FROZEN[name][0](), "__dict__")
+
+
+class TestOneConstructor:
+    """`Record.__init__` sets the fields of `_fields` in order, and counts its
+    values first, so no field is left unset and no value is dropped."""
+
+    @pytest.mark.parametrize("values", [(3,), (3, -5, 0)], ids=["too-few", "too-many"])
+    def test_a_plain_record_refuses_a_wrong_count(self, values):
+        with pytest.raises(TypeError, match=rf"^Dyadic takes 2 values, not {len(values)}$"):
+            Dyadic(*values)
+
+    @pytest.mark.parametrize(
+        "values", [(HALF.lo, HALF.hi), (HALF.lo, HALF.hi, 1, 1)], ids=["too-few", "too-many"]
+    )
+    def test_a_checked_record_refuses_a_wrong_count(self, values):
+        with pytest.raises(TypeError, match="CertifiedReal"):
+            CertifiedReal(*values)
+        # the count is checked again past the record's own check, as
+        # `formats` builds a claimed enclosure
+        claimed = object.__new__(CertifiedReal)
+        with pytest.raises(TypeError, match=rf"^CertifiedReal takes 3 values, not {len(values)}$"):
+            FrozenRecord.__init__(claimed, *values)
 
 
 class TestValidation:
