@@ -77,7 +77,8 @@ def squarefree_scale(q: Fraction) -> tuple[Fraction, int]:
     # numerator and denominator are coprime: f is the product of their square-free parts
     (su, fu), (sv, fv) = squarefree_decompose(q.numerator), squarefree_decompose(q.denominator)
     s, f = Fraction(sv * fv, su), fu * fv
-    assert q * s * s == f
+    if q * s * s != f:
+        raise AssertionError
     return s, f
 
 

@@ -207,6 +207,19 @@ def _target_from_args(args):
     raise InputError("need --b/--c, --xi FILE, or --sqrt A,B")
 
 
+def estimable_records(target, xmax: int, bits: int | None = None) -> list:
+    """`enumerate_minimal(target, xmax, bits=bits)`; an InputError naming
+    --xmax when it finds fewer than the two records an exponent estimate
+    needs."""
+    records = enumerate_minimal(target, xmax, bits=bits)
+    if len(records) < 2:
+        raise InputError(
+            f"{len(records)} minimal point(s) up to --xmax {xmax}; "
+            "the exponent estimate needs at least two"
+        )
+    return records
+
+
 def cmd_enumerate(args) -> None:
     if args.xmax <= 0:
         raise InputError("--xmax must be positive")
@@ -222,12 +235,7 @@ def cmd_enumerate(args) -> None:
             raise FileMismatch(
                 f"--xi {args.xi}: {key} differs from the enclosure recomputed at precision {precision}"
             )
-    records = enumerate_minimal(target, args.xmax, bits=args.precision)
-    if len(records) < 2:
-        raise InputError(
-            f"{len(records)} minimal point(s) up to --xmax {args.xmax}; "
-            "the exponent estimate needs at least two"
-        )
+    records = estimable_records(target, args.xmax, args.precision)
     report = estimate_lambda(records)
     rigidity = rigidity_check(target.sequence.form, records) if isinstance(target, ExtremalTarget) else None
     files = {

@@ -114,13 +114,14 @@ class Window:
     `form`, `y`, `t` and `det0`, bound when the window is made.
 
     `proved` counts the indices just before i at which this same run (one
-    `extend` call, or one `verdicts` walk) already proved every identity; for
-    `verdicts` the seed identities count for the indices -1, 0 and 1.  An
-    entry may reuse values those identities established, and values that
-    entries before it at index i established.  So its verdict stands only if
-    every entry before it held.  `_first_failure`, the one loop over
-    `IDENTITIES`, is the only place that sets `proved`; `extend` reports only
-    the first failure, and `verdicts` walks on past it with `proved` at 0.
+    `extend` call, or one segment of a `verdicts` walk) already proved every
+    identity; the seed identities, when all of them held, count for the
+    indices -1, 0 and 1 in the first segment of `verdicts`.  An entry may
+    reuse values those identities established, and values that entries
+    before it at index i established.  So its verdict stands only if every
+    entry before it held.  `_first_failure`, the one loop over `IDENTITIES`,
+    is the only place that sets `proved`; `extend` reports only the first
+    failure, and `verdicts` starts a new segment, from 0, past each failure.
     `t_product` and `t_y` are each computed at their first read and kept in
     the window's `__dict__`, by `functools.cached_property`.
     """
@@ -256,15 +257,13 @@ def _norm_bounds(w: Window) -> bool:
     N - ||y_{i-1}|| < ||y_i|| < N + ||y_{i-1}|| with N = t_{i-1} ||y_{i-1}||.
 
     For the coordinate k of y_{i-1} of largest absolute value, N is the
-    product t_{i-1} y_{i-1,k}, negated when y_{i-1,k} < 0: read from
-    `Window.t_y` when the reflection entry made it, else computed alone.
+    product t_{i-1} y_{i-1,k} of `Window.t_y`, negated when y_{i-1,k} < 0.
     """
     x = w.y(w.i - 1)
     norms = [abs(a) for a in x]
     prev = max(norms)
     k = norms.index(prev)
-    shared = w.__dict__.get("t_y")
-    n = shared[k] if shared is not None else w.t(w.i - 1) * x[k]
+    n = w.t_y[k]
     if x[k] < 0:
         n = -n
     return n - prev < max_norm(w.y(w.i)) < n + prev
@@ -343,15 +342,16 @@ def extend(seq: ExtremalSequence, upto: int) -> ExtremalSequence:
 
 def verdicts(seq: ExtremalSequence) -> Iterator[tuple[str, int, bool]]:
     """(name, i, holds) for each entry of `SEED_IDENTITIES` at i = 1, then of
-    `IDENTITIES` at each stored i >= 2, in walk order.  The walk reuses the
-    seed's three indices exactly when every seed identity held; its first
-    failure is `_checked_first_failure`'s, forked where it pays, and each
-    later one `_first_failure`'s from None, past the one before."""
+    `IDENTITIES` at each stored i >= 2, in walk order.  Each segment of the
+    walk reuses exactly what it proved, as `extend` does: the first,
+    `_checked_first_failure`'s from index 2 and forked where it pays, counts
+    the seed's three indices when every seed identity held, and each later
+    one is `_first_failure`'s from 0, past the failure before it."""
     seed = Window(seq, 1)
-    proved: int | None = 3
+    proved = 3
     for name, holds in SEED_IDENTITIES:
         ok = holds(seed)
-        proved = proved if ok else None
+        proved = proved if ok else 0
         yield name, 1, ok
     positions = range(len(IDENTITIES))
     failure = _checked_first_failure(seq, 2, seq.depth, proved) if seq.depth > 1 else None
@@ -360,8 +360,8 @@ def verdicts(seq: ExtremalSequence) -> Iterator[tuple[str, int, bool]]:
             holds = (i, k) != failure
             yield name, i, holds
             if not holds:
-                rest = _first_failure(seq, i, i, positions[k + 1:], None)
-                failure = rest or _first_failure(seq, i + 1, seq.depth, positions, None)
+                rest = _first_failure(seq, i, i, positions[k + 1:], 0)
+                failure = rest or _first_failure(seq, i + 1, seq.depth, positions, 0)
 
 
 def _append_member(seq: ExtremalSequence, i: int) -> None:
@@ -375,7 +375,7 @@ def _append_member(seq: ExtremalSequence, i: int) -> None:
 
 
 def _serial_first_failure(
-    seq: ExtremalSequence, first: int, upto: int, proved: int | None
+    seq: ExtremalSequence, first: int, upto: int, proved: int
 ) -> tuple[int, int] | None:
     """Appends the members through `upto` not yet stored, then returns
     `_first_failure` over the whole table."""
@@ -385,25 +385,20 @@ def _serial_first_failure(
 
 
 def _first_failure(
-    seq: ExtremalSequence, first: int, upto: int, positions: Sequence[int], proved: int | None
+    seq: ExtremalSequence, first: int, upto: int, positions: Sequence[int], proved: int
 ) -> tuple[int, int] | None:
     """(i, k) of the first entry `IDENTITIES[k]`, k in `positions`, that fails
     at an index i in first..upto, walking the indices in order and at each the
     entries in table order; None if all of them hold.  The one loop over the
-    table, and the one place that sets `Window.proved`, to `_reused`.  So a
+    table, and the one place that sets `Window.proved`: to i - first + proved,
+    `proved` counting the indices before first that the caller proved.  So a
     verdict at (i, k) stands only if every entry before (i, k) held."""
     for i in range(first, upto + 1):
-        window = Window(seq, i, _reused(i, first, proved))
+        window = Window(seq, i, i - first + proved)
         for k in positions:
             if not IDENTITIES[k][1](window):
                 return i, k
     return None
-
-
-def _reused(i: int, first: int, proved: int | None) -> int:
-    """Indices just before i that a run from `first` proved, `proved` counting
-    those before first (None: 0); the forked child passes it as `proved`."""
-    return 0 if proved is None else i - first + proved
 
 
 def _stream_bound(seq: ExtremalSequence, first: int, upto: int) -> tuple[int, int]:
@@ -438,7 +433,7 @@ def _fork_pays(bits: int) -> bool:
 
 
 def _checked_first_failure(
-    seq: ExtremalSequence, first: int, upto: int, proved: int | None
+    seq: ExtremalSequence, first: int, upto: int, proved: int
 ) -> tuple[int, int] | None:
     """Appends the members through `upto` not yet stored and returns
     `_first_failure` over the whole table at the indices first..upto, with
@@ -499,7 +494,7 @@ def _checked_first_failure(
                         y, t = _read_member(buf, notice)
                         seq.ys.append(y)
                         seq.ts.append(t)
-                    failure = _first_failure(seq, i, i, child, _reused(i, first, proved))
+                    failure = _first_failure(seq, i, i, child, i - first + proved)
                     if failure is not None:
                         break
                 _VERDICT.pack_into(buf, 0, True, failure is not None, *(failure or (0, 0)))

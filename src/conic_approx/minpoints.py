@@ -109,7 +109,8 @@ def _scaled_enclosure(target: Target, p: int):
 def _record(x, d1, d2, p: int) -> MinimalPointRecord:
     """The record of the lattice point x, from the scaled enclosures d1, d2 of
     x0*xi1 - x1 and x0*xi2 - x2 on the grid 2**-p."""
-    assert math.gcd(*x) == 1, "minimal points are primitive"
+    if math.gcd(*x) != 1:
+        raise AssertionError("minimal points are primitive")
     e1i, e2i = _abs_interval(*d1), _abs_interval(*d2)
     return MinimalPointRecord(
         x, x[0], CertifiedReal.from_scaled(max(e1i[0], e2i[0]), max(e1i[1], e2i[1]), p)

@@ -336,7 +336,8 @@ def _rational_zero(phi: TernaryQuadraticForm, basis, values) -> Vec3 | None:
     if radical:
         # the radical line is the unique rational zero of an irreducible degenerate form
         v = primitive(radical[0])
-        assert phi(v) == 0
+        if phi(v) != 0:
+            raise AssertionError
         return v
 
     if all(v > 0 for v in values) or all(v < 0 for v in values):
@@ -368,7 +369,8 @@ def _rational_zero(phi: TernaryQuadraticForm, basis, values) -> Vec3 | None:
         sum(coords[i] * basis[i][j] for i in range(3)) for j in range(3)
     )
     out = primitive(vec)
-    assert phi(out) == 0
+    if phi(out) != 0:
+        raise AssertionError
     return out
 
 
@@ -444,10 +446,12 @@ def reduce_form(phi: TernaryQuadraticForm) -> CanonicalReduction:
         w = next(e for e in _STD if phi.bilinear(v0, e) != 0)
         tcoef = Fraction(phi(w), phi.bilinear(v0, w))
         v2 = tuple(Fraction(a) - tcoef * b for a, b in zip(w, v0))
-        assert phi(v2) == 0
+        if phi(v2) != 0:
+            raise AssertionError
         v1 = _orthogonal_line(phi, v0, v2)
         qv1 = Fraction(phi(v1))
-        assert qv1 != 0
+        if qv1 == 0:
+            raise AssertionError
         scale = -qv1 / Fraction(phi.bilinear(v0, v2))
         v2 = tuple(scale * x for x in v2)
         red = CanonicalReduction(CASE_PARABOLA, mat_from_columns([v0, v1, v2]), -1 / qv1)
@@ -464,7 +468,8 @@ def reduce_form(phi: TernaryQuadraticForm) -> CanonicalReduction:
             scaled.append(tuple(s_i * x for x in basis[i]))
             bc.append(f_i)
         b, c = bc
-        assert b > 1 and c > 1, "b or c equal to 1 contradicts absence of rational zeros"
+        if not (b > 1 and c > 1):
+            raise AssertionError("b or c equal to 1 contradicts absence of rational zeros")
         red = CanonicalReduction(CASE_ANISOTROPIC, mat_from_columns(scaled), mu, b=b, c=c)
     if not red.verify(phi):
         raise ReductionIdentityError("reduction identity mu * (phi o T) = canonical form failed")

@@ -694,6 +694,11 @@ class TestVerdicts:
         ),
         forked=st.booleans(),
     )
+    # a seed t tampered with the members clean, tampers at two consecutive
+    # indices, and a tamper at the last index
+    @example(pair=(2, 3), tampers=[], seed_tamper=(0, 1), forked=False)
+    @example(pair=(3, 7), tampers=[(5, 3, 1), (6, 1, -1)], seed_tamper=None, forked=True)
+    @example(pair=(3, 5), tampers=[(10, 0, 2)], seed_tamper=None, forked=False)
     def test_equal_the_reference(self, pair, tampers, seed_tamper, forked, monkeypatch):
         seq = extend(seed_triple(*pair), 10)
         for j, coord, k in tampers:
@@ -712,6 +717,33 @@ class TestVerdicts:
         monkeypatch.setattr(extremal, "FORK_MIN_BITS", 0 if forked else 1 << 62)
         assert list(verdicts(seq)) == want
         assert seq.depth == 10
+
+    @pytest.mark.parametrize("seed_fails", [False, True])
+    def test_each_segment_reuses_what_it_proved(self, seed_fails, monkeypatch):
+        """Past a failure at index i the walk reuses again what it proves, as
+        `extend` does: the window of index j > i counts the j - i - 1 indices
+        between, so from i + 2 on the entries take their reuse paths."""
+        seq = extend(seed_triple(2, 3), 10)
+        if seed_fails:
+            # the seed inner products fail, and the t recurrence at 2 alone after them
+            seq.ts[0] += 1
+            failed = [(SEED_IDENTITIES[1][0], 1), ("t recurrence", 2)]
+            walk = [(2, 0), (2, 0), *((j, j - 3) for j in range(3, 11))]
+        else:
+            monkeypatch.setattr(extremal, "IDENTITIES", fails_at(IDENTITIES, "t recurrence", 5))
+            failed = [("t recurrence", 5)]
+            walk = [(2, 3), (3, 4), (4, 5), (5, 6), (5, 0), *((j, j - 6) for j in range(6, 11))]
+        made = []
+
+        class Recorded(Window):
+            def __init__(self, seq, i, proved=0):
+                super().__init__(seq, i, proved)
+                made.append((i, proved))
+
+        monkeypatch.setattr(extremal, "Window", Recorded)
+        monkeypatch.setattr(extremal, "FORK_MIN_BITS", 1 << 62)
+        assert [(name, i) for name, i, ok in verdicts(seq) if not ok] == failed
+        assert made == [(1, 0), *walk]
 
     def test_the_seed_alone_at_depth_1(self, forks):
         seq = seed_triple(2, 3)

@@ -11,9 +11,10 @@ but through its one decoder or writes JSON or CSV but through it, and `cli`
 names no key of a format.  Only `extremal.seed_triple` and `cli.cmd_verify`
 build the diagonal form of a pair (b, c).  No class of the package defines
 `__get__`: per-instance caches are `functools.cached_property`.  Only `records`
-names `set_field`: every record's fields are set by `Record.__init__`.  The search
-path, from `enumerate_minimal` down to `nearest_integer`, calls no `float`,
-`math.log` or `math.exp` and divides with no `/`."""
+names `set_field`: every record's fields are set by `Record.__init__`.  No
+function or method of the package calls `float`, names `math.log` or
+`math.exp`, or divides with `/` but the ones `FLOAT_ALLOWED` names, and no
+module holds an `assert` statement."""
 import ast
 import json
 import subprocess
@@ -600,34 +601,53 @@ def test_only_records_sets_a_field(path):
         assert set_field_uses(path.read_text()) == []
 
 
-# the minimal-point search: every skip, rounding and record comparison is
-# decided on integers
-FLOAT_FREE = {
-    "minpoints.py": ["_scan", "_record", "_scaled_enclosure", "enumerate_minimal"],
-    "numerics.py": ["nearest_integer"],
+# the functions and methods that call `float`, name `math.log` or `math.exp`,
+# or divide with `/`, each with its reason; every other one, the search path
+# from `enumerate_minimal` down to `nearest_integer` and every certified
+# enclosure and identity check among them, decides on integers
+FLOAT_ALLOWED = {
+    "extremal.growth_ratios": "report: log ratios of member norms",
+    "formats.dump_records": "report: the float endpoints of each record's L in the file",
+    "minpoints._log_interval": "report: the log of a certified real in the exponent estimates",
+    "minpoints.estimate_lambda": "report: the exponent estimates, ratios of logs",
+    "numerics.Dyadic.log": "report: the natural log of a dyadic",
+    "quadform.diagonalize": "exact Fraction division",
+    "quadform._orthogonal_line": "exact Fraction division",
+    "quadform.reduce_form": "exact Fraction division",
 }
 
 
-def float_uses(source: str, functions: list[str]) -> dict[str, list[int]]:
-    """For each of `functions` defined at the top level of `source`, the lines
-    of its body that call `float`, name `math.log` or `math.exp`, or divide
-    with `/` or `/=`."""
-    found = {}
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in functions:
-            found[node.name] = sorted(
-                inner.lineno
-                for inner in ast.walk(node)
-                if isinstance(inner, ast.Call)
-                and isinstance(inner.func, ast.Name)
-                and inner.func.id == "float"
-                or isinstance(inner, ast.Attribute)
-                and inner.attr in ("log", "exp")
-                and isinstance(inner.value, ast.Name)
-                and inner.value.id == "math"
-                or isinstance(inner, (ast.BinOp, ast.AugAssign))
-                and isinstance(inner.op, ast.Div)
-            )
+def float_uses(source: str) -> dict[str, list[int]]:
+    """The lines of `source` that call `float`, name `math.log` or `math.exp`,
+    or divide with `/` or `/=`, by the qualified name of the top-level
+    function or method, `Class.method`, that holds them (a nested function's
+    lines count for it; code outside any function for its class, or for ""
+    at the top level).  Functions without such a line are left out."""
+    found: dict[str, list[int]] = {}
+
+    def visit(node, owner, in_function):
+        for child in ast.iter_child_nodes(node):
+            name, inside = owner, in_function
+            if not in_function and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                name = f"{owner}.{child.name}" if owner else child.name
+                inside = not isinstance(child, ast.ClassDef)
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "float"
+                or isinstance(child, ast.Attribute)
+                and child.attr in ("log", "exp")
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "math"
+                or isinstance(child, (ast.BinOp, ast.AugAssign))
+                and isinstance(child.op, ast.Div)
+            ):
+                found.setdefault(name, []).append(child.lineno)
+            visit(child, name, inside)
+
+    visit(ast.parse(source), "", False)
     return found
 
 
@@ -643,15 +663,51 @@ def test_the_check_finds_every_float():
         "    return y, x / 2\n"
         "def exact(x):\n"
         "    return x // 2, x.log(), x >> 1, divmod(x, 3)\n"
-        "def unnamed(x):\n"
-        "    return x / 2\n"
+        "class Box:\n"
+        "    half = 1 / 2\n"
+        "    def width(self):\n"
+        "        def inner():\n"
+        "            return float(self.hi)\n"
+        "        return inner\n"
+        "    class Inner:\n"
+        "        def mean(self):\n"
+        "            return self.a / 2\n"
+        "top = math.exp(1)\n"
     )
-    assert float_uses(source, ["cast", "logs", "exact"]) == {
-        "cast": [3], "logs": [5, 6, 7, 8], "exact": []
+    assert float_uses(source) == {
+        "cast": [3], "logs": [5, 6, 7, 8], "Box": [12], "Box.width": [15],
+        "Box.Inner.mean": [19], "": [20],
     }
 
 
-@pytest.mark.parametrize("module", sorted(FLOAT_FREE))
-def test_the_search_path_is_float_free(module):
-    functions = FLOAT_FREE[module]
-    assert float_uses((PACKAGE / module).read_text(), functions) == {f: [] for f in functions}
+def test_only_the_allowed_functions_use_floats():
+    found = {
+        f"{path.stem}.{name}" for path in PACKAGE.glob("*.py") for name in float_uses(path.read_text())
+    }
+    assert found == set(FLOAT_ALLOWED)
+
+
+def assert_statements(source: str) -> list[int]:
+    """Lines of `source` that hold an `assert` statement."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_the_check_finds_every_assert():
+    source = (
+        "assert X\n"
+        "def f(x):\n"
+        "    if not x:\n"
+        "        raise AssertionError('kept under -O')\n"
+        "    assert x > 0, 'removed under -O'\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        assert self\n"
+    )
+    assert assert_statements(source) == [1, 5, 8]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement_in_the_package(path):
+    # `python -O` and PYTHONOPTIMIZE remove every `assert`, and with it the
+    # check; a self-check raises AssertionError itself
+    assert assert_statements(path.read_text()) == []

@@ -1,7 +1,10 @@
 """Ternary forms: evaluation, the reflection operator, reduction, rational zeros."""
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -282,6 +285,22 @@ class TestRationalZero:
         from math import gcd
 
         assert gcd(gcd(v[0], v[1]), v[2]) == 1
+
+    @pytest.mark.parametrize("optimize", [[], ["-O"]])
+    def test_wrong_witness_raises_under_optimize(self, optimize):
+        # the exact check phi(v) = 0 was an `assert`, which -O removes: a wrong
+        # Holzer witness then came back as a zero, where phi = 3
+        probe = (
+            f"import sys; sys.path.insert(0, {str(Path(quadform.__file__).parents[1])!r}); "
+            "from conic_approx import quadform; "
+            "quadform._holzer_search = lambda coeffs: (2, 1, 1); "
+            "quadform.rational_zero(quadform.TernaryQuadraticForm(1, 1, -2))"
+        )
+        run = subprocess.run(
+            [sys.executable, *optimize, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 1
+        assert run.stderr.splitlines()[-1] == "AssertionError"
 
 
 S5_SUBSTITUTION = (

@@ -65,3 +65,48 @@ def test_extremal_experiment_full_stdout_is_one_input_error_line():
     assert (run.returncode, run.stderr) == (
         2, "error: cannot write to stdout: [Errno 28] No space left on device\n"
     )
+
+
+def test_exponent_table_prints_the_header_and_three_rows():
+    run = run_script("exponent_table.py", "--xmax", "2000")
+    assert run.returncode == 0, run.stderr
+    header, *rows = run.stdout.splitlines()
+    assert header.split() == ["target", "records", "summary", "indep", "rigidity"]
+    assert [row.split()[:2] for row in rows] == [
+        ["extremal", "(2,3)"], ["(1,", "sqrt2,"], ["(1,", "sqrt2,"]
+    ]
+    assert run.stderr == ""
+
+
+def test_exponent_table_rejects_a_square_b():
+    # ExtremalTarget's UnsupportedConstruction ended in a traceback with exit 1
+    run = run_script("exponent_table.py", "--b", "4")
+    assert run.returncode == 3
+    assert (run.stdout, run.stderr) == ("", "rejected: b=4 must be a square-free integer > 1\n")
+
+
+def test_exponent_table_xmax_below_one_is_input_error():
+    run = run_script("exponent_table.py", "--xmax", "0")
+    assert run.returncode == 2
+    assert (run.stdout, run.stderr) == ("", "error: --xmax must be positive\n")
+
+
+@pytest.mark.parametrize("xmax", ["1", "2"])
+def test_exponent_table_fewer_than_two_records_is_input_error(xmax):
+    # estimate_lambda's ValueError ended in a traceback with exit 1; the line
+    # is the one `cli enumerate` prints
+    run = run_script("exponent_table.py", "--xmax", xmax)
+    assert run.returncode == 2
+    assert (run.stdout, run.stderr) == (
+        "",
+        f"error: 1 minimal point(s) up to --xmax {xmax}; the exponent estimate needs at least two\n",
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_exponent_table_full_stdout_is_one_input_error_line():
+    with open("/dev/full", "w") as full:  # every write to it fails with ENOSPC
+        run = run_script("exponent_table.py", "--xmax", "2000", stdout=full)
+    assert (run.returncode, run.stderr) == (
+        2, "error: cannot write to stdout: [Errno 28] No space left on device\n"
+    )
