@@ -104,7 +104,7 @@ def _head_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return m, e + a[1] + b[1]
 
 
-def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> CertifiedVec3:
+def limit_point(seq: ExtremalSequence, target_width: Fraction | int) -> CertifiedVec3:
     """Certified enclosure of the limit (1, xi1, xi2), coordinate widths <= target_width.
 
     The width is read once as P bits, the fewest P >= 0 with 2**-P <= the
@@ -112,8 +112,13 @@ def limit_point(seq: ExtremalSequence, target_width: Fraction | float) -> Certif
     the first i >= 2 whose tail bound eps satisfies 4 eps <= 2**-P, and each
     endpoint is rounded outward to the grid 2**-bits, bits = max(64, P + 9).
     The guard bits above P keep the rounding to a small part of the width.
-    `tail_bound` is eps rounded up to the same grid.
+    `tail_bound` is eps rounded up to the same grid.  A width that is not a
+    `Fraction` or an int, a float say, is a TypeError.
     """
+    if not isinstance(target_width, (Fraction, int)):
+        raise TypeError(
+            f"target_width must be a Fraction or an int, not {type(target_width).__name__}"
+        )
     tw = Fraction(target_width)
     if tw <= 0:
         raise ValueError("target_width must be positive")

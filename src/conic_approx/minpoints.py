@@ -20,26 +20,39 @@ without the skip, except that an x0 whose rounding is ambiguous at the current
 precision, but which is certifiably far from the record, no longer forces a
 precision doubling.
 
-The skip test runs on a block of K = BLOCK_LANES consecutive x0 at once.
-With base = best_hi + slack and span = 2**p - 1 - 2*base, r lies in the window
-exactly when (r - base) mod 2**p <= span.  One int U (`packed` in `_scan`)
-holds the re-based residues (x0*a1lo - base) mod 2**p of a block, one per lane
-of p + 1 bits whose top bit, the guard, is clear, and a lane is kept when
-U + lift sets its guard.  With span >= 0, lift = 2*base*ones, where ones has a
-1 at the foot of each lane: as 2*base < 2**p, a residue plus 2*base carries
-into the guard of its lane, and never past it, exactly when the residue
-exceeds span.  Before the first record, and whenever span < 0 (an empty
-window), lift = 2**p*ones: as r < 2**p, r + 2**p sets the guard of its lane
-and carries no further, so every lane is kept and nothing is skipped.  The
-next block is U = (U + kstep) & lanes, with kstep = ((K*a1lo) mod 2**p)*ones
-and lanes the mask of every lane's residue bits: one add and one guard-bit
-test, then one add and one mask, per K x0.  The kept x0 of a block are read
-off its guard bits, lowest first, after one mask clears the lanes past Xmax
-in the last block, and each gets both certified roundings and the record and
-overlap tests.  A record re-bases U on the next x0 by the expression that
-bases it at x0 = 1, from the residues j*a1lo mod 2**p of the lanes, packed
-once per pass.  So the x0 rounded, the records and the precision passes are
-those of the per-x0 test alone.
+The skip test runs on a block of K = BLOCK_LANES consecutive x0 at once, in
+two stages.  With base = best_hi + slack and span = 2**p - 1 - 2*base, r lies
+in the window exactly when (r - base) mod 2**p <= span.  The first stage reads
+only the top q = min(p, 2*bits(Xmax) + 8) bits of a1lo.  With drop = p - q and
+a = a1lo >> drop, a floor also for a1lo < 0, a1lo = a*2**drop + d with 0 <= d
+< 2**drop, so x0*a1lo = R*2**drop + x0*d modulo 2**p, where R = x0*a mod 2**q
+and 0 <= x0*d < Xmax*2**drop.  Hence an x0 with R in [low_end, 2**q - 1 -
+low_end - spill], where low_end = ceil(base / 2**drop) and spill = Xmax when
+drop > 0 (0 when q = p), has r in [base, 2**p - 1 - base]: the ceiling keeps
+the bottom end, and spill the top end, of the p-bit window.  One int U
+(`packed` in `_scan`) holds the re-based residues (x0*a - low_end) mod 2**q
+of a block, one per lane of q + 1 bits whose top bit, the guard, is clear,
+and a lane is kept when U + lift sets its guard.  With 2*low_end + spill <=
+2**q, lift = (2*low_end + spill)*ones, where ones has a 1 at the foot of each
+lane: a residue below 2**q plus lift carries into the guard of its lane, and
+never past it, exactly when the residue exceeds 2**q - 1 - 2*low_end - spill,
+the span of the q-bit window.  Before the first record, and whenever that
+window is empty, lift = 2**q*ones: every lane's guard is set, nothing carries
+further, and nothing is skipped.  The next block is U = (U + kstep) & lanes,
+with kstep = ((K*a) mod 2**q)*ones and lanes the mask of every lane's residue
+bits: one add and one guard-bit test, then one add and one mask, per K
+x0.  The kept x0 of a block are read off its guard bits, lowest first, after
+one mask clears the lanes past Xmax in the last block.  The second stage is
+the p-bit test itself, (x0*a1lo - base) mod 2**p > span (every x0 passes it
+while span < 0), on each kept x0; the x0 it keeps get both certified
+roundings and the record and overlap tests.  A record re-bases U on the next
+x0 by the expression that bases it at x0 = 1, from the residues j*a mod 2**q
+of the lanes, packed once per pass.  As the first stage keeps every x0 that
+the p-bit test keeps, the x0 rounded, the records and the precision passes
+are those of the per-x0 test alone.  At most Xmax + 2 of the 2**q values of R
+lie outside the q-bit window with r inside the p-bit one, so over a whole
+scan the first stage keeps on the order of Xmax*(Xmax + 2)/2**q < 2**-8 x0
+more than the p-bit test, while a lane has q + 1 bits instead of p + 1.
 """
 from __future__ import annotations
 
@@ -79,14 +92,15 @@ class RigidityReport(FrozenRecord):
 # ---------------------------------------------------------------------------
 
 # x0 per block of the scan's skip test.  A wider block skips faster, but the
-# benchmark's harness keeps about 0.44 KiB per `scan` operation, so its
-# peak_rss_mib grows with throughput; this kernel's budget there is +7 % over
-# the 4-lane block's.  6 is the widest block that kept it in every trial: on
-# 35 s `scan` runs (2-core x86_64, Python 3.11.7), 6 lanes read 1.29x the
-# 4-lane ops_per_s and +3.0 % its peak_rss_mib (medians of 10 pairs; +1.8 to
-# +7.0 % per pair), 7 lanes 1.41-1.45x and +1.9 to +6.1 % (3 pairs) but up
-# to +8.0 % in an earlier trial, 8 lanes 1.50-1.52x and +5.9 to +9.3 %.
-BLOCK_LANES = 6
+# benchmark's harness keeps a record of about 0.44 KiB per `scan` operation,
+# so its peak_rss_mib grows with throughput, not with the scan's own memory.
+# On 35 s `scan` runs (2-core x86_64, Python 3.11.7), against 6 lanes of
+# p + 1 bits, lanes of q + 1 bits read: 6 lanes 1.15x ops_per_s and +2.1 %
+# peak_rss_mib (medians of 3 pairs; +0.9 to +6.9 % per pair), 8 lanes 1.33x
+# and +5.0 % (10 pairs; +2.9 to +10.1 %), 10 lanes 1.48x and +8.7 % (3 pairs;
+# +8.3 to +13.3 %).  8 is the widest block whose median stays well inside the
+# benchmark's 10 % bound on peak_rss_mib.
+BLOCK_LANES = 8
 
 
 def _abs_interval(lo: int, hi: int) -> tuple[int, int]:
@@ -121,19 +135,26 @@ def _scan(target: Target, xmax: int, p: int) -> list[MinimalPointRecord] | None:
     """One pass at fixed precision; returns the records, or None when undecided."""
     (a1lo, a1hi), (a2lo, a2hi) = _scaled_enclosure(target, p)
     mask = (1 << p) - 1
-    width = p + 1  # a lane: a residue below 2**p and its guard bit
-    ones = ((1 << BLOCK_LANES * width) - 1) // ((1 << width) - 1)  # a 1 at the foot of each lane
-    lanes, guards = mask * ones, ones << p
-    offsets = sum((j * a1lo & mask) << j * width for j in range(BLOCK_LANES))
-    kstep = (BLOCK_LANES * a1lo & mask) * ones
     slack = xmax * (a1hi - a1lo) + 1
+    # the lanes test the top q bits: a1lo = a*2**drop + d with 0 <= d < 2**drop,
+    # and x*d < xmax*2**drop, which `spill` adds to the top end of the window
+    q = min(p, 2 * xmax.bit_length() + 8)
+    drop = p - q
+    a, spill = a1lo >> drop, xmax if drop else 0
+    qmask = (1 << q) - 1
+    width = q + 1  # a lane: a residue below 2**q and its guard bit
+    ones = ((1 << BLOCK_LANES * width) - 1) // ((1 << width) - 1)  # a 1 at the foot of each lane
+    lanes, guards = qmask * ones, ones << q
+    offsets = sum((j * a & qmask) << j * width for j in range(BLOCK_LANES))
+    kstep = (BLOCK_LANES * a & qmask) * ones
     past = xmax + 1 - BLOCK_LANES  # a block that starts past this x0 has lanes past xmax
     records = []
     best: tuple[int, int] | None = None  # scaled (lo, hi) of the current record L
-    base, lift = 0, guards  # no record yet: r + 2**p keeps every lane
+    base, span = 0, -1  # the p-bit window; span < 0 keeps every x0
+    low_end, lift = 0, guards  # no record yet: r + 2**q keeps every lane
     x = 0  # the block starts at x + 1
     while True:
-        packed = (offsets + (((x + 1) * a1lo - base) & mask) * ones) & lanes
+        packed = (offsets + (((x + 1) * a - low_end) & qmask) * ones) & lanes
         for x0 in range(x + 1, xmax + 1, BLOCK_LANES):
             kept = (packed + lift) & guards
             packed = (packed + kstep) & lanes
@@ -145,7 +166,10 @@ def _scan(target: Target, xmax: int, p: int) -> list[MinimalPointRecord] | None:
                 low = kept & -kept  # the lowest kept lane
                 kept ^= low
                 x = x0 + low.bit_length() // width - 1
-                v1lo, v1hi = x * a1lo, x * a1hi
+                v1lo = x * a1lo
+                if (v1lo - base) & mask <= span:
+                    continue  # in the p-bit window: |x*xi1 - x1| > L_best
+                v1hi = x * a1hi
                 v2lo, v2hi = x * a2lo, x * a2hi
                 n1 = nearest_integer(v1lo, v1hi, p)
                 n2 = nearest_integer(v2lo, v2hi, p)
@@ -168,15 +192,21 @@ def _scan(target: Target, xmax: int, p: int) -> list[MinimalPointRecord] | None:
         else:
             return records
         base = best[1] + slack
-        # carries a residue into its guard exactly when it exceeds the span
-        # 2**p - 1 - 2*base of the skip window, or every residue when it is empty
-        lift = 2 * base * ones if 2 * base <= mask else guards
+        span = mask - 2 * base
+        # the q-bit window [low_end, 2**q - 1 - low_end - spill] scaled by
+        # 2**drop lies inside the p-bit one; the lift carries a lane into its
+        # guard exactly when its residue is past the window's top, or every
+        # lane when the window is empty
+        low_end = -(-base >> drop)
+        lift = min(2 * low_end + spill, qmask + 1) * ones
 
 
 def enumerate_minimal(
     target: Target, xmax: int, *, bits: int | None = None
 ) -> list[MinimalPointRecord]:
     """Certified minimal-point records for x0 = 1..xmax."""
+    if not isinstance(xmax, int):
+        raise TypeError(f"xmax must be an int, not {type(xmax).__name__}")
     if xmax <= 0:
         raise ValueError("xmax must be positive")
     if bits is not None and bits < 1:

@@ -893,8 +893,13 @@ class TestLimitPoint:
         seq = seed_triple(2, 3)
         assert limit_point(seq, Fraction(3, 2**130)) == limit_point(seq, Fraction(1, 2**129))
         assert limit_point(seq, Fraction(2**129 - 1, 2**258)) == limit_point(seq, Fraction(1, 2**130))
-        assert limit_point(seq, 0.3) == limit_point(seq, Fraction(1, 4))
         assert limit_point(seq, 5) == limit_point(seq, 1)
+
+    @pytest.mark.parametrize("width", [0.3, float("inf"), float("nan"), "1/4"])
+    def test_width_that_is_not_a_fraction_or_an_int_is_refused(self, width):
+        want = f"^target_width must be a Fraction or an int, not {type(width).__name__}$"
+        with pytest.raises(TypeError, match=want):
+            limit_point(seed_triple(2, 3), width)
 
     def test_width_request_honored(self):
         seq = seed_triple(2, 3)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conic_approx import minpoints, targets
@@ -290,12 +290,35 @@ def rounded_x0(monkeypatch, target, xmax, p):
     return [v // a1lo for v in calls[::2]], out  # each x0 rounds x0*a1lo, then x0*a2lo
 
 
-@pytest.fixture(params=sorted({1, 2, 3, 4, minpoints.BLOCK_LANES, 64}), ids=lambda k: f"lanes{k}")
+def assert_rounds_as_the_direct_skip(monkeypatch, target, xmax, p):
+    """`_scan` gives the records (or None) of `reference_scan(skip=True)` and
+    rounds the same x0, in the same order."""
+    want, want_visited = reference_scan(target, xmax, p, skip=True)
+    visited, got = rounded_x0(monkeypatch, target, xmax, p)
+    assert got == want
+    assert visited == want_visited
+    return visited
+
+
+def lane_bits(xmax, p):
+    """q, the bits of the residues in `_scan`'s lanes."""
+    return min(p, 2 * xmax.bit_length() + 8)
+
+
+@pytest.fixture(params=sorted({1, 2, 3, 4, 6, minpoints.BLOCK_LANES, 64}), ids=lambda k: f"lanes{k}")
 def block_lanes(monkeypatch, request):
-    """`minpoints.BLOCK_LANES`, which `_scan` reads, at 1 to 4 lanes, at the
-    module's own width and at 64, so that blocks end on short scans, records
-    and xmax, and hold several kept lanes and records."""
+    """`minpoints.BLOCK_LANES`, which `_scan` reads, at 1 to 4 lanes, at 6, at
+    the module's own width and at 64, so that blocks end on short scans,
+    records and xmax, and hold several kept lanes and records."""
     monkeypatch.setattr(minpoints, "BLOCK_LANES", request.param)
+
+
+@st.composite
+def grid_targets(draw):
+    """`GridTarget`s of either sign on grids of 1 to 140 bits, |xi_j| <= 4."""
+    g = draw(st.integers(1, 140))
+    bound = 1 << g + 2
+    return GridTarget(draw(st.integers(-bound, bound)), draw(st.integers(-bound, bound)), g)
 
 
 @pytest.mark.usefixtures("block_lanes")
@@ -401,6 +424,88 @@ class TestSameCandidates:
             assert visited == want_visited
 
 
+@pytest.mark.usefixtures("block_lanes")
+class TestNarrowLanes:
+    """The lanes hold the top q = min(p, 2*bits(xmax) + 8) bits of each
+    residue, on a window that contains the p-bit window's x0 whatever the
+    p - q dropped bits of a1lo are; each kept x0 then gets the p-bit test."""
+
+    @pytest.mark.parametrize("target", [SqrtPairTarget(2, 3), ExtremalTarget(3, 5)], ids=repr)
+    @pytest.mark.parametrize("p", [20, 31, 32])
+    def test_lanes_of_all_p_bits(self, monkeypatch, target, p):
+        xmax = 3000
+        assert lane_bits(xmax, p) == p
+        assert_rounds_as_the_direct_skip(monkeypatch, target, xmax, p)
+
+    @pytest.mark.parametrize("target", [SqrtPairTarget(2, 3), ExtremalTarget(3, 5)], ids=repr)
+    @pytest.mark.parametrize("xmax", [2**11 - 1, 2**11, 2**12 - 1, 2**12])
+    @pytest.mark.parametrize("extra", [None, 0, 1])
+    def test_xmax_where_the_lanes_widen(self, monkeypatch, target, xmax, extra):
+        # q is 30 at 2**11 - 1 and 32 at 2**11; p = q + extra, or the default
+        q = 2 * xmax.bit_length() + 8
+        p = height_precision(xmax, 96) if extra is None else q + extra
+        assert lane_bits(xmax, p) == q
+        assert_rounds_as_the_direct_skip(monkeypatch, target, xmax, p)
+
+    @pytest.mark.parametrize("g", [12, 17, 40, 64])
+    def test_window_ends_at_either_sign(self, monkeypatch, g):
+        # GridTargets on their own grid p = g: at 12 and 17 bits the lanes
+        # hold all p bits of a residue, at 40 and 64 bits their top 32
+        rng = random.Random(g)
+        for _ in range(5):
+            n1, n2 = (rng.randrange(1, 1 << g) * rng.choice((1, -1)) for _ in range(2))
+            assert_rounds_as_the_direct_skip(monkeypatch, GridTarget(n1, n2, g), 3000, g)
+
+    @pytest.mark.parametrize(
+        "top,n2,p,xmax",
+        [
+            (8807, 664030447, 30, 7),
+            (8936, 1061369615, 32, 15),
+            (-59579, 304648, 20, 8),
+            (-28334, 1044182077, 32, 15),
+            (-704178, 68047464902, 36, 32),
+        ],
+    )
+    def test_largest_dropped_part(self, monkeypatch, top, n2, p, xmax):
+        # a1lo = top*2**drop + d on its own grid p, with d = 2**drop - 1, the
+        # largest dropped part: on each of these, some x0 whose top bits lie
+        # just below the top of the q-bit window have p-bit residues past
+        # the top of the p-bit window, or wrapped past 2**p
+        drop = p - lane_bits(xmax, p)
+        assert drop > 0
+        target = GridTarget(top << drop | (1 << drop) - 1, n2, p)
+        assert_rounds_as_the_direct_skip(monkeypatch, target, xmax, p)
+
+    def test_empty_lane_window_with_a_p_bit_window(self, monkeypatch):
+        # xi1 = 1/4 - 2**-33, xi2 = 1/2 - 2**-30: the record at x0 = 1 has
+        # L = 1/2 - 2**-30; the q-bit window (q = 12) is then empty and keeps
+        # every lane, while the p-bit window holds 2*xi1 = 1/2 - 2**-32
+        target, xmax, p = GridTarget(2**38 - 2**7, 2**39 - 2**10, 40), 3, 40
+        q, drop = lane_bits(xmax, p), p - lane_bits(xmax, p)
+        first = unfiltered_scan(target, xmax, p)[0]
+        assert first.L.hi == Dyadic.make(2**39 - 2**10, -p)
+        base = 2**39 - 2**10 + 1  # best_hi + slack, and slack is 1 on a grid target
+        assert 2 * base < 1 << p
+        assert 2 * -(-base >> drop) + xmax > 1 << q
+        assert assert_rounds_as_the_direct_skip(monkeypatch, target, xmax, p) == [1, 3]
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(target=grid_targets(), xmax=st.integers(1, 3000), p=st.integers(1, 140))
+    # the window's low end is ceil(base / 2**drop): its floor would skip the
+    # x0 with residue best_hi, a multiple of 2**drop here
+    @example(target=GridTarget(-39, 156, 8), xmax=100, p=30)
+    @example(target=GridTarget(199, 129, 8), xmax=100, p=30)
+    def test_equals_the_direct_skip(self, monkeypatch, target, xmax, p):
+        (a1lo, _), _ = _scaled_enclosure(target, p)
+        assume(a1lo != 0)  # `rounded_x0` divides by a1lo
+        assert_rounds_as_the_direct_skip(monkeypatch, target, xmax, p)
+
+
 class TestRationalTargets:
     @pytest.mark.parametrize(
         "a,b", [(2, 8), (0, 2), (1, 2), (2, 1), (6, 24), (4, 9), (0, 0), (1, 1)]
@@ -420,6 +525,16 @@ class TestRationalTargets:
     def test_xmax_validation(self):
         with pytest.raises(ValueError):
             enumerate_minimal(SqrtPairTarget(2, 3), 0)
+
+    @pytest.mark.parametrize("bits", [None, 64])
+    @pytest.mark.parametrize("xmax", [100.0, Fraction(100), "100"])
+    def test_xmax_that_is_not_an_int_is_refused(self, monkeypatch, xmax, bits):
+        def no_scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(minpoints, "_scan", no_scan)
+        with pytest.raises(TypeError, match=f"^xmax must be an int, not {type(xmax).__name__}$"):
+            enumerate_minimal(SqrtPairTarget(2, 3), xmax, bits=bits)
 
     @pytest.mark.parametrize("bits", [0, -3])
     def test_bits_below_one_rejected(self, bits):
