@@ -7,21 +7,24 @@ x0*xi2, so a scan over x0 = 1..Xmax enumerates the whole sequence.
 The scan runs on scaled-integer enclosures; any undecided comparison restarts
 it at doubled precision, so every emitted record is certified.
 
-Most x0 are rejected by the first coordinate alone.  Let a1lo be the scaled
-lower end of xi1, best_hi the scaled upper bound of the current record's L and
+Most x0 are rejected by one coordinate alone.  Let a1lo be the scaled lower
+end of xi1, best_hi the scaled upper bound of the current record's L and
 slack = Xmax*(a1hi - a1lo) + 1, which bounds the width of every enclosure of
 x0*xi1.  An x0 whose residue r = x0*a1lo mod 2**p lies in
 [best_hi + slack, 2**p - 1 - best_hi - slack] has every point of that
 enclosure more than best_hi from the nearest integer, so |x0*xi1 - x1| > L_best
 for every x1: the x0 can neither set a record nor overlap the current one, and
-the scan skips it.  Every other x0 gets both certified roundings and the record
-and overlap tests.  So the records and the precision are those of the scan
-without the skip, except that an x0 whose rounding is ambiguous at the current
-precision, but which is certifiably far from the record, no longer forces a
+the scan skips it.  The same holds for xi2, with a2lo and
+slack2 = Xmax*(a2hi - a2lo) + 1 in place of a1lo and slack.  Every other x0
+gets both certified roundings and the record and overlap tests.  So the
+records and the precision are those of the scan without the skip, except that
+an x0 whose rounding is ambiguous at the current precision, but which is
+certifiably far from the record in either coordinate, no longer forces a
 precision doubling.
 
-The skip test runs on a block of K = BLOCK_LANES consecutive x0 at once, in
-two stages.  With base = best_hi + slack and span = 2**p - 1 - 2*base, r lies
+The skip test runs in three stages: the first two test xi1 on a block of
+K = BLOCK_LANES consecutive x0 at once, the third tests xi2 on each x0 that
+they keep.  With base = best_hi + slack and span = 2**p - 1 - 2*base, r lies
 in the window exactly when (r - base) mod 2**p <= span.  The first stage reads
 only the top q = min(p, 2*bits(Xmax) + 8) bits of a1lo.  With drop = p - q and
 a = a1lo >> drop, a floor also for a1lo < 0, a1lo = a*2**drop + d with 0 <= d
@@ -44,15 +47,19 @@ bits: one add and one guard-bit test, then one add and one mask, per K
 x0.  The kept x0 of a block are read off its guard bits, lowest first, after
 one mask clears the lanes past Xmax in the last block.  The second stage is
 the p-bit test itself, (x0*a1lo - base) mod 2**p > span (every x0 passes it
-while span < 0), on each kept x0; the x0 it keeps get both certified
-roundings and the record and overlap tests.  A record re-bases U on the next
-x0 by the expression that bases it at x0 = 1, from the residues j*a mod 2**q
-of the lanes, packed once per pass.  As the first stage keeps every x0 that
-the p-bit test keeps, the x0 rounded, the records and the precision passes
-are those of the per-x0 test alone.  At most Xmax + 2 of the 2**q values of R
-lie outside the q-bit window with r inside the p-bit one, so over a whole
-scan the first stage keeps on the order of Xmax*(Xmax + 2)/2**q < 2**-8 x0
-more than the p-bit test, while a lane has q + 1 bits instead of p + 1.
+while span < 0), on each kept x0.  The third is the same test on xi2,
+(x0*a2lo - base2) mod 2**p > span2, with base2 = best_hi + slack2 and
+span2 = 2**p - 1 - 2*base2 (every x0 passes it while span2 < 0, also before
+the first record), and the x0 it keeps get both certified roundings and the
+record and overlap tests.  A record re-bases base, span, base2 and span2, and
+re-bases U on the next x0 by the expression that bases it at x0 = 1, from
+the residues j*a mod 2**q of the lanes, packed once per pass.  As the first
+stage keeps every x0 that the p-bit test keeps, the x0 rounded, the records
+and the precision passes are those of the two per-x0 tests alone.  At most
+Xmax + 2 of the 2**q values of R lie outside the q-bit window with r inside
+the p-bit one, so over a whole scan the first stage keeps on the order of
+Xmax*(Xmax + 2)/2**q < 2**-8 x0 more than the p-bit test, while a lane has
+q + 1 bits instead of p + 1.
 """
 from __future__ import annotations
 
@@ -136,6 +143,7 @@ def _scan(target: Target, xmax: int, p: int) -> list[MinimalPointRecord] | None:
     (a1lo, a1hi), (a2lo, a2hi) = _scaled_enclosure(target, p)
     mask = (1 << p) - 1
     slack = xmax * (a1hi - a1lo) + 1
+    slack2 = xmax * (a2hi - a2lo) + 1
     # the lanes test the top q bits: a1lo = a*2**drop + d with 0 <= d < 2**drop,
     # and x*d < xmax*2**drop, which `spill` adds to the top end of the window
     q = min(p, 2 * xmax.bit_length() + 8)
@@ -151,6 +159,7 @@ def _scan(target: Target, xmax: int, p: int) -> list[MinimalPointRecord] | None:
     records = []
     best: tuple[int, int] | None = None  # scaled (lo, hi) of the current record L
     base, span = 0, -1  # the p-bit window; span < 0 keeps every x0
+    base2, span2 = 0, -1  # the window of x*a2lo
     low_end, lift = 0, guards  # no record yet: r + 2**q keeps every lane
     x = 0  # the block starts at x + 1
     while True:
@@ -169,8 +178,10 @@ def _scan(target: Target, xmax: int, p: int) -> list[MinimalPointRecord] | None:
                 v1lo = x * a1lo
                 if (v1lo - base) & mask <= span:
                     continue  # in the p-bit window: |x*xi1 - x1| > L_best
-                v1hi = x * a1hi
-                v2lo, v2hi = x * a2lo, x * a2hi
+                v2lo = x * a2lo
+                if (v2lo - base2) & mask <= span2:
+                    continue  # in the window of xi2: |x*xi2 - x2| > L_best
+                v1hi, v2hi = x * a1hi, x * a2hi
                 n1 = nearest_integer(v1lo, v1hi, p)
                 n2 = nearest_integer(v2lo, v2hi, p)
                 if n1 is None or n2 is None:
@@ -193,6 +204,8 @@ def _scan(target: Target, xmax: int, p: int) -> list[MinimalPointRecord] | None:
             return records
         base = best[1] + slack
         span = mask - 2 * base
+        base2 = best[1] + slack2
+        span2 = mask - 2 * base2
         # the q-bit window [low_end, 2**q - 1 - low_end - spill] scaled by
         # 2**drop lies inside the p-bit one; the lift carries a lane into its
         # guard exactly when its residue is past the window's top, or every

@@ -101,17 +101,23 @@ def reference_scan(target, xmax, p, *, skip):
 
     Without `skip` every x0 is rounded and compared.  With it, x0 is skipped
     when x0*a1lo mod 2**p lies in [best_hi + slack, 2**p - 1 - best_hi - slack],
-    tested directly on that residue.  Returns (records or None, the x0
-    rounded in order, up to the end of the pass or the undecided x0).
+    or else x0*a2lo mod 2**p in [best_hi + slack2, 2**p - 1 - best_hi - slack2],
+    with slack2 = xmax*(a2hi - a2lo) + 1, each tested directly on the residue.
+    Returns (records or None, the x0 rounded in order, up to the end of the
+    pass or the undecided x0).
     """
     (a1lo, a1hi), (a2lo, a2hi) = _scaled_enclosure(target, p)
     mask = (1 << p) - 1
     slack = xmax * (a1hi - a1lo) + 1
+    slack2 = xmax * (a2hi - a2lo) + 1
     records = []
     visited = []
     best = None
     for x0 in range(1, xmax + 1):
-        if skip and best is not None and best[1] + slack <= x0 * a1lo & mask <= mask - best[1] - slack:
+        if skip and best is not None and (
+            best[1] + slack <= x0 * a1lo & mask <= mask - best[1] - slack
+            or best[1] + slack2 <= x0 * a2lo & mask <= mask - best[1] - slack2
+        ):
             continue
         visited.append(x0)
         v1lo, v1hi = x0 * a1lo, x0 * a1hi
@@ -134,7 +140,7 @@ def reference_scan(target, xmax, p, *, skip):
 
 
 def unfiltered_scan(target, xmax, p):
-    """The scan without the first-coordinate skip: every x0 is rounded and compared."""
+    """The scan without the skip: every x0 is rounded and compared."""
     return reference_scan(target, xmax, p, skip=False)[0]
 
 
@@ -250,6 +256,23 @@ class GridTarget:
         return f"GridTarget({self.n1}, {self.n2}, {self.q})"
 
 
+class WideXi2Target:
+    """Test-only target with the enclosures of `inner`, its xi2 enclosure
+    widened by 2**(k - bits) at each end: at p = bits the scaled xi2
+    enclosure is 2**(k + 1) wider than that of `inner`."""
+
+    def __init__(self, inner, k):
+        self.inner, self.k = inner, k
+
+    def enclosure(self, bits):
+        e1, e2 = self.inner.enclosure(bits)
+        lo, hi = e2.lo + Dyadic.make(-1, self.k - bits), e2.hi + Dyadic.make(1, self.k - bits)
+        return e1, CertifiedReal(lo, hi, e2.precision)
+
+    def __repr__(self):
+        return f"WideXi2Target({self.inner!r}, {self.k})"
+
+
 SQRT_PAIRS_60 = [(a, b) for a in SQUAREFREE_60 for b in SQUAREFREE_60 if a != b]
 EXTREMAL_POOL = [ExtremalTarget(b, c) for b, c in ((2, 3), (3, 5), (5, 7), (3, 2))]
 FAKE_TARGETS = [
@@ -277,17 +300,21 @@ def exact_records(target, xmax):
 
 
 def rounded_x0(monkeypatch, target, xmax, p):
-    """The x0 that `_scan` passes to `nearest_integer`, in order, and its result."""
-    (a1lo, _), _ = _scaled_enclosure(target, p)
+    """The x0 that `_scan` passes to `nearest_integer`, in order, and its result.
+
+    Each x0 rounds x0*a1lo..x0*a1hi, then x0*a2lo..x0*a2hi; x0 is read off
+    the first of the four scaled ends that is not 0, so there must be one."""
+    ends = [e for pair in _scaled_enclosure(target, p) for e in pair]
+    n = next(i for i, e in enumerate(ends) if e)
     calls = []
 
     def counted(lo, hi, p):
-        calls.append(lo)
+        calls.extend((lo, hi))
         return nearest_integer(lo, hi, p)
 
     monkeypatch.setattr(minpoints, "nearest_integer", counted)
     out = _scan(target, xmax, p)
-    return [v // a1lo for v in calls[::2]], out  # each x0 rounds x0*a1lo, then x0*a2lo
+    return [v // ends[n] for v in calls[n::4]], out
 
 
 def assert_rounds_as_the_direct_skip(monkeypatch, target, xmax, p):
@@ -386,12 +413,13 @@ class TestRebasedSkip:
             assert got[0].X == 1 and got[-1].X == xmax
 
     def test_empty_window_skips_nothing(self, monkeypatch):
-        # at 12 bits slack = xmax + 1 > 2**11, so span < 0 after every record
-        # and every x0 up to the undecided one is rounded
+        # at 12 bits slack = slack2 = xmax + 1 > 2**11, so both windows are
+        # empty after every record and every x0 up to the undecided one is
+        # rounded
         target = SqrtPairTarget(2, 3)
         xmax, p = 3000, 12
-        (a1lo, a1hi), _ = _scaled_enclosure(target, p)
-        assert xmax * (a1hi - a1lo) + 1 > 1 << (p - 1)
+        for lo, hi in _scaled_enclosure(target, p):
+            assert xmax * (hi - lo) + 1 > 1 << (p - 1)
         visited, got = rounded_x0(monkeypatch, target, xmax, p)
         want, want_visited = reference_scan(target, xmax, p, skip=False)
         assert got == want
@@ -400,7 +428,8 @@ class TestRebasedSkip:
 
 @pytest.mark.usefixtures("block_lanes")
 class TestSameCandidates:
-    """`_scan` rounds exactly the x0 that the skip test on x0*a1lo mod 2**p keeps."""
+    """`_scan` rounds exactly the x0 that the skip tests on x0*a1lo and on
+    x0*a2lo mod 2**p keep."""
 
     @pytest.mark.parametrize("target", PREFILTER_TARGETS, ids=repr)
     @pytest.mark.parametrize("bits", [None, 24, 28])
@@ -411,7 +440,9 @@ class TestSameCandidates:
         visited, got = rounded_x0(monkeypatch, target, xmax, p)
         assert got == want
         assert visited == want_visited
-        assert len(visited) < xmax // 20
+        # with the xi2 window at most 11 x0 are rounded here; the xi1 window
+        # alone leaves 65 to 324
+        assert len(visited) < 32
 
     @pytest.mark.parametrize("q", [12, 13, 17])
     def test_window_ends(self, monkeypatch, q):
@@ -422,6 +453,51 @@ class TestSameCandidates:
             visited, got = rounded_x0(monkeypatch, target, 3000, q)
             assert got == want
             assert visited == want_visited
+
+    @pytest.mark.parametrize(
+        "target,ends",
+        [
+            (GridTarget(182, 779, 12), {68: "top", 405: "low"}),
+            (GridTarget(968, 2681, 12), {17: "low", 38: "top"}),
+            (GridTarget(3416, 107, 12), {765: "past", 2795: "below"}),
+            (GridTarget(1966, 2778, 12), {1473: "below", 1498: "top"}),
+        ],
+    )
+    def test_second_window_ends(self, monkeypatch, target, ends):
+        # on its own grid slack = slack2 = 1; at each x0 named the first
+        # window keeps x0, and x0*a2lo mod 2**p lies on an end of the second
+        # window, or just outside it
+        xmax, p = 3000, target.q
+        mask = (1 << p) - 1
+        (a1lo, _), (a2lo, _) = _scaled_enclosure(target, p)
+        records, visited = reference_scan(target, xmax, p, skip=True)
+        for x0, end in ends.items():
+            best = [r for r in records if r.X < x0][-1]
+            base = int(best.L.hi.as_fraction() * 2**p) + 1
+            assert not base <= x0 * a1lo & mask <= mask - base
+            at = {"below": base - 1, "low": base, "top": mask - base, "past": mask - base + 1}
+            assert x0 * a2lo & mask == at[end]
+            assert (x0 in visited) == (end in ("below", "past"))
+        assert_rounds_as_the_direct_skip(monkeypatch, target, xmax, p)
+
+    @pytest.mark.parametrize(
+        "target,p,xmax",
+        [
+            (WideXi2Target(SqrtPairTarget(11, 13), 8), 32, 3000),
+            (WideXi2Target(SqrtPairTarget(2, 3), 8), 24, 1000),
+            (WideXi2Target(ExtremalTarget(2, 3), 8), 24, 3000),
+        ],
+        ids=repr,
+    )
+    def test_second_enclosure_wider_than_the_first(self, monkeypatch, target, p, xmax):
+        # slack2 is hundreds of times slack: a second window built on slack
+        # would skip x0 whose xi2 enclosure comes within L_best of an integer
+        (a1lo, a1hi), (a2lo, a2hi) = _scaled_enclosure(target, p)
+        assert a2hi - a2lo > 2**8 * (a1hi - a1lo)
+        assert_rounds_as_the_direct_skip(monkeypatch, target, xmax, p)
+        want = unfiltered_scan(target, xmax, p)
+        if want is not None:
+            assert _scan(target, xmax, p) == want
 
 
 @pytest.mark.usefixtures("block_lanes")
@@ -500,9 +576,13 @@ class TestNarrowLanes:
     # x0 with residue best_hi, a multiple of 2**drop here
     @example(target=GridTarget(-39, 156, 8), xmax=100, p=30)
     @example(target=GridTarget(199, 129, 8), xmax=100, p=30)
+    # every residue of x0*a1lo is 0: the second window does all the skipping
+    @example(target=IntegerXi1Target(0, SqrtPairTarget(2, 3)), xmax=3000, p=24)
+    @example(target=IntegerXi1Target(0, SqrtPairTarget(5, 7)), xmax=3000, p=64)
+    @example(target=GridTarget(0, 156, 8), xmax=100, p=30)
     def test_equals_the_direct_skip(self, monkeypatch, target, xmax, p):
-        (a1lo, _), _ = _scaled_enclosure(target, p)
-        assume(a1lo != 0)  # `rounded_x0` divides by a1lo
+        # `rounded_x0` reads x0 off a scaled end that is not 0
+        assume(any(any(ends) for ends in _scaled_enclosure(target, p)))
         assert_rounds_as_the_direct_skip(monkeypatch, target, xmax, p)
 
 
